@@ -52,10 +52,8 @@ from .linalg import (
     ComplexSparseMatrix,
     PoweredOperator,
     as_vector,
-    conj_transpose,
     dense_eigendecomposition,
     geometric_sum_apply,
-    matvec,
     read_matrix_market,
     read_vector_market,
     write_matrix_market,

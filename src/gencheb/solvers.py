@@ -6,7 +6,10 @@ core, so `solve` can drive any scheme with early stopping while the
 
 Cost accounting: the trace records the sparse products consumed by the
 scheme recurrence itself (k per basic step on a k-powered system, 2k per
-accelerated three-term step).  Residual telemetry matvecs are not counted.
+accelerated three-term step).  `solve` takes each residual from the product
+M y that the next step's M^k y starts with, so it spends the recurrence's
+products plus one after the power transform.  The fixed-step `*_iterate`
+runs spend one more, uncounted, product per step on the residual.
 """
 
 from __future__ import annotations
@@ -68,9 +71,10 @@ class IterationSystem:
     def n(self) -> int:
         return self.M.shape[0]
 
-    def residual_norm(self, y: np.ndarray) -> float:
-        """Euclidean norm of (I - M) y - g."""
-        return float(np.linalg.norm(y - self.M.matvec(y) - self.g))
+    def residual_norm(self, y: np.ndarray, my: np.ndarray | None = None) -> float:
+        """Euclidean norm of (I - M) y - g; `my` is M y when already known."""
+        my = self.M.matvec(y) if my is None else my
+        return float(np.linalg.norm(y - my - self.g))
 
     def check_consistency(self, x: np.ndarray, tol: float = 1e-10) -> None:
         """Assert that x solves (I - M) x = g (and the tilde pair if present)."""
@@ -157,44 +161,43 @@ class ConvergenceTrace:
 
 
 class _BasicStepper:
-    seed_steps = 0
+    """The basic step y -> M y + g; subclasses recombine it with `prev`.
+
+    `step(forward)` takes M y of the latest iterate y when the caller holds
+    it, and reports the step's full recurrence cost either way.
+    """
 
     def __init__(self, sys: IterationSystem, x0: np.ndarray):
         self.sys = sys
-        self.y = x0
+        self.y, self.prev = x0, None
         self.m = 0
 
-    def step(self) -> tuple[np.ndarray, int]:
-        self.y = self.sys.M.matvec(self.y) + self.sys.g
+    def step(self, forward=None) -> tuple[np.ndarray, int]:
         self.m += 1
-        return self.y, self.sys.M.matvec_cost
-
-
-class _ClassicalStepper:
-    """Two-term weighted recurrence driven by the classical ratio stream."""
-
-    def __init__(self, sys: IterationSystem, rho: float, x0: np.ndarray):
-        self.sys = sys
-        self.stream = classical_cheb_ratio_stream(rho)
-        self.prev = None
-        self.y = x0
-        self.m = 0
-
-    def step(self) -> tuple[np.ndarray, int]:
-        m_sys = self.sys.M
-        self.m += 1
-        if self.m == 1:
-            new = m_sys.matvec(self.y) + self.sys.g
-            cost = m_sys.matvec_cost
-        else:
-            w1, w2 = self.stream.step()
-            new = w1 * (m_sys.matvec(self.y) + self.sys.g) - w2 * self.prev
-            cost = m_sys.matvec_cost
+        forward = self.sys.M.matvec(self.y) if forward is None else forward
+        new, cost = self._combine(forward + self.sys.g)
         self.prev, self.y = self.y, new
         return new, cost
 
+    def _combine(self, basic):
+        return basic, self.sys.M.matvec_cost
 
-class _GeneralizedStepper:
+
+class _ClassicalStepper(_BasicStepper):
+    """Two-term weighted recurrence driven by the classical ratio stream."""
+
+    def __init__(self, sys: IterationSystem, rho: float, x0: np.ndarray):
+        super().__init__(sys, x0)
+        self.stream = classical_cheb_ratio_stream(rho)
+
+    def _combine(self, basic):
+        if self.m > 1:
+            w1, w2 = self.stream.step()
+            basic = w1 * basic - w2 * self.prev
+        return basic, self.sys.M.matvec_cost
+
+
+class _GeneralizedStepper(_BasicStepper):
     """Three-term scheme with coefficients from the f-ratio stream.
 
     Seeding: y1 is one basic step; y2 is the affine combination
@@ -211,37 +214,25 @@ class _GeneralizedStepper:
             )
         if sys.lambda1 is None:
             raise MissingLambda1("generalized scheme needs lambda1 on the system")
-        self.sys = sys
+        super().__init__(sys, x0)
         self.lam1 = complex(sys.lambda1)
         self.stream = coefficient_stream(self.lam1)
-        self.window = [x0]  # grows to the three latest iterates
-        self.m = 0
+        self.prev2 = None  # the iterate before `prev`
 
-    def step(self) -> tuple[np.ndarray, int]:
+    def _combine(self, forward):
         sys = self.sys
-        cost_m = sys.M.matvec_cost
-        cost_t = sys.M_tilde.matvec_cost
-        self.m += 1
         if self.m == 1:
-            new = sys.M.matvec(self.window[-1]) + sys.g
-            cost = cost_m
-        elif self.m == 2:
+            return forward, sys.M.matvec_cost
+        tilde = sys.M_tilde.matvec(self.prev) + sys.g_tilde
+        if self.m == 2:
             w = 1.0 / self.lam1
             f2 = 3 * w * w - 2 * w.conjugate()
-            forward = sys.M.matvec(self.window[-1]) + sys.g
-            tilde = sys.M_tilde.matvec(self.window[-2]) + sys.g_tilde
             new = (3 * forward / self.lam1**2 - 2 * tilde / self.lam1.conjugate()) / f2
-            cost = cost_m + cost_t
         else:
             c1, c2, c3 = self.stream.step()
-            forward = sys.M.matvec(self.window[-1]) + sys.g
-            tilde = sys.M_tilde.matvec(self.window[-2]) + sys.g_tilde
-            new = c1 * forward - c2 * tilde + c3 * self.window[-3]
-            cost = cost_m + cost_t
-        self.window.append(new)
-        if len(self.window) > 3:
-            self.window.pop(0)
-        return new, cost
+            new = c1 * forward - c2 * tilde + c3 * self.prev2
+        self.prev2 = self.prev
+        return new, sys.M.matvec_cost + sys.M_tilde.matvec_cost
 
 
 def _prepare_x0(sys: IterationSystem, x0) -> np.ndarray:
@@ -402,8 +393,11 @@ def solve(
     else:
         stepper = _GeneralizedStepper(work, x0)
 
+    # One M y per iterate: its residual, and the first factor of the next M^k y.
+    power = PoweredOperator(sys.M, sys.k)
+    my = sys.M.matvec(x0)
     trace = ConvergenceTrace(scheme=scheme, k=sys.k)
-    trace.initial_residual = sys.residual_norm(x0)
+    trace.initial_residual = sys.residual_norm(x0, my)
     g_norm = float(np.linalg.norm(sys.g))
     target = residual_tol * g_norm
     guard = DIVERGENCE_GUARD * max(trace.initial_residual, g_norm)
@@ -411,8 +405,9 @@ def solve(
     if trace.initial_residual <= target:
         return x0, trace
     for _ in range(max_steps):
-        y, cost = stepper.step()
-        residual = sys.residual_norm(y)
+        y, cost = stepper.step(power.finish(my))
+        my = sys.M.matvec(y)
+        residual = sys.residual_norm(y, my)
         trace.append(stepper.m, None, residual, cost)
         if residual < best_residual:
             best, best_residual = y, residual

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gencheb.errors import DimensionMismatch, UnreadableMatrix
 from gencheb.genmat import example33_fixture
@@ -73,6 +76,49 @@ class TestMatvec:
         a = ComplexSparseMatrix.from_triplets(4, 4, [1, 3], [2, 0], [2.0, 5.0])
         out = a.matvec(np.ones(4, dtype=complex))
         assert np.array_equal(out, np.array([0.0, 2.0, 0.0, 5.0], dtype=complex))
+
+
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def stored_pattern_and_vector(draw):
+    """A stored-entry mask (explicit zeros allowed), its values and a vector."""
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    stored = draw(hnp.arrays(bool, shape))
+    values = draw(hnp.arrays(float, shape, elements=_FINITE)) + 1j * draw(
+        hnp.arrays(float, shape, elements=_FINITE)
+    )
+    v = draw(hnp.arrays(float, shape[1], elements=_FINITE)) + 1j * draw(
+        hnp.arrays(float, shape[1], elements=_FINITE)
+    )
+    return stored, values, v
+
+
+def _case(stored, v):
+    stored = np.array(stored, dtype=bool)
+    return stored, np.where(stored, 1.5 - 0.5j, 0.0), np.asarray(v, dtype=complex)
+
+
+class TestMatvecProperties:
+    @settings(deadline=None)
+    @given(stored_pattern_and_vector())
+    # 1x1; nnz 0; an empty first, middle and last row
+    @example(_case([[True]], [2.0]))
+    @example(_case([[False, False, False], [False, False, False]], [1.0, 2.0, 3.0]))
+    @example(_case([[False, False], [True, True], [True, False]], [1.0, -2.0]))
+    @example(_case([[True, False], [False, False], [True, True]], [1.0, -2.0]))
+    @example(_case([[True, True, False], [False, True, True], [False] * 3], [1.0, 1j, 3.0]))
+    def test_matches_dense_product_and_repeats_bits(self, case):
+        stored, values, v = case
+        rows, cols = np.nonzero(stored)
+        a = ComplexSparseMatrix.from_triplets(*stored.shape, rows, cols, values[rows, cols])
+        got = a.matvec(v)
+        dense = a.to_dense()
+        scale = np.abs(dense) @ np.abs(v)
+        assert got.shape == (stored.shape[0],)
+        assert np.all(np.abs(got - dense @ v) <= 1e-13 * scale)
+        assert np.array_equal(a.matvec(v.copy()), got)
 
 
 class TestConjTranspose:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from gencheb.errors import (
     MissingTildeData,
     NotConverged,
 )
-from gencheb.genmat import example33_fixture
+from gencheb import solvers
+from gencheb.genmat import NormalMatrixSpec, assemble_normal_system, example33_fixture
 from gencheb.linalg import ComplexSparseMatrix, PoweredOperator
 from gencheb.solvers import (
     IterationSystem,
@@ -270,8 +273,6 @@ class TestSolve:
 
     def test_generalized_beats_basic_on_normal_sparse_system(self):
         # same spectrum shape as the large experiment, at desk scale
-        from gencheb.genmat import NormalMatrixSpec, assemble_normal_system
-
         gen = assemble_normal_system(NormalMatrixSpec(n=200, block_size=40, seed=1))
         base = gen.system
         with_k = IterationSystem(M=base.M, g=base.g, M_tilde=base.M_tilde,
@@ -338,3 +339,66 @@ class TestSystemValidation:
         fixture.system.check_consistency(fixture.x)
         with pytest.raises(ValueError):
             fixture.system.check_consistency(fixture.x + 1.0)
+
+
+def _solve_trace(sys_, scheme):
+    """Trace of a short `solve`, whether or not it reached the tolerance."""
+    try:
+        return solve(sys_, max_steps=30, residual_tol=1e-10, scheme=scheme)[1]
+    except NotConverged as exc:
+        return exc.trace
+
+
+class TestSolveSharesTheResidualProduct:
+    """`solve` takes each residual from the M y that the next step's M^k y
+    starts with: the loop spends its recurrence products plus one."""
+
+    @pytest.fixture(scope="class")
+    def normal_system(self):
+        return assemble_normal_system(NormalMatrixSpec(n=200, block_size=40, seed=1)).system
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("scheme", ["basic", "classical", "generalized"])
+    def test_products_are_recurrence_plus_one(self, normal_system, monkeypatch, scheme, k):
+        calls = {}
+        matvec = ComplexSparseMatrix.matvec
+
+        def counting(self, v):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return matvec(self, v)
+
+        def transform_then_reset(*args):
+            work = transform(*args)
+            calls.clear()  # the transform's right-hand-side products are not the loop's
+            return work
+
+        transform = solvers.transform_system
+        monkeypatch.setattr(ComplexSparseMatrix, "matvec", counting)
+        monkeypatch.setattr(solvers, "transform_system", transform_then_reset)
+        sys_ = dataclasses.replace(normal_system, k=k)
+        trace = _solve_trace(sys_, scheme)
+        base = calls.get(id(sys_.M), 0)
+        tilde = calls.get(id(sys_.M_tilde), 0)
+        steps = len(trace.steps)
+        assert steps > 1
+        assert tilde == (k * (steps - 1) if scheme == "generalized" else 0)
+        assert base + tilde == trace.total_matvecs + 1
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("scheme", ["basic", "classical", "generalized"])
+    def test_residuals_match_the_fixed_step_path(self, normal_system, scheme, k):
+        sys_ = dataclasses.replace(normal_system, k=k)
+        trace = _solve_trace(sys_, scheme)
+        work = transform_system(normal_system, k)
+        steps = len(trace.steps)
+        if scheme == "basic":
+            _, fixed = basic_iterate(work, steps=steps, residual_system=normal_system)
+        elif scheme == "classical":
+            _, fixed = chebyshev_iterate(work, rho=abs(work.lambda1), steps=steps,
+                                         residual_system=normal_system)
+        else:
+            _, fixed = generalized_chebyshev_iterate(work, steps=steps,
+                                                     residual_system=normal_system)
+        assert fixed.initial_residual == trace.initial_residual
+        assert fixed.residuals == trace.residuals
+        assert fixed.matvecs == trace.matvecs
