@@ -20,7 +20,8 @@ import csv
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -83,7 +84,6 @@ class ExperimentConfig:
     k: str = "auto"
     k_max: int = 64
     seed: int = 42
-    threads: int = 1
     n: int = 1000
     block_size: int = 100
     planted_lambda1: float = 0.9
@@ -102,17 +102,13 @@ class ExperimentConfig:
 
     def metadata(self) -> str:
         pairs = [f"subcommand={self.subcommand}", f"version={__version__}"]
-        for key in (
-            "steps", "residual_tol", "schemes", "k", "k_max", "seed", "threads",
-            "n", "block_size", "planted_lambda1", "inner_radius", "matrix_path",
-            "rhs_path", "tilde_path", "tilde_rhs_path", "spectrum_path",
-            "lambda1", "estimate", "assume_normal", "resolution",
-            "boundary_samples",
-        ):
-            value = getattr(self, key)
+        for f in fields(self):
+            if f.name in ("subcommand", "out_dir", "extra"):
+                continue
+            value = getattr(self, f.name)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
-            pairs.append(f"{key}={value}")
+            pairs.append(f"{f.name}={value}")
         return "# " + " ".join(pairs)
 
 
@@ -154,26 +150,37 @@ def _write_report(cfg: ExperimentConfig, lines: list[str]) -> str:
 
 def read_spectrum_file(path: str) -> list[complex]:
     """Eigenvalue list: one `re im` pair per line; # and % start comments."""
-    values = []
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            for raw in fh:
-                line = raw.split("#")[0].split("%")[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise UnreadableMatrix(
-                        f"spectrum line needs two floats, got {raw!r}"
-                    )
-                values.append(complex(float(parts[0]), float(parts[1])))
+        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty: refused below
+            data = np.loadtxt(fh, dtype=float, comments=("#", "%"), ndmin=2)
     except OSError as exc:
         raise UnreadableMatrix(f"cannot read spectrum file {path}: {exc}") from exc
     except ValueError as exc:
         raise UnreadableMatrix(f"malformed spectrum file {path}: {exc}") from exc
-    if not values:
+    if data.size == 0:
         raise UnreadableMatrix(f"spectrum file {path} contains no eigenvalues")
-    return values
+    if data.shape[1] != 2:
+        raise UnreadableMatrix(
+            f"spectrum lines need two floats `re im`, got {data.shape[1]} in {path}"
+        )
+    values = np.empty(data.shape[0], dtype=complex)
+    values.real, values.imag = data[:, 0], data[:, 1]  # keeps the sign of -0.0
+    return values.tolist()
+
+
+def _spectrum_info(cfg: ExperimentConfig) -> SpectrumInfo | None:
+    """The spectrum given by --spectrum (full) or --lambda1 (partial), if any."""
+    if cfg.spectrum_path:
+        values = read_spectrum_file(cfg.spectrum_path)
+        lam1 = max(values, key=abs)
+        return SpectrumInfo(tuple(values), lambda1=lam1, source="user_supplied")
+    if cfg.lambda1 is not None:
+        return SpectrumInfo(
+            (complex(cfg.lambda1),), lambda1=complex(cfg.lambda1),
+            source="user_supplied", partial=True,
+        )
+    return None
 
 
 def _run_schemes(
@@ -278,15 +285,9 @@ def _commutator_check(m, n_cap: int = 2048) -> float | None:
 
 
 def _custom_spectrum(cfg: ExperimentConfig, matrix) -> SpectrumInfo:
-    if cfg.spectrum_path:
-        values = read_spectrum_file(cfg.spectrum_path)
-        lam1 = max(values, key=abs)
-        return SpectrumInfo(tuple(values), lambda1=lam1, source="user_supplied")
-    if cfg.lambda1 is not None:
-        return SpectrumInfo(
-            (complex(cfg.lambda1),), lambda1=complex(cfg.lambda1),
-            source="user_supplied", partial=True,
-        )
+    info = _spectrum_info(cfg)
+    if info is not None:
+        return info
     if cfg.estimate:
         lam1, _residual = estimate_dominant_eigenvalue(matrix, seed=cfg.seed)
         return SpectrumInfo((lam1,), lambda1=lam1, source="estimated", partial=True)
@@ -406,6 +407,7 @@ def run_deltoid_sample(cfg: ExperimentConfig) -> int:
                              repr(float(z.imag)), repr(float(h))])
     written = [grid_path, boundary_path]
     if cfg.spectrum_path:
+        # no SpectrumInfo: plotting quotients needs no |lambda1| < 1 check
         values = read_spectrum_file(cfg.spectrum_path)
         lam1 = max(values, key=abs)
         quot_path = os.path.join(cfg.out_dir, "quotients.csv")
@@ -428,16 +430,8 @@ def run_deltoid_sample(cfg: ExperimentConfig) -> int:
 
 
 def run_report(cfg: ExperimentConfig) -> int:
-    if cfg.spectrum_path:
-        values = read_spectrum_file(cfg.spectrum_path)
-        lam1 = max(values, key=abs)
-        info = SpectrumInfo(tuple(values), lambda1=lam1, source="user_supplied")
-    elif cfg.lambda1 is not None:
-        info = SpectrumInfo(
-            (complex(cfg.lambda1),), lambda1=complex(cfg.lambda1),
-            source="user_supplied", partial=True,
-        )
-    else:
+    info = _spectrum_info(cfg)
+    if info is None:
         raise UnreadableMatrix("report needs --spectrum or --lambda1")
     report = build_report(info, k_max=cfg.k_max)
     path = _write_report(cfg, report.lines())
@@ -474,9 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="power-transform order, or 'auto'")
         p.add_argument("--k-max", type=int, default=64)
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--threads", type=int, default=1,
-                       help="cap on internal parallelism (current build is "
-                            "sequential; 1 guarantees bit-reproducible traces)")
 
     p = sub.add_parser("example33", help="run the built-in 4x4 system")
     common(p)
@@ -529,7 +520,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         k=args.k,
         k_max=args.k_max,
         seed=args.seed,
-        threads=args.threads,
     )
     if args.subcommand == "normal-sparse":
         cfg.n = args.n

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import re
 
@@ -10,10 +11,15 @@ from gencheb.cli import (
     EXIT_IO,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    ExperimentConfig,
     main,
+    read_spectrum_file,
 )
-from gencheb.genmat import example33_fixture
+from gencheb.errors import UnreadableMatrix
+from gencheb.genmat import NormalMatrixSpec, assemble_normal_system, example33_fixture
 from gencheb.linalg import write_matrix_market
+from gencheb.solvers import solve
+from gencheb.spectrum import SpectrumInfo, build_report
 
 
 def read_trace(path):
@@ -157,6 +163,19 @@ class TestCustomCommand:
         ])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("entry", ["3 1 1.0 0.0", "1 1 nan 0.0", "1 1 0.5 inf"])
+    def test_out_of_shape_or_nonfinite_entry_exit_code(self, tmp_path, capsys, entry):
+        mpath = tmp_path / "oob.mtx"
+        mpath.write_text(
+            f"%%MatrixMarket matrix coordinate complex general\n2 2 1\n{entry}\n"
+        )
+        code = main([
+            "custom", "--matrix", str(mpath), "--lambda1", "0.5",
+            "--schemes", "basic", "--out", str(tmp_path / "o"),
+        ])
+        assert code == EXIT_IO
+        assert "oob.mtx" in capsys.readouterr().err
+
     def test_generalized_without_tilde_refused(self, tmp_path):
         mpath, _tpath, spath = self._write_inputs(tmp_path)
         code = main([
@@ -219,6 +238,71 @@ class TestCustomCommand:
         assert report_value(report, "spectrum source") == "estimated"
 
 
+class TestRoundTripThroughFiles:
+    def test_generated_files_reproduce_the_library_solve(self, tmp_path):
+        # normal-sparse writes the system, custom reads it back and solves
+        # it; the residuals must be the bits of an in-library solve
+        spec = NormalMatrixSpec(n=400, block_size=40, seed=42)
+        gen_dir, exp_dir = tmp_path / "gen", tmp_path / "exp"
+        assert main([
+            "normal-sparse", "--n", "400", "--block", "40", "--steps", "0",
+            "--seed", "42", "--out", str(gen_dir),
+        ]) == EXIT_OK
+        gen = assemble_normal_system(spec)
+        spath = tmp_path / "S.txt"
+        spath.write_text("".join(
+            f"{float(v.real)!r} {float(v.imag)!r}\n" for v in gen.planted
+        ))
+        assert main([
+            "custom", "--matrix", str(gen_dir / "M.mtx"),
+            "--tilde", str(gen_dir / "M_tilde.mtx"), "--spectrum", str(spath),
+            "--out", str(exp_dir),
+        ]) == EXIT_OK
+        report = (exp_dir / "report.txt").read_text()
+        assert report_value(report, "k_used") == "3"
+        _, rows = read_trace(exp_dir / "trace.csv")
+        info = SpectrumInfo(tuple(gen.planted), lambda1=spec.lambda1, source="exact")
+        k = build_report(info).k_selected
+        assert k == 3
+        system = dataclasses.replace(gen.system, k=k)
+        for scheme in ("basic", "generalized"):
+            assert f"{scheme}: converged" in report
+            _, trace = solve(system, scheme=scheme)
+            cli_rows = [r for r in rows if r["scheme"] == scheme]
+            assert [int(r["m"]) for r in cli_rows] == trace.steps
+            assert [float(r["residual"]) for r in cli_rows] == trace.residuals
+            assert int(cli_rows[-1]["matvecs"]) == trace.total_matvecs
+
+
+class TestSpectrumFile:
+    def test_values_bit_identical_to_float_parsing(self, tmp_path):
+        lines = ["0.9 0.0", "-0.0 -0.0", "0.1 -0.0", "5e-324 -2.5e-310",
+                 "0.30000000000000004 0.7", "-1e-300 1e300"]
+        spath = tmp_path / "s.txt"
+        spath.write_text("\n".join(lines) + "\n")
+        got = read_spectrum_file(str(spath))
+        want = [complex(float(a), float(b)) for a, b in map(str.split, lines)]
+        assert np.array_equal(np.array(got).view(np.uint64),
+                              np.array(want).view(np.uint64))
+        assert all(type(v) is complex for v in got)
+
+    def test_comments_and_blank_lines(self, tmp_path):
+        spath = tmp_path / "s.txt"
+        spath.write_text("# header\n% matlab style\n0.9 0.0  # dominant\n\n"
+                         "0.4 0.7 % pair\n   \n0.4 -0.7\n")
+        assert read_spectrum_file(str(spath)) == [0.9, 0.4 + 0.7j, 0.4 - 0.7j]
+
+    @pytest.mark.parametrize("text", [
+        "0.9\n", "0.9 0.0 1.0\n", "0.9 0.0\n0.5\n", "0.9 0.0\n0.5 abc\n",
+        "", "# only comments\n\n%\n",
+    ])
+    def test_malformed_or_empty_refused(self, tmp_path, text):
+        spath = tmp_path / "s.txt"
+        spath.write_text(text)
+        with pytest.raises(UnreadableMatrix):
+            read_spectrum_file(str(spath))
+
+
 class TestDeltoidSampleCommand:
     def test_grid_and_boundary(self, tmp_path):
         out = tmp_path / "del"
@@ -279,6 +363,25 @@ class TestReportCommand:
 
     def test_needs_input(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "o")]) == EXIT_IO
+
+
+class TestCommonFlags:
+    def test_metadata_keys_follow_the_config_fields(self):
+        meta = ExperimentConfig(subcommand="report", out_dir="o").metadata()
+        keys = [pair.split("=")[0] for pair in meta[2:].split(" ")]
+        assert keys == [
+            "subcommand", "version", "steps", "residual_tol", "schemes", "k",
+            "k_max", "seed", "n", "block_size", "planted_lambda1",
+            "inner_radius", "matrix_path", "rhs_path", "tilde_path",
+            "tilde_rhs_path", "spectrum_path", "lambda1", "estimate",
+            "assume_normal", "resolution", "boundary_samples",
+        ]
+
+    def test_threads_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["example33", "--steps", "0", "--threads", "1",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
 
 
 class TestOutputDirectory:

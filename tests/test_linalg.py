@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -101,7 +103,6 @@ def _case(stored, v):
 
 
 class TestMatvecProperties:
-    @settings(deadline=None)
     @given(stored_pattern_and_vector())
     # 1x1; nnz 0; an empty first, middle and last row
     @example(_case([[True]], [2.0]))
@@ -315,3 +316,126 @@ class TestMatrixMarket:
         )
         with pytest.raises(UnreadableMatrix):
             read_matrix_market(path)
+
+
+# -- Matrix Market round trip and malformed input ------------------------------
+
+_MM_HEADER = "%%MatrixMarket matrix coordinate complex general\n"
+
+# signed zeros, subnormals and magnitudes near the ends of the double range
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -1e300, 1.7976931348623157e308)
+_ANY_FINITE = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+def _complex(re, im):
+    """re + i*im without the arithmetic that turns an imaginary -0.0 into +0.0."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+@st.composite
+def stored_pattern_and_parts(draw):
+    """A stored-entry mask and the real and imaginary parts of every cell."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    stored = draw(hnp.arrays(bool, shape))
+    re = draw(hnp.arrays(float, shape, elements=_ANY_FINITE))
+    im = draw(hnp.arrays(float, shape, elements=_ANY_FINITE))
+    return stored, re, im
+
+
+def _mm_case(stored, re, im):
+    stored = np.array(stored, dtype=bool)
+    return stored, np.broadcast_to(re, stored.shape), np.broadcast_to(im, stored.shape)
+
+
+class TestMatrixMarketProperties:
+    @given(stored_pattern_and_parts())
+    # 1x1; n x 1; nnz 0; an empty first, middle and last row; edge values
+    @example(_mm_case([[True]], -0.0, -0.0))
+    @example(_mm_case([[True], [False], [True]], 5e-324, -1e300))
+    @example(_mm_case([[False, False], [False, False]], 1.0, 1.0))
+    @example(_mm_case([[False, False], [True, True], [True, False]], 1e-300, 0.0))
+    @example(_mm_case([[True, False], [False, False], [True, True]], -2.5e-310, -0.0))
+    @example(_mm_case([[True, True], [False, True], [False, False]],
+                      1.7976931348623157e308, -1e-300))
+    def test_bytes_and_bits_round_trip(self, tmp_path_factory, case):
+        stored, re, im = case
+        rows, cols = np.nonzero(stored)
+        a = ComplexSparseMatrix.from_triplets(
+            *stored.shape, rows, cols, _complex(re[rows, cols], im[rows, cols])
+        )
+        path = tmp_path_factory.mktemp("mm") / "a.mtx"
+        write_matrix_market(a, path)
+        expected = _MM_HEADER + f"{stored.shape[0]} {stored.shape[1]} {rows.size}\n"
+        expected += "".join(
+            f"{r + 1} {c + 1} {float(x)!r} {float(y)!r}\n"
+            for r, c, x, y in zip(rows, cols, re[rows, cols], im[rows, cols])
+        )
+        assert path.read_text(encoding="ascii") == expected
+        b = read_matrix_market(path)
+        assert b.shape == a.shape
+        assert np.array_equal(b.row_offsets, a.row_offsets)
+        assert np.array_equal(b.col_indices, a.col_indices)
+        assert np.array_equal(b.values.view(np.uint64), a.values.view(np.uint64))
+
+
+_MALFORMED_BODIES = {
+    "non-integer index": "2 2 1\n1.5 1 1.0 0.0\n",
+    "three fields": "2 2 2\n1 1 1.0 0.0\n2 2 1.0\n",
+    "three fields everywhere": "2 2 1\n1 1 1.0\n",
+    "one entry more": "2 2 1\n1 1 1.0 0.0\n2 2 1.0 0.0\n",
+    "one entry fewer": "2 2 2\n1 1 1.0 0.0\n",
+    "xyz value": "2 2 1\n1 1 xyz 0.0\n",
+    "row past the shape": "2 2 1\n3 1 1.0 0.0\n",
+    "column past the shape": "2 2 1\n1 3 1.0 0.0\n",
+    "zero index": "2 2 1\n0 1 1.0 0.0\n",
+    "infinite index": "2 2 1\n1 inf 1.0 0.0\n",
+    "index past int64": "2 2 1\n1e30 1 1.0 0.0\n",
+    "nan value": "2 2 1\n1 1 nan 0.0\n",
+    "inf value": "2 2 1\n1 1 1.0 inf\n",
+    "two-field size line": "2 2\n1 1 1.0 0.0\n",
+}
+
+
+class TestMatrixMarketInputs:
+    @pytest.mark.filterwarnings("error")  # no stray cast or parse warnings
+    @pytest.mark.parametrize("body", _MALFORMED_BODIES.values(), ids=_MALFORMED_BODIES)
+    def test_malformed_raises(self, tmp_path, body):
+        path = tmp_path / "bad.mtx"
+        path.write_text(_MM_HEADER + body)
+        with pytest.raises(UnreadableMatrix):
+            read_matrix_market(path)
+
+    @pytest.mark.parametrize("text", [
+        _MM_HEADER + "2 2 1\n3 1 1.0 0.0\n", _MM_HEADER + "2 2 1\n1 1 nan 0.0\n",
+        _MM_HEADER + "2 2 1\n1.5 1 1.0 0.0\n", _MM_HEADER + "2 2 2\n1 1 1.0 0.0\n",
+        _MM_HEADER + "2 2\n", "%%MatrixMarket matrix array real general\n1 1\n1.0\n",
+    ])
+    def test_message_names_the_file(self, tmp_path, text):
+        path = tmp_path / "named.mtx"
+        path.write_text(text)
+        with pytest.raises(UnreadableMatrix, match="named.mtx"):
+            read_matrix_market(path)
+
+    def test_comments_and_blank_lines_in_body_tolerated(self, tmp_path):
+        path = tmp_path / "ok.mtx"
+        path.write_text(
+            _MM_HEADER + "% leading comment\n3 2 3\n\n% entries follow\n"
+            "1 2 1.0 -0.0\n\n   \n% between\n2 1 -2.5 0.5\n3 2 0.0 4.0\n%\n\n"
+        )
+        a = read_matrix_market(path)
+        assert a.shape == (3, 2)
+        expected = np.array([[0, 1.0], [-2.5 + 0.5j, 0], [0, 4.0j]])
+        assert np.array_equal(a.to_dense(), expected)
+        assert np.signbit(a.values[0].imag)
+
+    def test_empty_body_reads_without_warning(self, tmp_path):
+        path = tmp_path / "empty.mtx"
+        path.write_text(_MM_HEADER + "4 3 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = read_matrix_market(path)
+        assert a.shape == (4, 3) and a.nnz == 0
