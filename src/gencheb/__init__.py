@@ -15,9 +15,6 @@ __version__ = "0.1.0"
 from .cheb_kernel import (
     ChebCoefficientStream,
     ClassicalChebRatioStream,
-    GenCosPoint,
-    classical_cheb_ratio_stream,
-    coefficient_stream,
     deltoid_contains,
     eval_f,
     membership_defect,
@@ -31,6 +28,7 @@ from .errors import (
     Divergence,
     FixtureCorrupt,
     GenChebError,
+    InapplicableSpectrum,
     MissingLambda1,
     MissingTildeData,
     NoConvergence,
@@ -63,8 +61,8 @@ from .solvers import (
     ConvergenceTrace,
     IterationSystem,
     basic_iterate,
-    chebyshev_iterate,
     generalized_chebyshev_iterate,
+    run,
     solve,
     transform_system,
 )

@@ -16,8 +16,6 @@ coefficients never overflow even though f_m(w) grows geometrically for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateCoefficient
@@ -44,18 +42,6 @@ def phi1(theta1, theta2):
         + np.exp(-TWO_PI_I * theta2)
         + np.exp(TWO_PI_I * (theta2 - theta1))
     ) / 3.0
-
-
-@dataclass(frozen=True)
-class GenCosPoint:
-    """An angle pair together with its generalized-cosine value."""
-
-    theta1: float
-    theta2: float
-
-    @property
-    def value(self) -> complex:
-        return complex(phi1(self.theta1, self.theta2))
 
 
 def eval_f(m: int, x: complex) -> complex:
@@ -154,11 +140,6 @@ class ChebCoefficientStream:
         return c1, c2, c3
 
 
-def coefficient_stream(lambda1: complex) -> ChebCoefficientStream:
-    """Stream of scheme coefficients for a dominant eigenvalue lambda1."""
-    return ChebCoefficientStream(lambda1)
-
-
 class ClassicalChebRatioStream:
     """Classical Chebyshev ratio pairs, same renormalized-window technique.
 
@@ -194,7 +175,3 @@ class ClassicalChebRatioStream:
         self.m += 1
         return first, second
 
-
-def classical_cheb_ratio_stream(rho: float) -> ClassicalChebRatioStream:
-    """Stream of classical Chebyshev weight pairs for spectral radius rho."""
-    return ClassicalChebRatioStream(rho)

@@ -8,8 +8,11 @@ contract:
 
     0  success
     2  usage error (argparse)
-    3  spectrum inapplicable to the acceleration
-    4  a requested solve did not converge (trace still written)
+    3  spectrum inapplicable to the acceleration, or a dominant eigenvalue
+       that is zero or not inside the unit disc
+    4  a requested run did not converge: it reached the step cap short of
+       the tolerance, or the divergence guard stopped it (trace still
+       written, and report.txt names the step)
     5  unreadable input / IO failure
 """
 
@@ -28,7 +31,9 @@ import numpy as np
 from . import __version__
 from .cheb_kernel import DEFAULT_MEMBERSHIP_TOL, membership_defect
 from .errors import (
+    Divergence,
     GenChebError,
+    InapplicableSpectrum,
     NoConvergence,
     NotConverged,
     UnreadableMatrix,
@@ -40,15 +45,7 @@ from .genmat import (
     write_generated_system,
 )
 from .linalg import read_matrix_market, read_vector_market
-from .solvers import (
-    ConvergenceTrace,
-    IterationSystem,
-    basic_iterate,
-    chebyshev_iterate,
-    generalized_chebyshev_iterate,
-    solve,
-    transform_system,
-)
+from .solvers import ConvergenceTrace, IterationSystem, run, transform_system
 from .spectrum import (
     INAPPLICABLE,
     SpectrumInfo,
@@ -187,31 +184,32 @@ def _run_schemes(
     cfg: ExperimentConfig,
     base_system: IterationSystem,
     k: int,
-    reference_x,
-) -> list[ConvergenceTrace]:
-    """Fixed-step runs of the requested schemes on the k-transformed system."""
-    work = transform_system(base_system, k) if k > 1 else base_system
-    traces = []
+    reference_x=None,
+    tol: float | None = None,
+) -> tuple[list[ConvergenceTrace], list[str], int]:
+    """Runs of the requested schemes on the k-transformed system.
+
+    Fixed-step runs when `tol` is None, else runs to that relative residual.
+    A run that stops short keeps its trace and gets a report line saying
+    why.  Returns the traces, the report lines and the exit code.
+    """
+    work = transform_system(base_system, k)
+    traces, lines, code = [], [], EXIT_OK
     for scheme in cfg.schemes:
-        if scheme == "basic":
-            _, trace = basic_iterate(
-                work, steps=cfg.steps, reference_x=reference_x,
-                residual_system=base_system,
-            )
-        elif scheme == "classical":
-            _, trace = chebyshev_iterate(
-                work, abs(complex(work.lambda1)), steps=cfg.steps,
-                reference_x=reference_x, residual_system=base_system,
-            )
-        elif scheme == "generalized":
-            _, trace = generalized_chebyshev_iterate(
-                work, steps=cfg.steps, reference_x=reference_x,
-                residual_system=base_system,
-            )
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+        try:
+            _, trace = run(work, scheme, steps=cfg.steps, tol=tol,
+                           reference_x=reference_x, residual_system=base_system)
+            if tol is not None:
+                lines.append(f"{scheme}: converged in {len(trace.steps)} steps "
+                             f"({trace.total_matvecs} matvecs)")
+        except NotConverged as exc:
+            trace, code = exc.trace, EXIT_NOT_CONVERGED
+            if isinstance(exc, Divergence):
+                lines.append(f"{scheme}: diverged at step {trace.steps[-1]}")
+            else:
+                lines.append(f"{scheme}: NOT converged within {cfg.steps} steps")
         traces.append(trace)
-    return traces
+    return traces, lines, code
 
 
 def _measured_lines(traces: list[ConvergenceTrace], windows: dict) -> list[str]:
@@ -239,16 +237,16 @@ def run_example33(cfg: ExperimentConfig) -> int:
     info = SpectrumInfo(fixture.eigenvalues, lambda1=0.9, source="exact")
     report = build_report(info, k_max=cfg.k_max)
     k = report.k_selected if cfg.k == "auto" else int(cfg.k)
-    traces = _run_schemes(cfg, fixture.system, k, fixture.x)
+    traces, stops, code = _run_schemes(cfg, fixture.system, k, fixture.x)
     _write_traces(cfg, traces)
-    lines = report.lines() + [f"k_used: {k}"]
+    lines = report.lines() + [f"k_used: {k}"] + stops
     lines += _measured_lines(traces, {
         "basic": (*EX33_BASIC_WINDOW, "geomean"),
         "generalized": (*EX33_ACCEL_WINDOW, "lsqfit"),
     })
     path = _write_report(cfg, lines)
     print(f"example33: wrote {path}")
-    return EXIT_OK
+    return code
 
 
 def run_normal_sparse(cfg: ExperimentConfig) -> int:
@@ -261,16 +259,16 @@ def run_normal_sparse(cfg: ExperimentConfig) -> int:
     info = SpectrumInfo(tuple(gen.planted), lambda1=spec.lambda1, source="exact")
     report = build_report(info, k_max=cfg.k_max)
     k = report.k_selected if cfg.k == "auto" else int(cfg.k)
-    traces = _run_schemes(cfg, gen.system, k, gen.x)
+    traces, stops, code = _run_schemes(cfg, gen.system, k, gen.x)
     _write_traces(cfg, traces)
-    lines = report.lines() + [f"k_used: {k}", f"nnz: {gen.system.M.nnz}"]
+    lines = report.lines() + [f"k_used: {k}", f"nnz: {gen.system.M.nnz}"] + stops
     lines += _measured_lines(traces, {
         "basic": (*NORMAL_SPARSE_WINDOW, "geomean"),
         "generalized": (*NORMAL_SPARSE_WINDOW, "geomean"),
     })
     path = _write_report(cfg, lines)
     print(f"normal-sparse: wrote {path}")
-    return EXIT_OK
+    return code
 
 
 def _commutator_check(m, n_cap: int = 2048) -> float | None:
@@ -351,29 +349,12 @@ def run_custom(cfg: ExperimentConfig) -> int:
             "generalized scheme needs --tilde (or --assume-normal for a normal matrix)"
         )
     system = IterationSystem(
-        M=matrix, g=g, M_tilde=m_tilde, g_tilde=g_tilde,
-        lambda1=info.lambda1, k=k,
+        M=matrix, g=g, M_tilde=m_tilde, g_tilde=g_tilde, lambda1=info.lambda1,
     )
-
-    exit_code = EXIT_OK
-    traces = []
-    for scheme in cfg.schemes:
-        try:
-            _, trace = solve(
-                system, max_steps=cfg.steps, residual_tol=cfg.residual_tol,
-                scheme=scheme,
-            )
-            lines.append(f"{scheme}: converged in {len(trace.steps)} steps "
-                         f"({trace.total_matvecs} matvecs)")
-        except NotConverged as exc:
-            trace = exc.trace
-            lines.append(f"{scheme}: NOT converged within {cfg.steps} steps")
-            exit_code = EXIT_NOT_CONVERGED
-        traces.append(trace)
+    traces, stops, code = _run_schemes(cfg, system, k, tol=cfg.residual_tol)
     _write_traces(cfg, traces)
-    lines.append(f"k_used: {k}")
-    _write_report(cfg, lines)
-    return exit_code
+    _write_report(cfg, lines + stops + [f"k_used: {k}"])
+    return code
 
 
 def run_deltoid_sample(cfg: ExperimentConfig) -> int:
@@ -410,6 +391,10 @@ def run_deltoid_sample(cfg: ExperimentConfig) -> int:
         # no SpectrumInfo: plotting quotients needs no |lambda1| < 1 check
         values = read_spectrum_file(cfg.spectrum_path)
         lam1 = max(values, key=abs)
+        if lam1 == 0:
+            raise UnreadableMatrix(
+                f"spectrum file {cfg.spectrum_path} has no nonzero eigenvalue"
+            )
         quot_path = os.path.join(cfg.out_dir, "quotients.csv")
         with open(quot_path, "w", newline="", encoding="ascii") as fh:
             fh.write(cfg.metadata() + "\n")
@@ -569,6 +554,9 @@ def main(argv=None) -> int:
     except (NotConverged, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
+    except InapplicableSpectrum as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INAPPLICABLE
     except GenChebError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,16 +25,12 @@ class ConvergenceFailure(GenChebError, RuntimeError):
     """A dense eigensolve did not meet its residual contract."""
 
 
-class Divergence(GenChebError, RuntimeError):
-    """Residual grew past the divergence guard (spectral radius >= 1?)."""
-
-
 class MissingTildeData(GenChebError, ValueError):
     """The three-term scheme needs the companion matrix and right-hand side."""
 
 
 class MissingLambda1(GenChebError, ValueError):
-    """The three-term scheme needs the dominant eigenvalue."""
+    """The classical and three-term schemes need the dominant eigenvalue."""
 
 
 class NotConverged(GenChebError, RuntimeError):
@@ -44,6 +40,18 @@ class NotConverged(GenChebError, RuntimeError):
         super().__init__(message)
         self.best = best
         self.trace = trace
+
+
+class Divergence(NotConverged):
+    """Residual grew past the divergence guard or stopped being finite.
+
+    Signals a spectral radius at or above one, or a scheme run outside its
+    applicability; best iterate and trace attached.
+    """
+
+
+class InapplicableSpectrum(GenChebError, ValueError):
+    """The dominant eigenvalue is zero or not inside the unit disc."""
 
 
 class NotUniqueDominant(GenChebError, ValueError):

@@ -1,15 +1,16 @@
-"""Iteration schemes: basic, k-transformed, classical and three-term Chebyshev.
+"""Iteration schemes: basic, classical and three-term Chebyshev, in one loop.
 
-All schemes share one telemetry type (ConvergenceTrace) and one stepping
-core, so `solve` can drive any scheme with early stopping while the
-`*_iterate` functions run a fixed number of steps.
+Each scheme is a stepper in one registry; `run` drives any of them, either
+for a fixed number of steps or until a residual tolerance is met, under one
+divergence guard.  `solve` applies a system's power transform and runs to
+tolerance.
 
 Cost accounting: the trace records the sparse products consumed by the
 scheme recurrence itself (k per basic step on a k-powered system, 2k per
-accelerated three-term step).  `solve` takes each residual from the product
-M y that the next step's M^k y starts with, so it spends the recurrence's
-products plus one after the power transform.  The fixed-step `*_iterate`
-runs spend one more, uncounted, product per step on the residual.
+accelerated three-term step).  `run` takes each residual from the product
+M y that the next step's M^k y starts with, so every run, fixed-step or to
+tolerance, spends the recurrence's products plus one after the power
+transform.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cheb_kernel import classical_cheb_ratio_stream, coefficient_stream
+from .cheb_kernel import ChebCoefficientStream, ClassicalChebRatioStream
 from .errors import (
     DimensionMismatch,
     Divergence,
@@ -31,8 +32,6 @@ from .linalg import ComplexSparseMatrix, PoweredOperator, as_vector, geometric_s
 
 #: Residual growth factor that converts silent overflow into a typed error.
 DIVERGENCE_GUARD = 1e12
-
-SCHEMES = ("basic", "classical", "generalized")
 
 
 @dataclass
@@ -163,8 +162,8 @@ class ConvergenceTrace:
 class _BasicStepper:
     """The basic step y -> M y + g; subclasses recombine it with `prev`.
 
-    `step(forward)` takes M y of the latest iterate y when the caller holds
-    it, and reports the step's full recurrence cost either way.
+    `step(forward)` takes M y of the latest iterate y and reports the step's
+    full recurrence cost.
     """
 
     def __init__(self, sys: IterationSystem, x0: np.ndarray):
@@ -172,9 +171,8 @@ class _BasicStepper:
         self.y, self.prev = x0, None
         self.m = 0
 
-    def step(self, forward=None) -> tuple[np.ndarray, int]:
+    def step(self, forward: np.ndarray) -> tuple[np.ndarray, int]:
         self.m += 1
-        forward = self.sys.M.matvec(self.y) if forward is None else forward
         new, cost = self._combine(forward + self.sys.g)
         self.prev, self.y = self.y, new
         return new, cost
@@ -184,11 +182,17 @@ class _BasicStepper:
 
 
 class _ClassicalStepper(_BasicStepper):
-    """Two-term weighted recurrence driven by the classical ratio stream."""
+    """Two-term weighted recurrence driven by the classical ratio stream.
 
-    def __init__(self, sys: IterationSystem, rho: float, x0: np.ndarray):
+    The spectral radius bound rho is |lambda1|; the caller is responsible
+    for the real-spectrum assumption.
+    """
+
+    def __init__(self, sys: IterationSystem, x0: np.ndarray):
+        if sys.lambda1 is None:
+            raise MissingLambda1("classical scheme needs lambda1 to set rho")
         super().__init__(sys, x0)
-        self.stream = classical_cheb_ratio_stream(rho)
+        self.stream = ClassicalChebRatioStream(abs(complex(sys.lambda1)))
 
     def _combine(self, basic):
         if self.m > 1:
@@ -204,7 +208,9 @@ class _GeneralizedStepper(_BasicStepper):
     (3 (M y1 + g)/lambda1^2 - 2 (Mt y0 + gt)/conj(lambda1)) / f2(1/lambda1),
     whose weights sum to one.  This seed makes the error vector equal
     p_m(M) eps0 with p_m(z) = f_m(z/lambda1)/f_m(1/lambda1) exactly for
-    every m, which the plain choice y2 = x2 does not.
+    every m, which the plain choice y2 = x2 does not.  Applicability (every
+    eigenvalue quotient inside the deltoid, possibly after a power
+    transform) is checked upstream by the spectrum module.
     """
 
     def __init__(self, sys: IterationSystem, x0: np.ndarray):
@@ -216,7 +222,7 @@ class _GeneralizedStepper(_BasicStepper):
             raise MissingLambda1("generalized scheme needs lambda1 on the system")
         super().__init__(sys, x0)
         self.lam1 = complex(sys.lambda1)
-        self.stream = coefficient_stream(self.lam1)
+        self.stream = ChebCoefficientStream(self.lam1)
         self.prev2 = None  # the iterate before `prev`
 
     def _combine(self, forward):
@@ -235,105 +241,105 @@ class _GeneralizedStepper(_BasicStepper):
         return new, sys.M.matvec_cost + sys.M_tilde.matvec_cost
 
 
-def _prepare_x0(sys: IterationSystem, x0) -> np.ndarray:
-    if x0 is None:
-        return np.zeros(sys.n, dtype=complex)
-    return as_vector(x0, sys.n, "x0")
+_STEPPERS = {
+    "basic": _BasicStepper,
+    "classical": _ClassicalStepper,
+    "generalized": _GeneralizedStepper,
+}
+
+SCHEMES = tuple(_STEPPERS)
 
 
-def _run_fixed(
-    stepper,
-    sys: IterationSystem,
-    x0: np.ndarray,
-    steps: int,
+def _residual_view(system: IterationSystem, residual_system: IterationSystem | None):
+    """The system residuals are measured on, and the map from its M y to
+    the M y of `system` (the rest of M^k y when `system` is k-transformed)."""
+    if residual_system is None or residual_system is system:
+        return system, lambda my: my
+    if isinstance(system.M, PoweredOperator) and system.M.base is residual_system.M:
+        return residual_system, system.M.finish
+    raise ValueError("residual_system must be the system `system` was transformed from")
+
+
+def run(
+    system: IterationSystem,
     scheme: str,
-    reference_x,
-    residual_system: IterationSystem | None,
-    divergence_guard: bool,
+    *,
+    steps: int,
+    tol: float | None = None,
+    x0=None,
+    reference_x=None,
+    residual_system: IterationSystem | None = None,
 ):
+    """Run `scheme` on `system` for `steps` steps, or until the residual meets `tol`.
+
+    Residuals are measured on `residual_system`, the system that `system`
+    was transformed from (default: `system` itself), so that schemes and
+    transform orders are comparable.  With `tol=None`, returns the final
+    iterate and the trace after exactly `steps` steps.  With a tolerance,
+    returns the first iterate whose residual is at most tol * |g| and the
+    trace, or raises NotConverged with the best iterate and the trace
+    attached.  A residual above the divergence guard, or not finite, raises
+    Divergence (a NotConverged) under every scheme.
+    """
+    stepper_class = _STEPPERS.get(scheme)
+    if stepper_class is None:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    rsys = residual_system if residual_system is not None else sys
-    ref = None if reference_x is None else as_vector(reference_x, sys.n, "reference_x")
-    trace = ConvergenceTrace(scheme=scheme, k=sys.k)
-    trace.initial_residual = rsys.residual_norm(x0)
+    rsys, finish = _residual_view(system, residual_system)
+    y = np.zeros(system.n, dtype=complex) if x0 is None else as_vector(x0, system.n, "x0")
+    ref = None if reference_x is None else as_vector(reference_x, system.n, "reference_x")
+    stepper = stepper_class(system, y)
+    trace = ConvergenceTrace(scheme=scheme, k=system.k)
+    # One M y per iterate: its residual, and the first factor of the next M^k y.
+    my = rsys.M.matvec(y)
+    residual = trace.initial_residual = rsys.residual_norm(y, my)
     if ref is not None:
-        trace.initial_err = float(np.linalg.norm(ref - x0))
-    guard = DIVERGENCE_GUARD * max(
-        trace.initial_residual, float(np.linalg.norm(rsys.g))
-    )
-    iterates = [x0]
+        trace.initial_err = float(np.linalg.norm(ref - y))
+    g_norm = float(np.linalg.norm(rsys.g))
+    target = -math.inf if tol is None else tol * g_norm
+    guard = DIVERGENCE_GUARD * max(residual, g_norm)
+    best, best_residual = y, residual
     for _ in range(steps):
-        y, cost = stepper.step()
-        residual = rsys.residual_norm(y)
+        if residual <= target:
+            break
+        y, cost = stepper.step(finish(my))
+        my = rsys.M.matvec(y)
+        residual = rsys.residual_norm(y, my)
         err = None if ref is None else float(np.linalg.norm(ref - y))
         trace.append(stepper.m, err, residual, cost)
-        iterates.append(y)
-        if divergence_guard and guard > 0.0 and residual > guard:
+        if residual < best_residual:
+            best, best_residual = y, residual
+        if not residual <= guard:
             raise Divergence(
-                f"residual {residual:.3e} exceeded {DIVERGENCE_GUARD:.0e} x initial scale"
-                f" at step {stepper.m}"
+                f"{scheme} scheme diverged at step {stepper.m}: residual {residual:.3e}"
+                f" is not below the guard {guard:.3e}",
+                best=best,
+                trace=trace,
             )
-    return iterates, trace
-
-
-def basic_iterate(
-    sys: IterationSystem,
-    x0=None,
-    steps: int = 50,
-    reference_x=None,
-    residual_system: IterationSystem | None = None,
-):
-    """Run y -> M y + g for a fixed number of steps.
-
-    Returns all iterates (initial point included) and the trace.  Raises
-    Divergence when the residual exceeds the guard, which signals an input
-    with spectral radius at or above one.
-    """
-    x0 = _prepare_x0(sys, x0)
-    return _run_fixed(
-        _BasicStepper(sys, x0), sys, x0, steps, "basic", reference_x,
-        residual_system, divergence_guard=True,
+    if tol is None or residual <= target:
+        return y, trace
+    raise NotConverged(
+        f"{scheme} scheme: residual {best_residual:.3e} above target {target:.3e} "
+        f"after {steps} steps",
+        best=best,
+        trace=trace,
     )
 
 
-def chebyshev_iterate(
-    sys: IterationSystem,
-    rho: float,
-    x0=None,
-    steps: int = 50,
-    reference_x=None,
-    residual_system: IterationSystem | None = None,
-):
-    """Classical Chebyshev acceleration for real spectra in (-1, 1).
-
-    The caller is responsible for the spectrum assumption; rho is the
-    spectral radius bound used for the weights.
-    """
-    x0 = _prepare_x0(sys, x0)
-    return _run_fixed(
-        _ClassicalStepper(sys, rho, x0), sys, x0, steps, "classical", reference_x,
-        residual_system, divergence_guard=False,
-    )
+def basic_iterate(sys: IterationSystem, x0=None, steps: int = 50, reference_x=None,
+                  residual_system: IterationSystem | None = None):
+    """`run` of the basic scheme for a fixed number of steps: final iterate and trace."""
+    return run(sys, "basic", steps=steps, x0=x0, reference_x=reference_x,
+               residual_system=residual_system)
 
 
-def generalized_chebyshev_iterate(
-    sys: IterationSystem,
-    x0=None,
-    steps: int = 50,
-    reference_x=None,
-    residual_system: IterationSystem | None = None,
-):
-    """Three-term accelerated scheme using the system's tilde pair and lambda1.
-
-    Applicability (every eigenvalue quotient inside the deltoid, possibly
-    after a power transform) is checked upstream by the spectrum module.
-    """
-    x0 = _prepare_x0(sys, x0)
-    return _run_fixed(
-        _GeneralizedStepper(sys, x0), sys, x0, steps, "generalized", reference_x,
-        residual_system, divergence_guard=False,
-    )
+def generalized_chebyshev_iterate(sys: IterationSystem, x0=None, steps: int = 50,
+                                  reference_x=None,
+                                  residual_system: IterationSystem | None = None):
+    """`run` of the three-term scheme for a fixed number of steps; see basic_iterate."""
+    return run(sys, "generalized", steps=steps, x0=x0, reference_x=reference_x,
+               residual_system=residual_system)
 
 
 def transform_system(sys: IterationSystem, k: int) -> IterationSystem:
@@ -376,50 +382,9 @@ def solve(
     measured against the original (k = 1) system so schemes are comparable.
     Raises NotConverged with the best iterate and trace attached.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if isinstance(sys.M, PoweredOperator):
         raise ValueError(
             "solve needs the untransformed system; store the transform order in k"
         )
-    work = transform_system(sys, sys.k) if sys.k > 1 else sys
-    x0 = _prepare_x0(sys, x0)
-    if scheme == "basic":
-        stepper = _BasicStepper(work, x0)
-    elif scheme == "classical":
-        if work.lambda1 is None:
-            raise MissingLambda1("classical scheme needs lambda1 to set rho")
-        stepper = _ClassicalStepper(work, abs(complex(work.lambda1)), x0)
-    else:
-        stepper = _GeneralizedStepper(work, x0)
-
-    # One M y per iterate: its residual, and the first factor of the next M^k y.
-    power = PoweredOperator(sys.M, sys.k)
-    my = sys.M.matvec(x0)
-    trace = ConvergenceTrace(scheme=scheme, k=sys.k)
-    trace.initial_residual = sys.residual_norm(x0, my)
-    g_norm = float(np.linalg.norm(sys.g))
-    target = residual_tol * g_norm
-    guard = DIVERGENCE_GUARD * max(trace.initial_residual, g_norm)
-    best, best_residual = x0, trace.initial_residual
-    if trace.initial_residual <= target:
-        return x0, trace
-    for _ in range(max_steps):
-        y, cost = stepper.step(power.finish(my))
-        my = sys.M.matvec(y)
-        residual = sys.residual_norm(y, my)
-        trace.append(stepper.m, None, residual, cost)
-        if residual < best_residual:
-            best, best_residual = y, residual
-        if residual <= target:
-            return y, trace
-        if scheme == "basic" and guard > 0.0 and residual > guard:
-            raise Divergence(
-                f"residual {residual:.3e} exceeded the divergence guard at step {stepper.m}"
-            )
-    raise NotConverged(
-        f"{scheme} scheme: residual {best_residual:.3e} above target {target:.3e} "
-        f"after {max_steps} steps",
-        best=best,
-        trace=trace,
-    )
+    return run(transform_system(sys, sys.k), scheme, steps=max_steps, tol=residual_tol,
+               x0=x0, residual_system=sys)

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cheb_kernel import DEFAULT_MEMBERSHIP_TOL, membership_defect
-from .errors import NoConvergence, NotUniqueDominant
+from .errors import InapplicableSpectrum, NoConvergence, NotUniqueDominant
 from .linalg import ComplexSparseMatrix, dense_eigendecomposition
 
 UNIQUE_DOMINANT = "unique_dominant"
@@ -46,9 +46,9 @@ class SpectrumInfo:
             raise ValueError(f"unknown spectrum source {self.source!r}")
         lam1 = complex(self.lambda1)
         if lam1 == 0:
-            raise ValueError("dominant eigenvalue must be nonzero")
+            raise InapplicableSpectrum("dominant eigenvalue must be nonzero")
         if abs(lam1) >= 1.0:
-            raise ValueError(f"spectral radius must be below one, got |{lam1}|")
+            raise InapplicableSpectrum(f"spectral radius must be below one, got |{lam1}|")
         evs = tuple(complex(v) for v in self.eigenvalues)
         if not evs:
             raise ValueError("eigenvalue list must not be empty")

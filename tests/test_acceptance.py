@@ -190,12 +190,12 @@ def test_criterion_09_polynomial_properties():
     assert worst_fe <= 1e-9
 
     # coefficient identity
-    from gencheb.cheb_kernel import coefficient_stream
+    from gencheb.cheb_kernel import ChebCoefficientStream
 
     worst_id = 0.0
     for _ in range(50):
         lam = (0.1 + 0.89 * rng.random()) * np.exp(2j * np.pi * rng.random())
-        stream = coefficient_stream(lam)
+        stream = ChebCoefficientStream(lam)
         for _ in range(3, 201):
             c1, c2, c3 = stream.step()
             worst_id = max(worst_id, abs(c1 - c2 + c3 - 1.0))
@@ -249,7 +249,9 @@ def test_criterion_10_diagonal_oracle():
             g_tilde=x - np.conj(lams) * x,
             lambda1=lam1,
         )
-        iterates, _ = generalized_chebyshev_iterate(sys_, steps=60, reference_x=x)
+        # y_m is the final iterate of a run of m steps: the loop is deterministic
+        iterates = [generalized_chebyshev_iterate(sys_, steps=m, reference_x=x)[0]
+                    for m in range(61)]
         oracles = [_scalar_pm_sequence(lam, lam1, 60) for lam in lams]
         for m in range(61):
             eta = x - iterates[m]

@@ -3,9 +3,7 @@ import pytest
 
 from gencheb.cheb_kernel import (
     ChebCoefficientStream,
-    GenCosPoint,
-    classical_cheb_ratio_stream,
-    coefficient_stream,
+    ClassicalChebRatioStream,
     deltoid_contains,
     eval_f,
     membership_defect,
@@ -41,10 +39,6 @@ class TestPhi1:
         th = rng.random((200, 2))
         vals = phi1(th[:, 0], th[:, 1])
         assert np.all(np.abs(vals) <= 1.0 + 1e-14)
-
-    def test_gencospoint_value(self):
-        p = GenCosPoint(0.17, 0.61)
-        assert p.value == pytest.approx(complex(phi1(0.17, 0.61)), abs=1e-14)
 
 
 class TestEvalF:
@@ -148,7 +142,7 @@ class TestPowerPreimage:
 
 class TestCoefficientStream:
     def test_identity_first_step(self):
-        c1, c2, c3 = coefficient_stream(0.9).step()
+        c1, c2, c3 = ChebCoefficientStream(0.9).step()
         assert c1 - c2 + c3 == pytest.approx(1.0, abs=1e-13)
 
     def test_identity_many_lambdas(self):
@@ -156,7 +150,7 @@ class TestCoefficientStream:
         for _ in range(50):
             modulus = 0.1 + 0.89 * rng.random()
             lam = modulus * np.exp(2j * np.pi * rng.random())
-            stream = coefficient_stream(lam)
+            stream = ChebCoefficientStream(lam)
             for _ in range(3, 201):
                 c1, c2, c3 = stream.step()
                 assert abs(c1 - c2 + c3 - 1.0) <= 1e-12
@@ -166,7 +160,7 @@ class TestCoefficientStream:
         # alpha solves (e^a + e^-a + 1)/3 = 1/lam; larger quadratic root
         b = 3.0 / lam - 1.0
         q = 2.0 / (b + np.sqrt(b * b - 4.0))  # e^{-alpha}
-        stream = coefficient_stream(lam)
+        stream = ChebCoefficientStream(lam)
         for _ in range(3, 201):
             c1, c2, c3 = stream.step()
             assert abs(c1.imag) < 1e-13 and abs(c2.imag) < 1e-13
@@ -175,7 +169,7 @@ class TestCoefficientStream:
         assert c3.real == pytest.approx(q**3, abs=1e-10)
 
     def test_complex_lambda_identity_only(self):
-        stream = coefficient_stream(0.9 * np.exp(1j * np.pi / 7))
+        stream = ChebCoefficientStream(0.9 * np.exp(1j * np.pi / 7))
         saw_complex = False
         for _ in range(3, 101):
             c1, c2, c3 = stream.step()
@@ -184,8 +178,8 @@ class TestCoefficientStream:
         assert saw_complex
 
     def test_rescaling_window_leaves_coefficients_unchanged(self):
-        a = coefficient_stream(0.77 + 0.1j)
-        b = coefficient_stream(0.77 + 0.1j)
+        a = ChebCoefficientStream(0.77 + 0.1j)
+        b = ChebCoefficientStream(0.77 + 0.1j)
         for _ in range(5):
             a.step()
             b.step()
@@ -196,7 +190,7 @@ class TestCoefficientStream:
             assert abs(x - y) <= 1e-13 * max(1.0, abs(x))
 
     def test_scale_exponent_grows(self):
-        stream = coefficient_stream(0.5)
+        stream = ChebCoefficientStream(0.5)
         for _ in range(50):
             stream.step()
         assert stream.scale_exponent > 0.0
@@ -215,7 +209,7 @@ class TestClassicalStream:
         rho = 0.9
         c0, c1, c2 = 1.0, 1.0 / rho, 2.0 / rho**2 - 1.0
         expect = (2 * c1 / (rho * c2), c0 / c2)
-        got = classical_cheb_ratio_stream(rho).step()
+        got = ClassicalChebRatioStream(rho).step()
         assert got[0] == pytest.approx(expect[0], abs=1e-13)
         assert got[1] == pytest.approx(expect[1], abs=1e-13)
         # frozen decimals from the direct evaluation above
@@ -224,13 +218,13 @@ class TestClassicalStream:
 
     @pytest.mark.parametrize("rho", [0.3, 0.9, 0.99])
     def test_pair_difference_is_one(self, rho):
-        stream = classical_cheb_ratio_stream(rho)
+        stream = ClassicalChebRatioStream(rho)
         for _ in range(2, 301):
             first, second = stream.step()
             assert abs(first - second - 1.0) <= 1e-12
 
     def test_tiny_rho_stays_finite(self):
-        stream = classical_cheb_ratio_stream(0.01)
+        stream = ClassicalChebRatioStream(0.01)
         for _ in range(2, 501):
             first, second = stream.step()
             assert np.isfinite(first) and np.isfinite(second)
@@ -238,4 +232,4 @@ class TestClassicalStream:
     @pytest.mark.parametrize("rho", [0.0, 1.0, -0.5, 2.0])
     def test_invalid_rho_rejected(self, rho):
         with pytest.raises(ValueError):
-            classical_cheb_ratio_stream(rho)
+            ClassicalChebRatioStream(rho)

@@ -81,6 +81,19 @@ class TestExample33Command:
         assert report_value(report, "k_used") == "2"
 
 
+    def test_fixed_step_divergence_keeps_the_trace(self, tmp_path):
+        # at k = 1 the quotients 0.4/0.9 +- 0.7i/0.9 lie outside the deltoid
+        out = tmp_path / "k1"
+        assert main(["example33", "--out", str(out), "--k", "1",
+                     "--schemes", "generalized"]) == EXIT_NOT_CONVERGED
+        report = (out / "report.txt").read_text()
+        stop = re.fullmatch(r"diverged at step (\d+)",
+                            report_value(report, "generalized"))
+        assert stop
+        _, rows = read_trace(out / "trace.csv")
+        assert int(rows[-1]["m"]) == int(stop.group(1)) < 200
+
+
 class TestNormalSparseCommand:
     def test_scaled_run(self, tmp_path):
         out = tmp_path / "ns"
@@ -155,6 +168,21 @@ class TestCustomCommand:
         assert (out / "trace.csv").exists()
         report = (out / "report.txt").read_text()
         assert "NOT converged" in report
+
+    @pytest.mark.parametrize("flags", [
+        ["--spectrum", "s.txt"],
+        ["--lambda1", "0.99+0.5j"],
+    ])
+    def test_dominant_eigenvalue_outside_the_disc(self, tmp_path, capsys, flags):
+        mpath, _tpath, _spath = self._write_inputs(tmp_path)
+        (tmp_path / "s.txt").write_text("0.9 0.0\n-1.0 0.5\n")
+        flags = [str(tmp_path / f) if f == "s.txt" else f for f in flags]
+        code = main([
+            "custom", "--matrix", str(mpath), *flags, "--schemes", "basic",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == EXIT_INAPPLICABLE
+        assert "error: spectral radius must be below one" in capsys.readouterr().err
 
     def test_unreadable_matrix_exit_code(self, tmp_path):
         code = main([
@@ -274,6 +302,32 @@ class TestRoundTripThroughFiles:
             assert int(cli_rows[-1]["matvecs"]) == trace.total_matvecs
 
 
+    def test_partial_spectrum_divergence_stops_the_run(self, tmp_path):
+        # lambda1 alone selects k = 1, where the three-term scheme diverges on
+        # this system: the guard stops it, the trace is kept, the report says why
+        gen_dir, exp_dir = tmp_path / "gen", tmp_path / "exp"
+        assert main([
+            "normal-sparse", "--n", "400", "--block", "40", "--steps", "0",
+            "--out", str(gen_dir),
+        ]) == EXIT_OK
+        code = main([
+            "custom", "--matrix", str(gen_dir / "M.mtx"),
+            "--tilde", str(gen_dir / "M_tilde.mtx"), "--lambda1", "0.9",
+            "--out", str(exp_dir),
+        ])
+        assert code == EXIT_NOT_CONVERGED
+        report = (exp_dir / "report.txt").read_text()
+        assert report_value(report, "k_used") == "1"
+        assert "basic: converged" in report
+        stop = re.fullmatch(r"diverged at step (\d+)",
+                            report_value(report, "generalized"))
+        assert stop
+        _, rows = read_trace(exp_dir / "trace.csv")
+        gen_rows = [r for r in rows if r["scheme"] == "generalized"]
+        assert int(gen_rows[-1]["m"]) == int(stop.group(1)) < 200
+        assert float(gen_rows[-1]["residual"]) > 1e12 * float(gen_rows[0]["residual"])
+
+
 class TestSpectrumFile:
     def test_values_bit_identical_to_float_parsing(self, tmp_path):
         lines = ["0.9 0.0", "-0.0 -0.0", "0.1 -0.0", "5e-324 -2.5e-310",
@@ -344,6 +398,17 @@ class TestDeltoidSampleCommand:
         assert (q["inside_k1"], q["inside_k2"]) == ("0", "1")
 
 
+    def test_all_zero_spectrum_refused(self, tmp_path, capsys):
+        spath = tmp_path / "zero.txt"
+        spath.write_text("0 0\n0.0 -0.0\n")
+        code = main([
+            "deltoid-sample", "--out", str(tmp_path / "o"), "--resolution", "5",
+            "--boundary-samples", "10", "--spectrum", str(spath),
+        ])
+        assert code == EXIT_IO
+        assert "zero.txt" in capsys.readouterr().err
+
+
 class TestReportCommand:
     def test_lambda1_only(self, tmp_path, capsys):
         out = tmp_path / "rep"
@@ -360,6 +425,18 @@ class TestReportCommand:
         code = main(["report", "--spectrum", str(spath),
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_INAPPLICABLE
+
+    @pytest.mark.parametrize("spectrum", [None, "0.5 0.0\n0.0 1.0\n", "1.2 0.0\n"])
+    def test_dominant_eigenvalue_outside_the_disc(self, tmp_path, capsys, spectrum):
+        if spectrum is None:
+            flags = ["--lambda1", "1.5"]
+        else:
+            spath = tmp_path / "s.txt"
+            spath.write_text(spectrum)
+            flags = ["--spectrum", str(spath)]
+        code = main(["report", *flags, "--out", str(tmp_path / "o")])
+        assert code == EXIT_INAPPLICABLE
+        assert "error: spectral radius must be below one" in capsys.readouterr().err
 
     def test_needs_input(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "o")]) == EXIT_IO

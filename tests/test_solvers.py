@@ -13,10 +13,11 @@ from gencheb import solvers
 from gencheb.genmat import NormalMatrixSpec, assemble_normal_system, example33_fixture
 from gencheb.linalg import ComplexSparseMatrix, PoweredOperator
 from gencheb.solvers import (
+    SCHEMES,
     IterationSystem,
     basic_iterate,
-    chebyshev_iterate,
     generalized_chebyshev_iterate,
+    run,
     solve,
     transform_system,
 )
@@ -38,6 +39,14 @@ def dense_system(dense, x=None, tilde_dense=None, lambda1=None, k=1):
                            lambda1=lambda1, k=k), x
 
 
+def run_iterates(sys_, scheme, steps, **kwargs):
+    """y_0 .. y_steps, y_m being the final iterate of a run of m steps.
+
+    The loop is deterministic, so y_m is the m-th iterate of every longer run.
+    """
+    return [run(sys_, scheme, steps=m, **kwargs)[0] for m in range(steps + 1)]
+
+
 def random_contraction(rng, n, radius):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return a * (radius / max(np.abs(np.linalg.eigvals(a))))
@@ -46,7 +55,8 @@ def random_contraction(rng, n, radius):
 class TestBasic:
     def test_zero_matrix_lands_on_g(self):
         sys_, x = dense_system(np.zeros((3, 3)), x=np.array([2.0, -1.0, 5.0 + 1j]))
-        iterates, trace = basic_iterate(sys_, steps=4, reference_x=x)
+        iterates = run_iterates(sys_, "basic", 4, reference_x=x)
+        _, trace = basic_iterate(sys_, steps=4, reference_x=x)
         for it in iterates[1:]:
             assert np.allclose(it, sys_.g, atol=0)
         assert trace.err_norms[-1] == pytest.approx(0.0, abs=1e-14)
@@ -54,7 +64,7 @@ class TestBasic:
     def test_exact_start_is_fixed(self):
         rng = np.random.default_rng(0)
         sys_, x = dense_system(random_contraction(rng, 6, 0.8))
-        iterates, _ = basic_iterate(sys_, x0=x, steps=100, reference_x=x)
+        iterates = run_iterates(sys_, "basic", 100, x0=x, reference_x=x)
         for it in iterates:
             assert np.linalg.norm(it - x) <= 1e-11
 
@@ -62,6 +72,13 @@ class TestBasic:
         sys_, _ = dense_system(1.5 * np.eye(3))
         with pytest.raises(Divergence):
             basic_iterate(sys_, steps=500)
+
+    def test_final_iterate_is_the_last_step(self):
+        rng = np.random.default_rng(2)
+        sys_, x = dense_system(random_contraction(rng, 5, 0.5))
+        y, trace = basic_iterate(sys_, steps=7, reference_x=x)
+        assert len(trace.steps) == 7
+        assert float(np.linalg.norm(x - y)) == trace.err_norms[-1]
 
     def test_ratio_definition(self):
         rng = np.random.default_rng(1)
@@ -110,26 +127,28 @@ class TestTransform:
 
 class TestClassical:
     def test_zero_matrix_converges_in_one_step(self):
-        sys_, x = dense_system(np.zeros((3, 3)), x=np.array([1.0, 2.0, 3.0]))
-        iterates, _ = chebyshev_iterate(sys_, rho=0.5, steps=3, reference_x=x)
+        sys_, x = dense_system(np.zeros((3, 3)), x=np.array([1.0, 2.0, 3.0]),
+                               lambda1=0.5)
+        iterates = run_iterates(sys_, "classical", 3, reference_x=x)
         assert np.allclose(iterates[1], x, atol=1e-14)
 
     def test_beats_basic_on_symmetric_tridiagonal(self):
         n = 50
         tri = np.diag(np.full(n - 1, 0.5), 1) + np.diag(np.full(n - 1, 0.5), -1)
         dense = tri * (0.95 / np.cos(np.pi / (n + 1)))
-        sys_, x = dense_system(dense)
+        sys_, x = dense_system(dense, lambda1=0.95)
         _, btrace = basic_iterate(sys_, steps=20, reference_x=x)
-        _, ctrace = chebyshev_iterate(sys_, rho=0.95, steps=20, reference_x=x)
+        _, ctrace = run(sys_, "classical", steps=20, reference_x=x)
         assert ctrace.err_norms[-1] < btrace.err_norms[-1]
 
     def test_scalar_closed_form(self):
         # 1-d system M = 0.9, g = 0.1, x0 = 0: the error after m steps is
         # 1/C_m(1/0.9), so y_m = 1 - 1/C_m(1/0.9)
         sys_ = IterationSystem(
-            M=ComplexSparseMatrix.from_dense([[0.9]]), g=np.array([0.1 + 0j])
+            M=ComplexSparseMatrix.from_dense([[0.9]]), g=np.array([0.1 + 0j]),
+            lambda1=0.9,
         )
-        iterates, _ = chebyshev_iterate(sys_, rho=0.9, steps=30)
+        iterates = run_iterates(sys_, "classical", 30)
         t = 1.0 / 0.9
         c_prev, c_cur = 1.0, t
         for m in range(2, 31):
@@ -139,10 +158,15 @@ class TestClassical:
     def test_fixed_point_preserved(self):
         rng = np.random.default_rng(3)
         dense = (random_contraction(rng, 6, 0.7) + 0j).real * 1.0  # real spectrum not needed for fixed point
-        sys_, x = dense_system(dense)
-        iterates, _ = chebyshev_iterate(sys_, rho=0.7, x0=x, steps=100, reference_x=x)
+        sys_, x = dense_system(dense, lambda1=0.7)
+        iterates = run_iterates(sys_, "classical", 100, x0=x, reference_x=x)
         for it in iterates:
             assert np.linalg.norm(it - x) <= 1e-11
+
+    def test_requires_lambda1(self):
+        sys_, _ = dense_system(np.eye(2) * 0.5)
+        with pytest.raises(MissingLambda1):
+            run(sys_, "classical", steps=5)
 
 
 class TestGeneralized:
@@ -161,9 +185,7 @@ class TestGeneralized:
     def test_fixed_point_preserved(self):
         diag = np.diag([0.9, 0.3, -0.2])
         sys_, x = dense_system(diag, tilde_dense=np.conj(diag), lambda1=0.9)
-        iterates, _ = generalized_chebyshev_iterate(
-            sys_, x0=x, steps=100, reference_x=x
-        )
+        iterates = run_iterates(sys_, "generalized", 100, x0=x, reference_x=x)
         for it in iterates:
             assert np.linalg.norm(it - x) <= 1e-11
 
@@ -172,7 +194,7 @@ class TestGeneralized:
         lams = np.array([0.9, 0.3, -0.2], dtype=complex)
         sys_, x = dense_system(np.diag(lams), tilde_dense=np.diag(np.conj(lams)),
                                lambda1=0.9)
-        iterates, _ = generalized_chebyshev_iterate(sys_, steps=25, reference_x=x)
+        iterates = run_iterates(sys_, "generalized", 25, reference_x=x)
         lam1 = 0.9
         for i, lam in enumerate(lams):
             y = lam / lam1
@@ -213,8 +235,8 @@ class TestMatvecAccounting:
         assert trace.matvecs == [3] * 4
 
     def test_classical_counts(self):
-        sys_, x = dense_system(np.eye(3) * 0.5)
-        _, trace = chebyshev_iterate(sys_, rho=0.5, steps=6, reference_x=x)
+        sys_, x = dense_system(np.eye(3) * 0.5, lambda1=0.5)
+        _, trace = run(sys_, "classical", steps=6, reference_x=x)
         assert trace.matvecs == [1] * 6
 
     def test_generalized_counts_untransformed(self):
@@ -314,6 +336,36 @@ class TestSolve:
             solve(sys_, max_steps=500, residual_tol=1e-12)
 
 
+class TestDivergenceGuard:
+    """One guard for every scheme, fixed-step or run to tolerance."""
+
+    @pytest.mark.parametrize("tol", [None, 1e-12])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_every_scheme_is_guarded(self, scheme, tol):
+        sys_, _ = dense_system(1.5 * np.eye(3), tilde_dense=1.5 * np.eye(3),
+                               lambda1=0.5)
+        with pytest.raises(Divergence) as info:
+            run(sys_, scheme, steps=500, tol=tol)
+        exc = info.value
+        assert isinstance(exc, NotConverged)
+        assert len(exc.trace.steps) < 500
+        assert exc.trace.residuals[-1] > solvers.DIVERGENCE_GUARD * np.linalg.norm(sys_.g)
+        best = min([exc.trace.initial_residual] + exc.trace.residuals)
+        assert best == sys_.residual_norm(exc.best)
+        assert f"at step {exc.trace.steps[-1]}" in str(exc)
+
+    def test_non_finite_residual_trips_the_guard(self):
+        # an initial residual near the float limit makes the guard itself
+        # infinite; the residual that overflows to nan must still stop the run
+        sys_, _ = dense_system(1.5 * np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Divergence) as info:
+                run(sys_, "basic", steps=5000, x0=np.full(2, 1e300))
+        trace = info.value.trace
+        assert len(trace.steps) < 5000
+        assert not np.isfinite(trace.residuals[-1])
+
+
 class TestSystemValidation:
     def test_tilde_dimension_mismatch(self):
         from gencheb.errors import DimensionMismatch
@@ -349,17 +401,27 @@ def _solve_trace(sys_, scheme):
         return exc.trace
 
 
+def _fixed_trace(sys_, scheme):
+    """Trace of a 30-step fixed run on the k-transformed system."""
+    work = solvers.transform_system(sys_, sys_.k)
+    return run(work, scheme, steps=30, residual_system=sys_)[1]
+
+
 class TestSolveSharesTheResidualProduct:
-    """`solve` takes each residual from the M y that the next step's M^k y
-    starts with: the loop spends its recurrence products plus one."""
+    """`run` takes each residual from the M y that the next step's M^k y
+    starts with: a run, to tolerance or fixed-step, spends its recurrence
+    products plus one."""
 
     @pytest.fixture(scope="class")
     def normal_system(self):
         return assemble_normal_system(NormalMatrixSpec(n=200, block_size=40, seed=1)).system
 
+    @pytest.mark.parametrize("mode", [_solve_trace, _fixed_trace], ids=["solve", "fixed"])
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("scheme", ["basic", "classical", "generalized"])
-    def test_products_are_recurrence_plus_one(self, normal_system, monkeypatch, scheme, k):
+    def test_products_are_recurrence_plus_one(
+        self, normal_system, monkeypatch, scheme, k, mode
+    ):
         calls = {}
         matvec = ComplexSparseMatrix.matvec
 
@@ -376,7 +438,7 @@ class TestSolveSharesTheResidualProduct:
         monkeypatch.setattr(ComplexSparseMatrix, "matvec", counting)
         monkeypatch.setattr(solvers, "transform_system", transform_then_reset)
         sys_ = dataclasses.replace(normal_system, k=k)
-        trace = _solve_trace(sys_, scheme)
+        trace = mode(sys_, scheme)
         base = calls.get(id(sys_.M), 0)
         tilde = calls.get(id(sys_.M_tilde), 0)
         steps = len(trace.steps)
@@ -391,14 +453,17 @@ class TestSolveSharesTheResidualProduct:
         trace = _solve_trace(sys_, scheme)
         work = transform_system(normal_system, k)
         steps = len(trace.steps)
-        if scheme == "basic":
-            _, fixed = basic_iterate(work, steps=steps, residual_system=normal_system)
-        elif scheme == "classical":
-            _, fixed = chebyshev_iterate(work, rho=abs(work.lambda1), steps=steps,
-                                         residual_system=normal_system)
-        else:
-            _, fixed = generalized_chebyshev_iterate(work, steps=steps,
-                                                     residual_system=normal_system)
+        _, fixed = run(work, scheme, steps=steps, residual_system=normal_system)
         assert fixed.initial_residual == trace.initial_residual
         assert fixed.residuals == trace.residuals
         assert fixed.matvecs == trace.matvecs
+
+    def test_residual_system_must_be_the_transform_source(self, normal_system):
+        other = dataclasses.replace(normal_system)  # same matrices, another system
+        work = transform_system(normal_system, 3)
+        _, trace = run(work, "basic", steps=2, residual_system=normal_system)
+        assert trace.steps == [1, 2]
+        with pytest.raises(ValueError):
+            run(work, "basic", steps=2, residual_system=transform_system(other, 3))
+        with pytest.raises(ValueError):
+            run(normal_system, "basic", steps=2, residual_system=other)
