@@ -45,7 +45,7 @@ from .genmat import (
     write_generated_system,
 )
 from .linalg import read_matrix_market, read_vector_market
-from .solvers import ConvergenceTrace, IterationSystem, run, transform_system
+from .solvers import SCHEMES, ConvergenceTrace, IterationSystem, run, transform_system
 from .spectrum import (
     INAPPLICABLE,
     SpectrumInfo,
@@ -433,6 +433,35 @@ def _default_outdir(subcommand: str) -> str:
     return os.path.join(base, f"gencheb-{subcommand}")
 
 
+def _count(minimum: int):
+    """argparse type: an integer of at least `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _k_order(text: str) -> str:
+    """argparse type for --k: 'auto' or a positive integer."""
+    if text != "auto":
+        _count(1)(text)
+    return text
+
+
+def _scheme_list(text: str) -> tuple:
+    """argparse type for --schemes: a non-empty comma list of known schemes."""
+    schemes = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not schemes or not set(schemes) <= set(SCHEMES):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list from {','.join(SCHEMES)}, got {text!r}")
+    return schemes
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gencheb",
@@ -444,14 +473,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help=f"output directory (default: ${ENV_OUTDIR}/"
                             "gencheb-<subcommand>)")
-        p.add_argument("--steps", type=int, default=default_steps)
+        p.add_argument("--steps", type=_count(0), default=default_steps)
         p.add_argument("--tol", type=float, default=1e-10,
                        help="relative residual stopping tolerance")
-        p.add_argument("--schemes", default="basic,generalized",
-                       help="comma list from basic,classical,generalized")
-        p.add_argument("--k", default="auto",
+        p.add_argument("--schemes", type=_scheme_list, default="basic,generalized",
+                       help=f"comma list from {','.join(SCHEMES)}")
+        p.add_argument("--k", type=_k_order, default="auto",
                        help="power-transform order, or 'auto'")
-        p.add_argument("--k-max", type=int, default=64)
+        p.add_argument("--k-max", type=_count(1), default=64)
         p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("example33", help="run the built-in 4x4 system")
@@ -501,7 +530,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         out_dir=args.out or _default_outdir(args.subcommand),
         steps=args.steps,
         residual_tol=args.tol,
-        schemes=tuple(s.strip() for s in args.schemes.split(",") if s.strip()),
+        schemes=args.schemes,
         k=args.k,
         k_max=args.k_max,
         seed=args.seed,
@@ -527,8 +556,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.subcommand == "report":
         cfg.spectrum_path = args.spectrum
         cfg.lambda1 = args.lambda1
-    if cfg.k != "auto":
-        int(cfg.k)  # fail fast on malformed values
     return cfg
 
 

@@ -1,10 +1,17 @@
 """Complex sparse matrices (CSR), vectors, and matrix actions.
 
 Vectors are plain 1-D complex128 numpy arrays; `as_vector` validates
-finiteness on construction.  The matvec sums each row with np.add.reduceat
-over its stored entries in column order, so traces are bit-reproducible
-run to run.  They differ from earlier releases, which summed with
-np.add.at, by up to about 2e-15 per entry.
+finiteness on construction.
+
+Summation contract of the matvec.  A dense panel (a run of at least two
+consecutive rows that all store one contiguous column range, with at least
+_PANEL_MIN_ENTRIES entries) is multiplied by one BLAS gemv, so its rows are
+summed in BLAS dot order.  Every other row is summed with np.add.reduceat
+over its stored entries in column order.  Which rows form panels depends
+only on the stored pattern, so bits repeat run to run for a given numpy and
+BLAS build and CPU, and the tests check that the panel bits do not depend on
+the BLAS thread count.  A matrix without panels gives exactly the reduceat
+bits; panel rows differ from them by rounding only.
 
 Matrix Market exchange: `coordinate complex general`, entries `row col
 real imag` with integer 1-based indices and shortest round-trip floats, a
@@ -36,6 +43,12 @@ def as_vector(values, n: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
+# Fewest stored entries in a dense panel.  The BLAS product overtakes the
+# reduceat one between about 1,000 and 2,300 entries (x86_64, OpenBLAS 0.3.31,
+# one thread); smaller runs save too little to measure and keep reduceat bits.
+_PANEL_MIN_ENTRIES = 4096
+
+
 class ComplexSparseMatrix:
     """Compressed-sparse-row matrix of complex entries.
 
@@ -46,7 +59,8 @@ class ComplexSparseMatrix:
     """
 
     __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values",
-                 "_starts", "_stored_rows")
+                 "_panels", "_rest_values", "_rest_cols", "_starts",
+                 "_stored_rows")
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
         self.n_rows = int(n_rows)
@@ -57,9 +71,30 @@ class ComplexSparseMatrix:
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=complex)
         self._validate()
-        # matvec sums from each non-empty row's start; empty rows need a scatter
-        stored = np.diff(self.row_offsets) > 0
-        self._starts = self.row_offsets[:-1][stored]
+        # dense panels are (rows, w) views of values, multiplied by BLAS
+        counts = np.diff(self.row_offsets)
+        in_panel = np.zeros(self.n_rows, dtype=bool)
+        self._panels = []
+        for r0, r1, c0, w in _dense_panels(self.row_offsets, self.col_indices):
+            entries = slice(self.row_offsets[r0], self.row_offsets[r1])
+            panel = self.values[entries].reshape(r1 - r0, w)
+            self._panels.append((r0, r1, c0, c0 + w, panel))
+            in_panel[r0:r1] = True
+        # the other rows are summed by reduceat from their starts in the rest
+        # arrays; a panel row keeps its first entry there, so the sums line up
+        # with the rows, and its panel product overwrites that sum
+        self._rest_values, self._rest_cols = self.values, self.col_indices
+        rest_offsets = self.row_offsets
+        if self._panels:
+            keep = np.repeat(~in_panel, counts)
+            keep[self.row_offsets[:-1][in_panel]] = True
+            counts = np.where(in_panel, 1, counts)
+            rest_offsets = np.concatenate(([0], np.cumsum(counts)))
+            self._rest_values = self.values[keep]
+            self._rest_cols = self.col_indices[keep]
+        # empty rows need a scatter
+        stored = counts > 0
+        self._starts = rest_offsets[:-1][stored]
         self._stored_rows = None if stored.all() else np.flatnonzero(stored)
 
     def _validate(self):
@@ -154,19 +189,23 @@ class ComplexSparseMatrix:
     # -- operations ---------------------------------------------------------
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Sparse product A @ v; each row is summed by np.add.reduceat over
-        its stored entries in column order, so equal inputs give equal bits."""
+        """Sparse product A @ v.  Each dense panel is one BLAS gemv
+        `panel @ v[c0:c0+w]`, summed in BLAS dot order; every other row is
+        summed by np.add.reduceat over its stored entries in column order.
+        Equal inputs give equal bits for a given numpy/BLAS build and CPU."""
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.n_cols,):
             raise DimensionMismatch(
                 f"matvec of {self.shape} matrix with vector of shape {v.shape}"
             )
-        sums = np.add.reduceat(self.values * v[self.col_indices], self._starts)
-        if self._stored_rows is None:
-            return sums
-        out = np.zeros(self.n_rows, dtype=complex)
-        out[self._stored_rows] = sums
-        return out
+        sums = np.add.reduceat(self._rest_values * v[self._rest_cols], self._starts)
+        if self._stored_rows is not None:
+            out = np.zeros(self.n_rows, dtype=complex)
+            out[self._stored_rows] = sums
+            sums = out
+        for r0, r1, c0, c1, panel in self._panels:
+            sums[r0:r1] = panel @ v[c0:c1]
+        return sums
 
     def conj_transpose(self) -> "ComplexSparseMatrix":
         """Return A* with CSR invariants restored."""
@@ -174,6 +213,31 @@ class ComplexSparseMatrix:
             self.n_cols, self.n_rows, self.col_indices, _entry_rows(self),
             np.conj(self.values),
         )
+
+
+def _dense_panels(row_offsets: np.ndarray, col_indices: np.ndarray) -> list:
+    """Maximal runs of consecutive rows that all store one contiguous column
+    range [c0, c0 + w), as (r0, r1, c0, w).  A run counts from two rows and
+    _PANEL_MIN_ENTRIES entries up: numpy hands a one-row product to BLAS dot,
+    whose threaded sum of a long row depends on the BLAS thread count."""
+    if row_offsets[-1] < _PANEL_MIN_ENTRIES:
+        return []
+    counts = np.diff(row_offsets)
+    stored = counts > 0
+    first = np.zeros_like(counts)
+    first[stored] = col_indices[row_offsets[:-1][stored]]
+    last = np.zeros_like(counts)
+    last[stored] = col_indices[row_offsets[1:][stored] - 1]
+    # columns strictly increase within a row, so a stored row is contiguous
+    # exactly when last - first + 1 == count (never true for an empty row)
+    dense = last - first + 1 == counts
+    joins = (dense[1:] & dense[:-1] & (first[1:] == first[:-1])
+             & (counts[1:] == counts[:-1]))
+    r0 = np.flatnonzero(np.concatenate(([True], ~joins)))
+    r1 = np.append(r0[1:], counts.size)
+    big = dense[r0] & (r1 - r0 > 1) & ((r1 - r0) * counts[r0] >= _PANEL_MIN_ENTRIES)
+    return [(int(a), int(b), int(first[a]), int(counts[a]))
+            for a, b in zip(r0[big], r1[big])]
 
 
 def _entry_rows(a: ComplexSparseMatrix) -> np.ndarray:

@@ -17,7 +17,7 @@ from gencheb.cli import (
 )
 from gencheb.errors import UnreadableMatrix
 from gencheb.genmat import NormalMatrixSpec, assemble_normal_system, example33_fixture
-from gencheb.linalg import write_matrix_market
+from gencheb.linalg import read_matrix_market, write_matrix_market
 from gencheb.solvers import solve
 from gencheb.spectrum import SpectrumInfo, build_report
 
@@ -267,16 +267,19 @@ class TestCustomCommand:
 
 
 class TestRoundTripThroughFiles:
-    def test_generated_files_reproduce_the_library_solve(self, tmp_path):
+    @staticmethod
+    def _round_trip(tmp_path, n, block, panels):
         # normal-sparse writes the system, custom reads it back and solves
         # it; the residuals must be the bits of an in-library solve
-        spec = NormalMatrixSpec(n=400, block_size=40, seed=42)
+        spec = NormalMatrixSpec(n=n, block_size=block, seed=42)
         gen_dir, exp_dir = tmp_path / "gen", tmp_path / "exp"
         assert main([
-            "normal-sparse", "--n", "400", "--block", "40", "--steps", "0",
+            "normal-sparse", "--n", str(n), "--block", str(block), "--steps", "0",
             "--seed", "42", "--out", str(gen_dir),
         ]) == EXIT_OK
         gen = assemble_normal_system(spec)
+        for m in (gen.system.M, read_matrix_market(gen_dir / "M.mtx")):
+            assert [p[:4] for p in m._panels] == panels
         spath = tmp_path / "S.txt"
         spath.write_text("".join(
             f"{float(v.real)!r} {float(v.imag)!r}\n" for v in gen.planted
@@ -301,6 +304,14 @@ class TestRoundTripThroughFiles:
             assert [float(r["residual"]) for r in cli_rows] == trace.residuals
             assert int(cli_rows[-1]["matvecs"]) == trace.total_matvecs
 
+    def test_generated_files_reproduce_the_library_solve(self, tmp_path):
+        # a 40 x 40 block is below the dense-panel floor: reduceat rows only
+        self._round_trip(tmp_path, 400, 40, panels=[])
+
+    def test_round_trip_with_a_dense_panel(self, tmp_path):
+        # the 100 x 100 block is one BLAS panel, in the generated matrix and
+        # in the one read back from M.mtx
+        self._round_trip(tmp_path, 2000, 100, panels=[(0, 100, 0, 100)])
 
     def test_partial_spectrum_divergence_stops_the_run(self, tmp_path):
         # lambda1 alone selects k = 1, where the three-term scheme diverges on
@@ -453,6 +464,18 @@ class TestCommonFlags:
             "tilde_rhs_path", "spectrum_path", "lambda1", "estimate",
             "assume_normal", "resolution", "boundary_samples",
         ]
+
+    @pytest.mark.parametrize("flags", [
+        ["--schemes", "sor"], ["--k", "x"], ["--k", "0"], ["--steps", "-1"],
+        ["--k-max", "0"],
+    ])
+    def test_malformed_value_is_a_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["example33", "--out", str(out), *flags])
+        assert exc.value.code == 2
+        assert f"argument {flags[0]}:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threads_flag_removed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import gencheb
 from gencheb.errors import DimensionMismatch, UnreadableMatrix
 from gencheb.genmat import example33_fixture
 from gencheb.linalg import (
@@ -120,6 +124,95 @@ class TestMatvecProperties:
         assert got.shape == (stored.shape[0],)
         assert np.all(np.abs(got - dense @ v) <= 1e-13 * scale)
         assert np.array_equal(a.matvec(v.copy()), got)
+
+    # dense blocks of at least _PANEL_MIN_ENTRIES entries (64 x 64 = 4096),
+    # with a diagonal on the other rows as in the generated normal systems:
+    # (shape, blocks (r0, r1, c0, c1), dropped entries, diagonal?, panels)
+    PANEL_CASES = {
+        "first rows": ((200, 200), [(0, 64, 0, 64)], [], True,
+                       [(0, 64, 0, 64)]),
+        "middle rows": ((200, 200), [(70, 134, 30, 94)], [], True,
+                        [(70, 134, 30, 94)]),
+        "last rows": ((200, 200), [(136, 200, 136, 200)], [], True,
+                      [(136, 200, 136, 200)]),
+        "adjacent, other start": ((200, 200), [(0, 64, 0, 64), (64, 128, 10, 74)],
+                                  [], True, [(0, 64, 0, 64), (64, 128, 10, 74)]),
+        "adjacent, other width": ((200, 200), [(0, 64, 0, 64), (64, 128, 0, 80)],
+                                  [], True, [(0, 64, 0, 64), (64, 128, 0, 80)]),
+        "dropped entry splits": ((200, 200), [(0, 140, 0, 64)], [(64, 30)], True,
+                                 [(0, 64, 0, 64), (65, 140, 0, 64)]),
+        "empty rows around": ((200, 100), [(10, 74, 20, 84)], [], False,
+                              [(10, 74, 20, 84)]),
+        "n x 1": ((5000, 1), [(0, 5000, 0, 1)], [], False, [(0, 5000, 0, 1)]),
+    }
+
+    @staticmethod
+    def _pattern_matrix(shape, blocks, dropped, diagonal, seed=0):
+        stored = np.zeros(shape, dtype=bool)
+        if diagonal:
+            np.fill_diagonal(stored, True)
+        for r0, r1, c0, c1 in blocks:
+            stored[r0:r1] = False
+            stored[r0:r1, c0:c1] = True
+        for r, c in dropped:
+            stored[r, c] = False
+        rows, cols = np.nonzero(stored)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+        v = rng.standard_normal(shape[1]) + 1j * rng.standard_normal(shape[1])
+        return ComplexSparseMatrix.from_triplets(*shape, rows, cols, values), v
+
+    @pytest.mark.parametrize("case", list(PANEL_CASES))
+    def test_dense_panels_match_dense_product_and_repeat_bits(self, case):
+        shape, blocks, dropped, diagonal, panels = self.PANEL_CASES[case]
+        a, v = self._pattern_matrix(shape, blocks, dropped, diagonal)
+        assert [p[:4] for p in a._panels] == panels
+        for r0, r1, c0, c1, panel in a._panels:
+            assert panel.shape == (r1 - r0, c1 - c0)
+            assert np.shares_memory(panel, a.values)
+        got = a.matvec(v)
+        dense = a.to_dense()
+        assert np.all(np.abs(got - dense @ v) <= 1e-13 * (np.abs(dense) @ np.abs(v)))
+        assert np.array_equal(a.matvec(v.copy()), got)
+
+    @pytest.mark.parametrize("shape, blocks", [
+        ((200, 200), [(0, 63, 0, 64)]),    # one row short of the floor
+        ((400, 400), [(0, 40, 0, 40)]),    # the n=400, block 40 systems
+        ((3, 5000), [(1, 2, 0, 5000)]),    # one long row is not a panel
+    ])
+    def test_below_the_floor_gives_the_reduceat_bits(self, shape, blocks):
+        a, v = self._pattern_matrix(shape, blocks, [], True)
+        assert a._panels == []
+        plain = np.add.reduceat(a.values * v[a.col_indices], a.row_offsets[:-1])
+        assert np.array_equal(a.matvec(v), plain)
+
+
+_PANEL_DIGEST = """
+import hashlib
+import numpy as np
+from gencheb.linalg import ComplexSparseMatrix
+rng = np.random.default_rng(5)
+digest = hashlib.sha256()
+for rows, w in ((400, 400), (2, 32768), (8000, 1), (1, 32768)):
+    dense = rng.standard_normal((rows, w)) + 1j * rng.standard_normal((rows, w))
+    v = rng.standard_normal(w) + 1j * rng.standard_normal(w)
+    digest.update(ComplexSparseMatrix.from_dense(dense).matvec(v).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_panel_bits_do_not_depend_on_the_blas_thread_count():
+    # the 1 x 32768 row is summed by reduceat: numpy would hand a one-row
+    # product to BLAS dot, whose threaded sum of a long row differs
+    src = os.path.dirname(os.path.dirname(gencheb.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _PANEL_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
 
 
 class TestConjTranspose:
