@@ -41,7 +41,6 @@ from .genmat import (
     GeneratedSystem,
     NormalMatrixSpec,
     assemble_normal_system,
-    embedded_random_unitary,
     example33_fixture,
     random_spectrum,
     write_generated_system,

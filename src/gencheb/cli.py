@@ -24,7 +24,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -95,22 +95,17 @@ class ExperimentConfig:
     assume_normal: bool = False
     resolution: int = 201
     boundary_samples: int = 1000
-    extra: dict = field(default_factory=dict)
 
     def metadata(self) -> str:
         pairs = [f"subcommand={self.subcommand}", f"version={__version__}"]
         for f in fields(self):
-            if f.name in ("subcommand", "out_dir", "extra"):
+            if f.name in ("subcommand", "out_dir"):
                 continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
             pairs.append(f"{f.name}={value}")
         return "# " + " ".join(pairs)
-
-
-def _ensure_outdir(cfg: ExperimentConfig) -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
 
 
 def _write_traces(cfg: ExperimentConfig, traces: list[ConvergenceTrace]) -> str:
@@ -232,21 +227,26 @@ def _measured_lines(traces: list[ConvergenceTrace], windows: dict) -> list[str]:
     return lines
 
 
+def _run_planted(cfg, info, system, x, extra_lines, windows) -> int:
+    """Report, scheme runs, trace and rate lines for a built-in system whose
+    spectrum and solution x are known."""
+    report = build_report(info, k_max=cfg.k_max)
+    k = report.k_selected if cfg.k == "auto" else int(cfg.k)
+    traces, stops, code = _run_schemes(cfg, system, k, x)
+    _write_traces(cfg, traces)
+    lines = report.lines() + [f"k_used: {k}"] + extra_lines + stops
+    path = _write_report(cfg, lines + _measured_lines(traces, windows))
+    print(f"{cfg.subcommand}: wrote {path}")
+    return code
+
+
 def run_example33(cfg: ExperimentConfig) -> int:
     fixture = example33_fixture()
     info = SpectrumInfo(fixture.eigenvalues, lambda1=0.9, source="exact")
-    report = build_report(info, k_max=cfg.k_max)
-    k = report.k_selected if cfg.k == "auto" else int(cfg.k)
-    traces, stops, code = _run_schemes(cfg, fixture.system, k, fixture.x)
-    _write_traces(cfg, traces)
-    lines = report.lines() + [f"k_used: {k}"] + stops
-    lines += _measured_lines(traces, {
+    return _run_planted(cfg, info, fixture.system, fixture.x, [], {
         "basic": (*EX33_BASIC_WINDOW, "geomean"),
         "generalized": (*EX33_ACCEL_WINDOW, "lsqfit"),
     })
-    path = _write_report(cfg, lines)
-    print(f"example33: wrote {path}")
-    return code
 
 
 def run_normal_sparse(cfg: ExperimentConfig) -> int:
@@ -257,29 +257,28 @@ def run_normal_sparse(cfg: ExperimentConfig) -> int:
     gen = assemble_normal_system(spec)
     write_generated_system(gen, spec, cfg.out_dir)
     info = SpectrumInfo(tuple(gen.planted), lambda1=spec.lambda1, source="exact")
-    report = build_report(info, k_max=cfg.k_max)
-    k = report.k_selected if cfg.k == "auto" else int(cfg.k)
-    traces, stops, code = _run_schemes(cfg, gen.system, k, gen.x)
-    _write_traces(cfg, traces)
-    lines = report.lines() + [f"k_used: {k}", f"nnz: {gen.system.M.nnz}"] + stops
-    lines += _measured_lines(traces, {
+    return _run_planted(cfg, info, gen.system, gen.x, [f"nnz: {gen.system.M.nnz}"], {
         "basic": (*NORMAL_SPARSE_WINDOW, "geomean"),
         "generalized": (*NORMAL_SPARSE_WINDOW, "geomean"),
     })
-    path = _write_report(cfg, lines)
-    print(f"normal-sparse: wrote {path}")
-    return code
 
 
-def _commutator_check(m, n_cap: int = 2048) -> float | None:
-    """Relative commutator norm |MM* - M*M|_F / |M|_F^2; None if skipped."""
-    if m.n_rows > n_cap:
-        return None
-    dense = m.to_dense()
-    star = dense.conj().T
-    comm = dense @ star - star @ dense
-    denom = np.linalg.norm(dense, "fro") ** 2
-    return float(np.linalg.norm(comm, "fro") / denom) if denom else 0.0
+def _commutator_check(m, m_star, seed: int) -> tuple[float, int]:
+    """Randomized relative commutator norm |MM* - M*M|_F / |M|_F^2 and the
+    products it spent.  For complex Gaussian x with E[xx*] = I,
+    E|Cx|^2 = |C|_F^2, so the root mean square of |Cx| over the samples
+    estimates |C|_F at 4 products per sample, at any n."""
+    samples = 4
+    fro2 = float(np.vdot(m.values, m.values).real)
+    if fro2 == 0.0:
+        return 0.0, 0
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    for _ in range(samples):
+        x = np.array([1, 1j]) @ rng.standard_normal((2, m.n_cols)) / np.sqrt(2)
+        cx = m.matvec(m_star.matvec(x)) - m_star.matvec(m.matvec(x))
+        total += float(np.vdot(cx, cx).real)
+    return float(np.sqrt(total / samples)) / fro2, 4 * samples
 
 
 def _custom_spectrum(cfg: ExperimentConfig, matrix) -> SpectrumInfo:
@@ -311,32 +310,23 @@ def run_custom(cfg: ExperimentConfig) -> int:
     m_tilde = g_tilde = None
     if cfg.tilde_path:
         m_tilde = read_matrix_market(cfg.tilde_path)
+    elif cfg.assume_normal:
+        m_tilde = matrix.conj_transpose()
+        rel, products = _commutator_check(matrix, m_tilde, cfg.seed)
+        lines.append(f"commutator_check: {rel:.3e} (randomized, {products} products)")
+        if rel > 1e-6:
+            print(
+                f"warning: --assume-normal but relative commutator norm is "
+                f"{rel:.3e}", file=sys.stderr,
+            )
+    if m_tilde is not None:
         if cfg.tilde_rhs_path:
             g_tilde = read_vector_market(cfg.tilde_rhs_path)
         elif default_convention:
             g_tilde = x_ref - m_tilde.matvec(x_ref)
         else:
-            raise UnreadableMatrix(
-                "--tilde with --rhs also needs --tilde-rhs (reference solution unknown)"
-            )
-    elif cfg.assume_normal:
-        m_tilde = matrix.conj_transpose()
-        rel = _commutator_check(matrix)
-        if rel is None:
-            lines.append("commutator_check: skipped (matrix too large)")
-        else:
-            lines.append(f"commutator_check: {rel:.3e}")
-            if rel > 1e-6:
-                print(
-                    f"warning: --assume-normal but relative commutator norm is "
-                    f"{rel:.3e}", file=sys.stderr,
-                )
-        if default_convention:
-            g_tilde = x_ref - m_tilde.matvec(x_ref)
-        else:
-            raise UnreadableMatrix(
-                "--assume-normal with --rhs also needs --tilde-rhs"
-            )
+            raise UnreadableMatrix("--tilde or --assume-normal with --rhs also needs "
+                                   "--tilde-rhs (reference solution unknown)")
 
     if report.classification.kind == INAPPLICABLE:
         _write_report(cfg, lines)
@@ -358,7 +348,6 @@ def run_custom(cfg: ExperimentConfig) -> int:
 
 
 def run_deltoid_sample(cfg: ExperimentConfig) -> int:
-    _ensure_outdir(cfg)
     grid_path = os.path.join(cfg.out_dir, "grid.csv")
     axis = np.linspace(-1.05, 1.05, cfg.resolution)
     with open(grid_path, "w", newline="", encoding="ascii") as fh:
@@ -446,6 +435,14 @@ def _count(minimum: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number above zero."""
+    value = float(text)  # a ValueError is reported as a usage error too
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
+    return value
+
+
 def _k_order(text: str) -> str:
     """argparse type for --k: 'auto' or a positive integer."""
     if text != "auto":
@@ -474,14 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"output directory (default: ${ENV_OUTDIR}/"
                             "gencheb-<subcommand>)")
         p.add_argument("--steps", type=_count(0), default=default_steps)
-        p.add_argument("--tol", type=float, default=1e-10,
+        p.add_argument("--tol", type=_positive_float, default=1e-10,
                        help="relative residual stopping tolerance")
         p.add_argument("--schemes", type=_scheme_list, default="basic,generalized",
                        help=f"comma list from {','.join(SCHEMES)}")
         p.add_argument("--k", type=_k_order, default="auto",
                        help="power-transform order, or 'auto'")
         p.add_argument("--k-max", type=_count(1), default=64)
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=_count(0), default=42)
 
     p = sub.add_parser("example33", help="run the built-in 4x4 system")
     common(p)
@@ -489,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normal-sparse", help="generate and run a random "
                        "normal sparse system")
     common(p, default_steps=20)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--block", type=int, default=100)
+    p.add_argument("--n", type=_count(1), default=1000)
+    p.add_argument("--block", type=_count(0), default=100, help="at most --n")
     p.add_argument("--lambda1", type=float, default=0.9,
                    help="planted dominant eigenvalue")
     p.add_argument("--inner-radius", type=float, default=0.6)
@@ -569,11 +566,15 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.subcommand == "normal-sparse" and args.block > args.n:
+        parser.error(f"argument --block: must be at most --n ({args.n}), "
+                     f"got {args.block}")
     cfg = config_from_args(args)
     start = time.perf_counter()
     try:
-        _ensure_outdir(cfg)
+        os.makedirs(cfg.out_dir, exist_ok=True)
         code = _RUNNERS[cfg.subcommand](cfg)
     except (UnreadableMatrix, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -81,45 +81,23 @@ def _random_unitary_block(block_size: int, seed: int) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def embedded_random_unitary(n: int, block_size: int, seed: int) -> ComplexSparseMatrix:
-    """Random unitary block on the leading indices, ones on the rest."""
-    if not 0 <= block_size <= n:
-        raise ValueError("block_size must lie in [0, n]")
-    if block_size == 0:
-        return ComplexSparseMatrix.identity(n)
-    block = _random_unitary_block(block_size, seed)
-    rows, cols = np.nonzero(np.abs(block) > 0.0)
-    tail = np.arange(block_size, n)
-    return ComplexSparseMatrix.from_triplets(
-        n,
-        n,
-        np.concatenate([rows, tail]),
-        np.concatenate([cols, tail]),
-        np.concatenate([block[rows, cols], np.ones(n - block_size, dtype=complex)]),
-    )
-
-
 def _conjugated_diagonal(
-    diag: np.ndarray, block: np.ndarray | None, n: int
+    diag: np.ndarray, block: np.ndarray, n: int
 ) -> ComplexSparseMatrix:
-    """CSR form of U0ext* diag(d) U0ext for an embedded block U0ext."""
-    if block is None or block.shape[0] == 0:
-        idx = np.arange(n)
-        keep = np.abs(diag) > SPARSITY_DROP_TOL
-        return ComplexSparseMatrix.from_triplets(
-            n, n, idx[keep], idx[keep], diag[keep]
-        )
+    """CSR form of U0ext* diag(d) U0ext for an embedded block U0ext (b x b,
+    b may be 0): the kept entries of the dense leading block row by row,
+    then the diagonal tail."""
     b = block.shape[0]
     dense_block = block.conj().T @ (diag[:b, None] * block)
-    rows, cols = np.nonzero(np.abs(dense_block) > SPARSITY_DROP_TOL)
-    tail = np.arange(b, n)
-    tail = tail[np.abs(diag[b:]) > SPARSITY_DROP_TOL]
-    return ComplexSparseMatrix.from_triplets(
-        n,
-        n,
-        np.concatenate([rows, tail]),
-        np.concatenate([cols, tail]),
-        np.concatenate([dense_block[rows, cols], diag[tail]]),
+    keep = np.abs(dense_block) > SPARSITY_DROP_TOL
+    tail = b + np.flatnonzero(np.abs(diag[b:]) > SPARSITY_DROP_TOL)
+    counts = np.zeros(n, dtype=np.int64)
+    counts[:b] = keep.sum(axis=1)
+    counts[tail] = 1
+    return ComplexSparseMatrix(
+        n, n, np.concatenate(([0], np.cumsum(counts))),
+        np.concatenate([np.nonzero(keep)[1], tail]),
+        np.concatenate([dense_block[keep], diag[tail]]),
     )
 
 
@@ -142,11 +120,7 @@ def assemble_normal_system(spec: NormalMatrixSpec) -> GeneratedSystem:
     created from the all-ones reference solution.
     """
     d = random_spectrum(spec)
-    block = (
-        _random_unitary_block(spec.block_size, spec.seed + 1)
-        if spec.block_size
-        else None
-    )
+    block = _random_unitary_block(spec.block_size, spec.seed + 1)
     perm = np.random.default_rng(spec.seed + 2).permutation(spec.n)
     # U[i, :] = U0ext[perm[i], :]  =>  M = U0ext* diag(d[argsort(perm)]) U0ext
     d_eff = d[np.argsort(perm)]
@@ -164,16 +138,11 @@ def assemble_normal_system(spec: NormalMatrixSpec) -> GeneratedSystem:
 def write_generated_system(
     gen: GeneratedSystem, spec: NormalMatrixSpec, out_dir: str | os.PathLike
 ) -> list[str]:
-    """Write Matrix Market files plus a key=value metadata sidecar."""
+    """Write Matrix Market files plus a key=value metadata sidecar.
+    M_tilde.mtx is written as M*, the companion the assembly stores."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for name, obj in (
-        ("M.mtx", gen.system.M),
-        ("M_tilde.mtx", gen.system.M_tilde),
-    ):
-        path = os.path.join(out_dir, name)
-        write_matrix_market(obj, path)
-        written.append(path)
+    written = [os.path.join(out_dir, name) for name in ("M.mtx", "M_tilde.mtx")]
+    write_matrix_market(gen.system.M, *written)
     for name, vec in (("g.mtx", gen.system.g), ("g_tilde.mtx", gen.system.g_tilde)):
         path = os.path.join(out_dir, name)
         write_vector_market(vec, path)

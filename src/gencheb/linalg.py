@@ -16,8 +16,9 @@ bits; panel rows differ from them by rounding only.
 Matrix Market exchange: `coordinate complex general`, entries `row col
 real imag` with integer 1-based indices and shortest round-trip floats, a
 byte format that stays fixed; read(write(A)) reproduces A bit-identically,
-signed zeros included.  `%` comment lines and blank lines may appear
-anywhere in the body.
+signed zeros included.  The writer can write A* beside A from A's own
+formatted fields, in the same bytes as a write of A*.  `%` comment lines
+and blank lines may appear anywhere in the body.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ class ComplexSparseMatrix:
 
     @classmethod
     def from_triplets(cls, n_rows, n_cols, rows, cols, values):
-        """Build from COO triplets; duplicates are summed, order normalized."""
+        """Build from COO triplets; duplicates are summed, order normalized.
+        Triplets in strictly increasing (row, col) order skip the sort."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=complex)
@@ -137,14 +139,13 @@ class ComplexSparseMatrix:
                 raise ValueError("row index out of bounds")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of bounds")
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if rows.size:
-            keys = rows * n_cols + cols
-            first = np.concatenate(([True], np.diff(keys) != 0))
-            idx = np.flatnonzero(first)
-            summed = np.add.reduceat(values, idx)
-            rows, cols, values = rows[first], cols[first], summed
+        keys = rows * n_cols + cols
+        if np.any(keys[1:] <= keys[:-1]):  # unsorted or duplicated
+            order = np.lexsort((cols, rows))
+            rows, cols, values = rows[order], cols[order], values[order]
+            first = np.concatenate(([True], np.diff(keys[order]) != 0))
+            values = np.add.reduceat(values, np.flatnonzero(first))
+            rows, cols = rows[first], cols[first]
         counts = np.bincount(rows, minlength=n_rows)
         offsets = np.concatenate(([0], np.cumsum(counts)))
         return cls(n_rows, n_cols, offsets, cols, values)
@@ -183,9 +184,6 @@ class ComplexSparseMatrix:
         out[_entry_rows(self), self.col_indices] = self.values
         return out
 
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2)))
-
     # -- operations ---------------------------------------------------------
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -208,10 +206,12 @@ class ComplexSparseMatrix:
         return sums
 
     def conj_transpose(self) -> "ComplexSparseMatrix":
-        """Return A* with CSR invariants restored."""
-        return ComplexSparseMatrix.from_triplets(
-            self.n_cols, self.n_rows, self.col_indices, _entry_rows(self),
-            np.conj(self.values),
+        """Return A*: the entries in column order, conjugated."""
+        order = _column_order(self)
+        counts = np.bincount(self.col_indices, minlength=self.n_cols)
+        return ComplexSparseMatrix(
+            self.n_cols, self.n_rows, np.concatenate(([0], np.cumsum(counts))),
+            _entry_rows(self)[order], np.conj(self.values[order]),
         )
 
 
@@ -243,6 +243,12 @@ def _dense_panels(row_offsets: np.ndarray, col_indices: np.ndarray) -> list:
 def _entry_rows(a: ComplexSparseMatrix) -> np.ndarray:
     """Row index of every stored entry, in storage order."""
     return np.repeat(np.arange(a.n_rows), np.diff(a.row_offsets))
+
+
+def _column_order(a: ComplexSparseMatrix) -> np.ndarray:
+    """Storage positions of the entries sorted by column, rows ascending
+    within a column: the storage order of A*."""
+    return np.argsort(a.col_indices, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -323,23 +329,58 @@ def dense_eigendecomposition(a, max_dim: int = 64):
 # -- Matrix Market exchange --------------------------------------------------
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate complex general"
-_MM_BATCH = 8192  # entries formatted per write
+_MM_BATCH = 2048  # entries formatted per write
 
 
-def write_matrix_market(a: ComplexSparseMatrix, path: str | os.PathLike) -> None:
-    """Write CSR contents in coordinate complex general format (1-based)."""
-    rows, cols = _entry_rows(a) + 1, a.col_indices + 1
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_MM_HEADER + "\n")
-        fh.write(f"{a.n_rows} {a.n_cols} {a.nnz}\n")
-        # Python scalars in bounded batches: no numpy scalar per field, and
-        # no whole-file string in memory
-        for s in range(0, a.nnz, _MM_BATCH):
-            batch = slice(s, s + _MM_BATCH)
-            fh.write("".join(map("%d %d %r %r\n".__mod__, zip(
-                rows[batch].tolist(), cols[batch].tolist(),
-                a.values.real[batch].tolist(), a.values.imag[batch].tolist(),
-            ))))
+def write_matrix_market(a: ComplexSparseMatrix, path: str | os.PathLike,
+                        adjoint_path: str | os.PathLike | None = None) -> None:
+    """Write CSR contents in coordinate complex general format (1-based).
+
+    With `adjoint_path`, also write A* there, byte-identical to
+    write_matrix_market(a.conj_transpose(), adjoint_path) but with each
+    float formatted once: A*'s lines are A's fields in column order, row
+    and column swapped, with the sign of the imaginary part toggled
+    (repr(-x) is "-" + repr(x), zeros included).
+    """
+    rows = _entry_rows(a)
+    re, im_abs, im_neg = _value_fields(a.values)
+    _write_entries(path, a.shape, rows, a.col_indices, re, im_abs, im_neg)
+    if adjoint_path is not None:
+        _write_entries(adjoint_path, a.shape[::-1], a.col_indices, rows, re, im_abs,
+                       ~im_neg, _column_order(a))
+
+
+def _value_fields(values: np.ndarray):
+    """repr of each real part and of each |imaginary part| as fixed-width
+    ASCII bytes (a compact store, no str object per field), plus the sign
+    bit of each imaginary part."""
+    re, im = values.real, values.imag
+    # 24 bytes: the widest repr of a double, e.g. "-2.2250738585072014e-308"
+    fields = np.empty((2, values.size), dtype="S24")
+    for s in range(0, values.size, _MM_BATCH):
+        batch = slice(s, s + _MM_BATCH)
+        fields[0, batch] = list(map(float.__repr__, re[batch].tolist()))
+        fields[1, batch] = list(map(float.__repr__, np.abs(im[batch]).tolist()))
+    return fields[0], fields[1], np.signbit(im)
+
+
+def _write_entries(path, shape, rows, cols, re, im_abs, im_neg, order=None):
+    """Write the header and a `row col re im` line per entry (0-based
+    `rows`/`cols`), taking entries in `order` (default: as stored)."""
+    nnz = rows.size
+    index = np.arange(1, max(shape) + 1).astype(f"S{len(str(max(shape)))}")
+    with open(path, "wb") as fh:
+        fh.write(f"{_MM_HEADER}\n{shape[0]} {shape[1]} {nnz}\n".encode("ascii"))
+        # fields padded with NUL side by side, one line per row of bytes;
+        # dropping the NULs joins them into text in bounded batches
+        for s in range(0, nnz, _MM_BATCH):
+            e = slice(s, s + _MM_BATCH) if order is None else order[s:s + _MM_BATCH]
+            k = min(_MM_BATCH, nnz - s)
+            space, newline = np.full(k, b" "), np.full(k, b"\n")
+            parts = (index[rows[e]], space, index[cols[e]], space, re[e], space,
+                     np.where(im_neg[e], b"-", b""), im_abs[e], newline)
+            line = np.concatenate([p.view(np.uint8).reshape(k, -1) for p in parts], axis=1)
+            fh.write(line[line != 0])
 
 
 def read_matrix_market(path: str | os.PathLike) -> ComplexSparseMatrix:
@@ -388,10 +429,9 @@ def read_matrix_market(path: str | os.PathLike) -> ComplexSparseMatrix:
 def write_vector_market(v: np.ndarray, path: str | os.PathLike) -> None:
     """Write a vector as an n-by-1 coordinate complex general matrix."""
     v = as_vector(v)
-    mat = ComplexSparseMatrix.from_triplets(
-        v.shape[0], 1, np.arange(v.shape[0]), np.zeros(v.shape[0], dtype=np.int64), v
-    )
-    write_matrix_market(mat, path)
+    n = v.shape[0]
+    _write_entries(path, (n, 1), np.arange(n), np.zeros(n, dtype=np.int64),
+                   *_value_fields(v))
 
 
 def read_vector_market(path: str | os.PathLike) -> np.ndarray:

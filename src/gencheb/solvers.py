@@ -75,15 +75,6 @@ class IterationSystem:
         my = self.M.matvec(y) if my is None else my
         return float(np.linalg.norm(y - my - self.g))
 
-    def check_consistency(self, x: np.ndarray, tol: float = 1e-10) -> None:
-        """Assert that x solves (I - M) x = g (and the tilde pair if present)."""
-        if self.residual_norm(x) > tol * max(1.0, float(np.linalg.norm(x))):
-            raise ValueError("reference solution does not satisfy (I - M) x = g")
-        if self.M_tilde is not None:
-            r = np.linalg.norm(x - self.M_tilde.matvec(x) - self.g_tilde)
-            if r > tol * max(1.0, float(np.linalg.norm(x))):
-                raise ValueError("reference solution does not satisfy the tilde pair")
-
 
 @dataclass
 class ConvergenceTrace:

@@ -12,12 +12,13 @@ from gencheb.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     ExperimentConfig,
+    _commutator_check,
     main,
     read_spectrum_file,
 )
 from gencheb.errors import UnreadableMatrix
 from gencheb.genmat import NormalMatrixSpec, assemble_normal_system, example33_fixture
-from gencheb.linalg import read_matrix_market, write_matrix_market
+from gencheb.linalg import ComplexSparseMatrix, read_matrix_market, write_matrix_market
 from gencheb.solvers import solve
 from gencheb.spectrum import SpectrumInfo, build_report
 
@@ -222,6 +223,58 @@ class TestCustomCommand:
         assert code == EXIT_OK
         assert "commutator" in capsys.readouterr().err.lower()
         assert "commutator_check" in (out / "report.txt").read_text()
+
+    def test_assume_normal_takes_a_given_tilde_rhs(self, tmp_path):
+        # with --rhs, --assume-normal reads the companion side from --tilde-rhs
+        gen_dir, out = tmp_path / "gen", tmp_path / "out"
+        assert main(["normal-sparse", "--n", "60", "--block", "12", "--steps", "0",
+                     "--out", str(gen_dir)]) == EXIT_OK
+        code = main([
+            "custom", "--matrix", str(gen_dir / "M.mtx"), "--rhs", str(gen_dir / "g.mtx"),
+            "--tilde-rhs", str(gen_dir / "g_tilde.mtx"), "--assume-normal",
+            "--lambda1", "0.9", "--k", "3", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert "generalized: converged" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("normal", [True, False])
+    def test_assume_normal_checks_past_n_2048(self, tmp_path, capsys, normal):
+        # a diagonal tail of 2096 entries after a 4x4 block: the normal
+        # generator's block, or example33's non-normal one
+        n = 2100
+        if normal:
+            m = assemble_normal_system(NormalMatrixSpec(n=n, block_size=4, seed=3)).system.M
+        else:
+            block = example33_fixture().system.M.to_dense() * 0.3
+            rows, cols = np.nonzero(block)
+            tail = np.arange(4, n)
+            m = ComplexSparseMatrix.from_triplets(
+                n, n, np.concatenate([rows, tail]), np.concatenate([cols, tail]),
+                np.concatenate([block[rows, cols], np.full(n - 4, 0.5)]))
+        mpath, out = tmp_path / "M.mtx", tmp_path / "big"
+        write_matrix_market(m, mpath)
+        main([
+            "custom", "--matrix", str(mpath), "--lambda1", "0.9", "--k", "1",
+            "--assume-normal", "--schemes", "basic", "--steps", "0", "--out", str(out),
+        ])
+        line = report_value((out / "report.txt").read_text(), "commutator_check")
+        value, products = re.fullmatch(r"(\S+) \(randomized, (\d+) products\)", line).groups()
+        assert products == "16"
+        assert (float(value) < 1e-12) == normal
+        assert ("commutator" in capsys.readouterr().err.lower()) != normal
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_randomized_commutator_estimates_the_dense_norm(self, seed):
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+        dense[rng.random((30, 30)) < 0.7] = 0.0
+        m = ComplexSparseMatrix.from_dense(dense)
+        star = dense.conj().T
+        exact = (np.linalg.norm(dense @ star - star @ dense, "fro")
+                 / np.linalg.norm(dense, "fro") ** 2)
+        estimate, products = _commutator_check(m, m.conj_transpose(), seed)
+        assert products == 16
+        assert 0.5 * exact <= estimate <= 2.0 * exact
 
     def test_hermitian_offers_classical_too(self, tmp_path):
         # real spectrum: the classical scheme applies alongside the
@@ -475,6 +528,25 @@ class TestCommonFlags:
             main(["example33", "--out", str(out), *flags])
         assert exc.value.code == 2
         assert f"argument {flags[0]}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--seed", ["normal-sparse", "--seed", "-1"]),
+        ("--n", ["normal-sparse", "--n", "0"]),
+        ("--block", ["normal-sparse", "--block", "-1"]),
+        ("--block", ["normal-sparse", "--n", "200", "--block", "300"]),
+        ("--tol", ["custom", "--matrix", "M.mtx", "--lambda1", "0.9", "--tol", "nan"]),
+        ("--tol", ["custom", "--matrix", "M.mtx", "--lambda1", "0.9", "--tol", "-1",
+                   "--schemes", "basic"]),
+        ("--tol", ["custom", "--matrix", "M.mtx", "--lambda1", "0.9", "--tol", "0"]),
+        ("--tol", ["custom", "--matrix", "M.mtx", "--lambda1", "0.9", "--tol", "inf"]),
+    ], ids=lambda arg: " ".join(arg) if isinstance(arg, list) else arg)
+    def test_out_of_range_value_is_a_usage_error(self, tmp_path, capsys, flag, argv):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_threads_flag_removed(self, tmp_path):

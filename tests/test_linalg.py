@@ -74,9 +74,8 @@ class TestMatvec:
         for _ in range(5):
             a, _ = random_sparse(rng, 10, 10)
             v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-            assert np.linalg.norm(a.matvec(v)) <= a.frobenius_norm() * np.linalg.norm(
-                v
-            ) * (1 + 1e-12)
+            bound = np.linalg.norm(a.values) * np.linalg.norm(v)  # |A|_F |v|
+            assert np.linalg.norm(a.matvec(v)) <= bound * (1 + 1e-12)
 
     def test_empty_rows_are_fine(self):
         a = ComplexSparseMatrix.from_triplets(4, 4, [1, 3], [2, 0], [2.0, 5.0])
@@ -238,6 +237,41 @@ class TestConjTranspose:
             rhs = np.vdot(at.matvec(w), v)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
+    @given(stored_pattern_and_vector())
+    # 1x1; nnz 0; empty first, middle and last rows and columns; rectangular
+    @example(_case([[True]], [2.0]))
+    @example(_case([[False, False, False], [False, False, False]], [1.0, 2.0, 3.0]))
+    @example(_case([[False, False, True], [True, False, True], [False] * 3], [1.0] * 3))
+    @example(_case([[True, False], [False, False], [True, False]], [1.0, -2.0]))
+    @example(_case([[False, True, False, True]], [1.0, 1j, 3.0, 4.0]))
+    def test_bits_equal_the_triplet_transpose(self, case):
+        stored, values, _ = case
+        rows, cols = np.nonzero(stored)
+        a = ComplexSparseMatrix.from_triplets(*stored.shape, rows, cols, values[rows, cols])
+        _assert_same_arrays(a.conj_transpose(), _triplet_conj_transpose(a))
+
+    @pytest.mark.parametrize("case", ["first rows", "middle rows", "adjacent, other start",
+                                      "dropped entry splits", "empty rows around"])
+    def test_panel_bits_equal_the_triplet_transpose(self, case):
+        shape, blocks, dropped, diagonal, _ = TestMatvecProperties.PANEL_CASES[case]
+        a, _ = TestMatvecProperties._pattern_matrix(shape, blocks, dropped, diagonal)
+        _assert_same_arrays(a.conj_transpose(), _triplet_conj_transpose(a))
+
+
+def _triplet_conj_transpose(a):
+    """A* through a full triplet sort: the reference `conj_transpose` must
+    reproduce bit for bit."""
+    rows = np.repeat(np.arange(a.n_rows), np.diff(a.row_offsets))
+    return ComplexSparseMatrix.from_triplets(
+        a.n_cols, a.n_rows, a.col_indices, rows, np.conj(a.values))
+
+
+def _assert_same_arrays(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.row_offsets, b.row_offsets)
+    assert np.array_equal(a.col_indices, b.col_indices)
+    assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+
 
 class TestGeometricSum:
     def test_k_one_is_identity(self):
@@ -357,6 +391,13 @@ class TestCSRInvariants:
         with pytest.raises(ValueError):
             ComplexSparseMatrix(1, 1, [0, 1], [0], [np.nan])
 
+    def test_adjacent_duplicates_in_sorted_triplets_are_summed(self):
+        a = ComplexSparseMatrix.from_triplets(
+            2, 3, [0, 0, 0, 1], [0, 2, 2, 1], [1.0, 2.0, 0.5j, 4.0])
+        assert a.nnz == 3
+        assert np.array_equal(a.col_indices, [0, 2, 1])
+        assert np.array_equal(a.values, [1.0, 2.0 + 0.5j, 4.0])
+
 
 class TestMatrixMarket:
     def test_round_trip_bit_identical(self, tmp_path):
@@ -416,7 +457,9 @@ class TestMatrixMarket:
 _MM_HEADER = "%%MatrixMarket matrix coordinate complex general\n"
 
 # signed zeros, subnormals and magnitudes near the ends of the double range
-_EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -1e300, 1.7976931348623157e308)
+# (-2.2250738585072014e-308 has the longest repr of a double, 24 characters)
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -1e300, 1.7976931348623157e308,
+                -2.2250738585072014e-308)
 _ANY_FINITE = st.one_of(
     st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
 )
@@ -442,6 +485,30 @@ def stored_pattern_and_parts(draw):
 def _mm_case(stored, re, im):
     stored = np.array(stored, dtype=bool)
     return stored, np.broadcast_to(re, stored.shape), np.broadcast_to(im, stored.shape)
+
+
+class TestTripletOrder:
+    @given(stored_pattern_and_parts(), st.randoms(use_true_random=False))
+    def test_sorted_and_shuffled_duplicated_triplets_agree(self, case, random):
+        # one extra term per duplicated cell: a sum of two terms does not
+        # depend on their order, so both routes must give the same bits
+        # (terms scaled by 1e-10 so that no sum overflows)
+        stored, re, im = case
+        rows, cols = np.nonzero(stored)
+        first = _complex(re[rows, cols], im[rows, cols]) * 1e-10
+        dup = np.array([random.random() < 0.5 for _ in rows], dtype=bool)
+        extra = _complex(im[rows, cols], re[rows, cols])[dup] * 1e-10
+        summed = first.copy()
+        summed[dup] += extra
+        shape = stored.shape
+        ref = ComplexSparseMatrix.from_triplets(*shape, rows, cols, summed)
+        order = list(range(rows.size + int(dup.sum())))
+        random.shuffle(order)
+        all_rows = np.concatenate([rows, rows[dup]])[order]
+        all_cols = np.concatenate([cols, cols[dup]])[order]
+        all_vals = np.concatenate([first, extra])[order]
+        _assert_same_arrays(
+            ComplexSparseMatrix.from_triplets(*shape, all_rows, all_cols, all_vals), ref)
 
 
 class TestMatrixMarketProperties:
@@ -473,6 +540,25 @@ class TestMatrixMarketProperties:
         assert np.array_equal(b.row_offsets, a.row_offsets)
         assert np.array_equal(b.col_indices, a.col_indices)
         assert np.array_equal(b.values.view(np.uint64), a.values.view(np.uint64))
+
+    @given(stored_pattern_and_parts())
+    @example(_mm_case([[True]], -0.0, -0.0))
+    @example(_mm_case([[True, False], [False, False], [True, True]], -2.5e-310, 0.0))
+    @example(_mm_case([[False, False, False], [False, False, False]], 1.0, 1.0))
+    @example(_mm_case([[False, True], [False, True], [False, False]],
+                      -1.7976931348623157e308, -2.2250738585072014e-308))
+    def test_adjoint_writer_bytes_equal_two_single_writes(self, tmp_path_factory, case):
+        stored, re, im = case
+        rows, cols = np.nonzero(stored)
+        a = ComplexSparseMatrix.from_triplets(
+            *stored.shape, rows, cols, _complex(re[rows, cols], im[rows, cols])
+        )
+        d = tmp_path_factory.mktemp("mm")
+        write_matrix_market(a, d / "a.mtx", adjoint_path=d / "a_star.mtx")
+        write_matrix_market(a, d / "a.ref")
+        write_matrix_market(a.conj_transpose(), d / "a_star.ref")
+        assert (d / "a.mtx").read_bytes() == (d / "a.ref").read_bytes()
+        assert (d / "a_star.mtx").read_bytes() == (d / "a_star.ref").read_bytes()
 
 
 _MALFORMED_BODIES = {

@@ -386,12 +386,6 @@ class TestSystemValidation:
                 M_tilde=ComplexSparseMatrix.identity(3),
             )
 
-    def test_consistency_check(self):
-        fixture = example33_fixture()
-        fixture.system.check_consistency(fixture.x)
-        with pytest.raises(ValueError):
-            fixture.system.check_consistency(fixture.x + 1.0)
-
 
 def _solve_trace(sys_, scheme):
     """Trace of a short `solve`, whether or not it reached the tolerance."""
