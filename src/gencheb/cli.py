@@ -3,7 +3,8 @@
 Subcommands build or load one iteration system, classify its spectrum,
 pick the power-transform order k, run the requested schemes, and write a
 plot-ready trace.csv plus a plain-text report.txt into the output
-directory.  One experiment per process; exit codes are part of the
+directory.  Line 1 of every output file records the subcommand and the
+flags it parsed.  One experiment per process; exit codes are part of the
 contract:
 
     0  success
@@ -13,7 +14,9 @@ contract:
     4  a requested run did not converge: it reached the step cap short of
        the tolerance, or the divergence guard stopped it (trace still
        written, and report.txt names the step)
-    5  unreadable input / IO failure
+    5  unreadable input / IO failure, or custom input files that disagree
+       in shape (a non-square --matrix, a --tilde unlike it, or an --rhs
+       or --tilde-rhs of the wrong length); the message names the file
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,73 +70,50 @@ EX33_BASIC_WINDOW = (30, 60)
 EX33_ACCEL_WINDOW = (10, 38)
 NORMAL_SPARSE_WINDOW = (10, 20)
 
-CSV_HEADER = ["m", "scheme", "err_norm", "residual", "ratio", "matvecs"]
+TRACE_HEADER = ["m", "scheme", "err_norm", "residual", "ratio", "matvecs"]
 
 
-@dataclass
-class ExperimentConfig:
-    subcommand: str
-    out_dir: str
-    steps: int = 200
-    residual_tol: float = 1e-10
-    schemes: tuple = ("basic", "generalized")
-    k: str = "auto"
-    k_max: int = 64
-    seed: int = 42
-    n: int = 1000
-    block_size: int = 100
-    planted_lambda1: float = 0.9
-    inner_radius: float = 0.6
-    matrix_path: str | None = None
-    rhs_path: str | None = None
-    tilde_path: str | None = None
-    tilde_rhs_path: str | None = None
-    spectrum_path: str | None = None
-    lambda1: complex | None = None
-    estimate: bool = False
-    assume_normal: bool = False
-    resolution: int = 201
-    boundary_samples: int = 1000
-
-    def metadata(self) -> str:
-        pairs = [f"subcommand={self.subcommand}", f"version={__version__}"]
-        for f in fields(self):
-            if f.name in ("subcommand", "out_dir"):
-                continue
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            pairs.append(f"{f.name}={value}")
-        return "# " + " ".join(pairs)
+def _metadata(args: argparse.Namespace) -> str:
+    """`subcommand=... version=...` and then each parsed flag as key=value."""
+    pairs = {"subcommand": args.subcommand, "version": __version__, **vars(args)}
+    return " ".join(
+        f"{key}={','.join(value) if isinstance(value, tuple) else value}"
+        for key, value in pairs.items()
+    )
 
 
-def _write_traces(cfg: ExperimentConfig, traces: list[ConvergenceTrace]) -> str:
-    path = os.path.join(cfg.out_dir, "trace.csv")
+def _write_csv(args: argparse.Namespace, name: str, header: list[str], rows) -> str:
+    """Write <out>/<name>: a `# metadata` line, the header, then the rows."""
+    path = os.path.join(args.out, name)
     with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write(cfg.metadata() + "\n")
+        fh.write(f"# {_metadata(args)}\n")
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for trace in traces:
-            total = 0
-            for i, m in enumerate(trace.steps):
-                total += trace.matvecs[i]
-                err = trace.err_norms[i]
-                ratio = trace.ratios[i]
-                writer.writerow([
-                    m,
-                    trace.scheme,
-                    "" if err is None else repr(err),
-                    repr(trace.residuals[i]),
-                    "" if ratio is None else repr(ratio),
-                    total,
-                ])
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 
-def _write_report(cfg: ExperimentConfig, lines: list[str]) -> str:
-    path = os.path.join(cfg.out_dir, "report.txt")
+def _trace_rows(traces: list[ConvergenceTrace]):
+    for trace in traces:
+        total = 0
+        for i, m in enumerate(trace.steps):
+            total += trace.matvecs[i]
+            err = trace.err_norms[i]
+            ratio = trace.ratios[i]
+            yield [
+                m,
+                trace.scheme,
+                "" if err is None else repr(err),
+                repr(trace.residuals[i]),
+                "" if ratio is None else repr(ratio),
+                total,
+            ]
+
+
+def _write_report(args: argparse.Namespace, lines: list[str]) -> str:
+    path = os.path.join(args.out, "report.txt")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(cfg.metadata().lstrip("# ") + "\n")
+        fh.write(_metadata(args) + "\n")
         for line in lines:
             fh.write(line + "\n")
     return path
@@ -161,22 +140,26 @@ def read_spectrum_file(path: str) -> list[complex]:
     return values.tolist()
 
 
-def _spectrum_info(cfg: ExperimentConfig) -> SpectrumInfo | None:
+def _spectrum_info(args: argparse.Namespace) -> SpectrumInfo | None:
     """The spectrum given by --spectrum (full) or --lambda1 (partial), if any."""
-    if cfg.spectrum_path:
-        values = read_spectrum_file(cfg.spectrum_path)
+    if args.spectrum:
+        values = read_spectrum_file(args.spectrum)
         lam1 = max(values, key=abs)
         return SpectrumInfo(tuple(values), lambda1=lam1, source="user_supplied")
-    if cfg.lambda1 is not None:
+    if args.lambda1 is not None:
         return SpectrumInfo(
-            (complex(cfg.lambda1),), lambda1=complex(cfg.lambda1),
-            source="user_supplied", partial=True,
+            (args.lambda1,), lambda1=args.lambda1, source="user_supplied", partial=True,
         )
     return None
 
 
+def _k_used(args: argparse.Namespace, report) -> int:
+    """The order given by --k, or the report's choice for --k auto."""
+    return report.k_selected if args.k == "auto" else args.k
+
+
 def _run_schemes(
-    cfg: ExperimentConfig,
+    args: argparse.Namespace,
     base_system: IterationSystem,
     k: int,
     reference_x=None,
@@ -190,9 +173,9 @@ def _run_schemes(
     """
     work = transform_system(base_system, k)
     traces, lines, code = [], [], EXIT_OK
-    for scheme in cfg.schemes:
+    for scheme in args.schemes:
         try:
-            _, trace = run(work, scheme, steps=cfg.steps, tol=tol,
+            _, trace = run(work, scheme, steps=args.steps, tol=tol,
                            reference_x=reference_x, residual_system=base_system)
             if tol is not None:
                 lines.append(f"{scheme}: converged in {len(trace.steps)} steps "
@@ -202,7 +185,7 @@ def _run_schemes(
             if isinstance(exc, Divergence):
                 lines.append(f"{scheme}: diverged at step {trace.steps[-1]}")
             else:
-                lines.append(f"{scheme}: NOT converged within {cfg.steps} steps")
+                lines.append(f"{scheme}: NOT converged within {args.steps} steps")
         traces.append(trace)
     return traces, lines, code
 
@@ -227,37 +210,37 @@ def _measured_lines(traces: list[ConvergenceTrace], windows: dict) -> list[str]:
     return lines
 
 
-def _run_planted(cfg, info, system, x, extra_lines, windows) -> int:
+def _run_planted(args, info, system, x, extra_lines, windows) -> int:
     """Report, scheme runs, trace and rate lines for a built-in system whose
     spectrum and solution x are known."""
-    report = build_report(info, k_max=cfg.k_max)
-    k = report.k_selected if cfg.k == "auto" else int(cfg.k)
-    traces, stops, code = _run_schemes(cfg, system, k, x)
-    _write_traces(cfg, traces)
+    report = build_report(info, k_max=args.k_max)
+    k = _k_used(args, report)
+    traces, stops, code = _run_schemes(args, system, k, x)
+    _write_csv(args, "trace.csv", TRACE_HEADER, _trace_rows(traces))
     lines = report.lines() + [f"k_used: {k}"] + extra_lines + stops
-    path = _write_report(cfg, lines + _measured_lines(traces, windows))
-    print(f"{cfg.subcommand}: wrote {path}")
+    path = _write_report(args, lines + _measured_lines(traces, windows))
+    print(f"{args.subcommand}: wrote {path}")
     return code
 
 
-def run_example33(cfg: ExperimentConfig) -> int:
+def run_example33(args: argparse.Namespace) -> int:
     fixture = example33_fixture()
     info = SpectrumInfo(fixture.eigenvalues, lambda1=0.9, source="exact")
-    return _run_planted(cfg, info, fixture.system, fixture.x, [], {
+    return _run_planted(args, info, fixture.system, fixture.x, [], {
         "basic": (*EX33_BASIC_WINDOW, "geomean"),
         "generalized": (*EX33_ACCEL_WINDOW, "lsqfit"),
     })
 
 
-def run_normal_sparse(cfg: ExperimentConfig) -> int:
+def run_normal_sparse(args: argparse.Namespace) -> int:
     spec = NormalMatrixSpec(
-        n=cfg.n, block_size=cfg.block_size, lambda1=cfg.planted_lambda1,
-        inner_radius=cfg.inner_radius, seed=cfg.seed,
+        n=args.n, block_size=args.block, lambda1=args.lambda1,
+        inner_radius=args.inner_radius, seed=args.seed,
     )
     gen = assemble_normal_system(spec)
-    write_generated_system(gen, spec, cfg.out_dir)
+    write_generated_system(gen, spec, args.out)
     info = SpectrumInfo(tuple(gen.planted), lambda1=spec.lambda1, source="exact")
-    return _run_planted(cfg, info, gen.system, gen.x, [f"nnz: {gen.system.M.nnz}"], {
+    return _run_planted(args, info, gen.system, gen.x, [f"nnz: {gen.system.M.nnz}"], {
         "basic": (*NORMAL_SPARSE_WINDOW, "geomean"),
         "generalized": (*NORMAL_SPARSE_WINDOW, "geomean"),
     })
@@ -281,38 +264,51 @@ def _commutator_check(m, m_star, seed: int) -> tuple[float, int]:
     return float(np.sqrt(total / samples)) / fro2, 4 * samples
 
 
-def _custom_spectrum(cfg: ExperimentConfig, matrix) -> SpectrumInfo:
-    info = _spectrum_info(cfg)
+def _custom_spectrum(args: argparse.Namespace, matrix) -> SpectrumInfo:
+    info = _spectrum_info(args)
     if info is not None:
         return info
-    if cfg.estimate:
-        lam1, _residual = estimate_dominant_eigenvalue(matrix, seed=cfg.seed)
+    if args.estimate:
+        lam1, _residual = estimate_dominant_eigenvalue(matrix, seed=args.seed)
         return SpectrumInfo((lam1,), lambda1=lam1, source="estimated", partial=True)
     raise UnreadableMatrix(
         "custom runs need one of --spectrum, --lambda1, or --estimate"
     )
 
 
-def run_custom(cfg: ExperimentConfig) -> int:
-    matrix = read_matrix_market(cfg.matrix_path)
-    info = _custom_spectrum(cfg, matrix)
-    report = build_report(info, k_max=cfg.k_max)
+def _read_shaped(path: str, shape: tuple):
+    """The matrix (2-D `shape`) or vector (1-D) in Matrix Market file `path`,
+    refused with the file's name unless it has that shape."""
+    data = (read_matrix_market if len(shape) == 2 else read_vector_market)(path)
+    if data.shape != shape:
+        raise UnreadableMatrix(f"{path} has shape {data.shape}, expected {shape}")
+    return data
+
+
+def run_custom(args: argparse.Namespace) -> int:
+    matrix = read_matrix_market(args.matrix)
+    n = matrix.n_rows
+    if matrix.n_cols != n:
+        raise UnreadableMatrix(f"{args.matrix} has shape {matrix.shape}, "
+                               "expected a square matrix")
+    info = _custom_spectrum(args, matrix)
+    report = build_report(info, k_max=args.k_max)
     lines = list(report.lines())
 
-    default_convention = cfg.rhs_path is None
-    x_ref = np.ones(matrix.n_rows, dtype=complex) if default_convention else None
+    default_convention = args.rhs is None
+    x_ref = np.ones(n, dtype=complex) if default_convention else None
     g = (
         x_ref - matrix.matvec(x_ref)
         if default_convention
-        else read_vector_market(cfg.rhs_path)
+        else _read_shaped(args.rhs, (n,))
     )
 
     m_tilde = g_tilde = None
-    if cfg.tilde_path:
-        m_tilde = read_matrix_market(cfg.tilde_path)
-    elif cfg.assume_normal:
+    if args.tilde:
+        m_tilde = _read_shaped(args.tilde, matrix.shape)
+    elif args.assume_normal:
         m_tilde = matrix.conj_transpose()
-        rel, products = _commutator_check(matrix, m_tilde, cfg.seed)
+        rel, products = _commutator_check(matrix, m_tilde, args.seed)
         lines.append(f"commutator_check: {rel:.3e} (randomized, {products} products)")
         if rel > 1e-6:
             print(
@@ -320,8 +316,8 @@ def run_custom(cfg: ExperimentConfig) -> int:
                 f"{rel:.3e}", file=sys.stderr,
             )
     if m_tilde is not None:
-        if cfg.tilde_rhs_path:
-            g_tilde = read_vector_market(cfg.tilde_rhs_path)
+        if args.tilde_rhs:
+            g_tilde = _read_shaped(args.tilde_rhs, (n,))
         elif default_convention:
             g_tilde = x_ref - m_tilde.matvec(x_ref)
         else:
@@ -329,97 +325,75 @@ def run_custom(cfg: ExperimentConfig) -> int:
                                    "--tilde-rhs (reference solution unknown)")
 
     if report.classification.kind == INAPPLICABLE:
-        _write_report(cfg, lines)
+        _write_report(args, lines)
         print("custom: spectrum inapplicable; report written", file=sys.stderr)
         return EXIT_INAPPLICABLE
 
-    k = report.k_selected if cfg.k == "auto" else int(cfg.k)
-    if "generalized" in cfg.schemes and m_tilde is None:
+    k = _k_used(args, report)
+    if "generalized" in args.schemes and m_tilde is None:
         raise UnreadableMatrix(
             "generalized scheme needs --tilde (or --assume-normal for a normal matrix)"
         )
     system = IterationSystem(
         M=matrix, g=g, M_tilde=m_tilde, g_tilde=g_tilde, lambda1=info.lambda1,
     )
-    traces, stops, code = _run_schemes(cfg, system, k, tol=cfg.residual_tol)
-    _write_traces(cfg, traces)
-    _write_report(cfg, lines + stops + [f"k_used: {k}"])
+    traces, stops, code = _run_schemes(args, system, k, tol=args.tol)
+    _write_csv(args, "trace.csv", TRACE_HEADER, _trace_rows(traces))
+    _write_report(args, lines + stops + [f"k_used: {k}"])
     return code
 
 
-def run_deltoid_sample(cfg: ExperimentConfig) -> int:
-    grid_path = os.path.join(cfg.out_dir, "grid.csv")
-    axis = np.linspace(-1.05, 1.05, cfg.resolution)
-    with open(grid_path, "w", newline="", encoding="ascii") as fh:
-        fh.write(cfg.metadata() + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im", "inside_k1", "inside_k2", "inside_k3"])
-        for im in axis:
-            zs = axis + 1j * im
-            flags = [
-                membership_defect(zs**k) <= DEFAULT_MEMBERSHIP_TOL for k in (1, 2, 3)
-            ]
-            for j, re in enumerate(axis):
-                writer.writerow([
-                    repr(float(re)), repr(float(im)),
-                    int(flags[0][j]), int(flags[1][j]), int(flags[2][j]),
-                ])
-    boundary_path = os.path.join(cfg.out_dir, "boundary.csv")
-    ts = np.linspace(0.0, 2.0 * np.pi, cfg.boundary_samples, endpoint=False)
+def _inside_flags(zs) -> list[np.ndarray]:
+    """Deltoid membership of zs**k for k = 1, 2, 3."""
+    return [membership_defect(zs**k) <= DEFAULT_MEMBERSHIP_TOL for k in (1, 2, 3)]
+
+
+def _grid_rows(axis: np.ndarray):
+    for im in axis:
+        flags = _inside_flags(axis + 1j * im)
+        for j, re in enumerate(axis):
+            yield [repr(float(re)), repr(float(im)), *(int(f[j]) for f in flags)]
+
+
+def run_deltoid_sample(args: argparse.Namespace) -> int:
+    inside_header = ["re", "im", "inside_k1", "inside_k2", "inside_k3"]
+    axis = np.linspace(-1.05, 1.05, args.resolution)
+    written = [_write_csv(args, "grid.csv", inside_header, _grid_rows(axis))]
+    ts = np.linspace(0.0, 2.0 * np.pi, args.boundary_samples, endpoint=False)
     zs = (2.0 * np.exp(1j * ts) + np.exp(-2j * ts)) / 3.0
     hs = membership_defect(zs)
-    with open(boundary_path, "w", newline="", encoding="ascii") as fh:
-        fh.write(cfg.metadata() + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "re", "im", "h"])
-        for t, z, h in zip(ts, zs, hs):
-            writer.writerow([repr(float(t)), repr(float(z.real)),
-                             repr(float(z.imag)), repr(float(h))])
-    written = [grid_path, boundary_path]
-    if cfg.spectrum_path:
+    written.append(_write_csv(args, "boundary.csv", ["t", "re", "im", "h"], (
+        [repr(float(t)), repr(float(z.real)), repr(float(z.imag)), repr(float(h))]
+        for t, z, h in zip(ts, zs, hs)
+    )))
+    if args.spectrum:
         # no SpectrumInfo: plotting quotients needs no |lambda1| < 1 check
-        values = read_spectrum_file(cfg.spectrum_path)
+        values = read_spectrum_file(args.spectrum)
         lam1 = max(values, key=abs)
         if lam1 == 0:
             raise UnreadableMatrix(
-                f"spectrum file {cfg.spectrum_path} has no nonzero eigenvalue"
+                f"spectrum file {args.spectrum} has no nonzero eigenvalue"
             )
-        quot_path = os.path.join(cfg.out_dir, "quotients.csv")
-        with open(quot_path, "w", newline="", encoding="ascii") as fh:
-            fh.write(cfg.metadata() + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["re", "im", "inside_k1", "inside_k2", "inside_k3"])
-            for v in values:
-                q = v / lam1
-                writer.writerow(
-                    [repr(q.real), repr(q.imag)]
-                    + [
-                        int(membership_defect(q**k) <= DEFAULT_MEMBERSHIP_TOL)
-                        for k in (1, 2, 3)
-                    ]
-                )
-        written.append(quot_path)
+        written.append(_write_csv(args, "quotients.csv", inside_header, (
+            [repr(q.real), repr(q.imag), *(int(f) for f in _inside_flags(q))]
+            for q in (v / lam1 for v in values)
+        )))
     print("deltoid-sample: wrote " + ", ".join(written))
     return EXIT_OK
 
 
-def run_report(cfg: ExperimentConfig) -> int:
-    info = _spectrum_info(cfg)
+def run_report(args: argparse.Namespace) -> int:
+    info = _spectrum_info(args)
     if info is None:
         raise UnreadableMatrix("report needs --spectrum or --lambda1")
-    report = build_report(info, k_max=cfg.k_max)
-    path = _write_report(cfg, report.lines())
+    report = build_report(info, k_max=args.k_max)
+    path = _write_report(args, report.lines())
     for line in report.lines():
         print(line)
     print(f"report: wrote {path}")
     if report.classification.kind == INAPPLICABLE:
         return EXIT_INAPPLICABLE
     return EXIT_OK
-
-
-def _default_outdir(subcommand: str) -> str:
-    base = os.environ.get(ENV_OUTDIR, ".")
-    return os.path.join(base, f"gencheb-{subcommand}")
 
 
 def _count(minimum: int):
@@ -443,11 +417,9 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _k_order(text: str) -> str:
+def _k_order(text: str) -> str | int:
     """argparse type for --k: 'auto' or a positive integer."""
-    if text != "auto":
-        _count(1)(text)
-    return text
+    return text if text == "auto" else _count(1)(text)
 
 
 def _scheme_list(text: str) -> tuple:
@@ -466,34 +438,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, default_steps=200):
+    def subcommand(name, help, *flags, steps=200):
+        """A subparser with --out and then the named shared flags, in order."""
+        shared = {
+            "--steps": dict(type=_count(0), default=steps),
+            "--tol": dict(type=_positive_float, default=1e-10,
+                          help="relative residual stopping tolerance"),
+            "--schemes": dict(type=_scheme_list, default="basic,generalized",
+                              help=f"comma list from {','.join(SCHEMES)}"),
+            "--k": dict(type=_k_order, default="auto",
+                        help="power-transform order, or 'auto'"),
+            "--k-max": dict(type=_count(1), default=64),
+            "--seed": dict(type=_count(0), default=42),
+        }
+        # no prefix matching: `report --k 2` must not be read as --k-max
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--out", default=None,
                        help=f"output directory (default: ${ENV_OUTDIR}/"
                             "gencheb-<subcommand>)")
-        p.add_argument("--steps", type=_count(0), default=default_steps)
-        p.add_argument("--tol", type=_positive_float, default=1e-10,
-                       help="relative residual stopping tolerance")
-        p.add_argument("--schemes", type=_scheme_list, default="basic,generalized",
-                       help=f"comma list from {','.join(SCHEMES)}")
-        p.add_argument("--k", type=_k_order, default="auto",
-                       help="power-transform order, or 'auto'")
-        p.add_argument("--k-max", type=_count(1), default=64)
-        p.add_argument("--seed", type=_count(0), default=42)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
 
-    p = sub.add_parser("example33", help="run the built-in 4x4 system")
-    common(p)
+    fixed_steps = ("--steps", "--schemes", "--k", "--k-max")
+    subcommand("example33", "run the built-in 4x4 system", *fixed_steps)
 
-    p = sub.add_parser("normal-sparse", help="generate and run a random "
-                       "normal sparse system")
-    common(p, default_steps=20)
+    p = subcommand("normal-sparse", "generate and run a random normal sparse system",
+                   *fixed_steps, "--seed", steps=20)
     p.add_argument("--n", type=_count(1), default=1000)
     p.add_argument("--block", type=_count(0), default=100, help="at most --n")
     p.add_argument("--lambda1", type=float, default=0.9,
-                   help="planted dominant eigenvalue")
-    p.add_argument("--inner-radius", type=float, default=0.6)
+                   help="planted dominant eigenvalue, in (0, 1)")
+    p.add_argument("--inner-radius", type=float, default=0.6,
+                   help="in (0, --lambda1)")
 
-    p = sub.add_parser("custom", help="run a user-supplied Matrix Market system")
-    common(p)
+    p = subcommand("custom", "run a user-supplied Matrix Market system",
+                   "--steps", "--tol", "--schemes", "--k", "--k-max", "--seed")
     p.add_argument("--matrix", required=True)
     p.add_argument("--rhs", help="right-hand side vector (.mtx); defaults to "
                    "(I - M) * ones")
@@ -507,53 +487,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assume-normal", action="store_true",
                    help="use M* as the companion matrix")
 
-    p = sub.add_parser("deltoid-sample", help="write membership grids and the "
-                       "boundary curve")
-    common(p)
-    p.add_argument("--resolution", type=int, default=201)
-    p.add_argument("--boundary-samples", type=int, default=1000)
+    p = subcommand("deltoid-sample", "write membership grids and the boundary curve")
+    p.add_argument("--resolution", type=_count(0), default=201)
+    p.add_argument("--boundary-samples", type=_count(0), default=1000)
     p.add_argument("--spectrum", help="also write eigen-quotient positions")
 
-    p = sub.add_parser("report", help="spectrum report without running solvers")
-    common(p)
+    p = subcommand("report", "spectrum report without running solvers", "--k-max")
     p.add_argument("--spectrum")
     p.add_argument("--lambda1", type=complex, default=None)
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        subcommand=args.subcommand,
-        out_dir=args.out or _default_outdir(args.subcommand),
-        steps=args.steps,
-        residual_tol=args.tol,
-        schemes=args.schemes,
-        k=args.k,
-        k_max=args.k_max,
-        seed=args.seed,
-    )
-    if args.subcommand == "normal-sparse":
-        cfg.n = args.n
-        cfg.block_size = args.block
-        cfg.planted_lambda1 = args.lambda1
-        cfg.inner_radius = args.inner_radius
-    if args.subcommand == "custom":
-        cfg.matrix_path = args.matrix
-        cfg.rhs_path = args.rhs
-        cfg.tilde_path = args.tilde
-        cfg.tilde_rhs_path = args.tilde_rhs
-        cfg.spectrum_path = args.spectrum
-        cfg.lambda1 = args.lambda1
-        cfg.estimate = args.estimate
-        cfg.assume_normal = args.assume_normal
-    if args.subcommand == "deltoid-sample":
-        cfg.resolution = args.resolution
-        cfg.boundary_samples = args.boundary_samples
-        cfg.spectrum_path = args.spectrum
-    if args.subcommand == "report":
-        cfg.spectrum_path = args.spectrum
-        cfg.lambda1 = args.lambda1
-    return cfg
 
 
 _RUNNERS = {
@@ -568,14 +510,22 @@ _RUNNERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "normal-sparse" and args.block > args.n:
-        parser.error(f"argument --block: must be at most --n ({args.n}), "
-                     f"got {args.block}")
-    cfg = config_from_args(args)
+    if args.subcommand == "normal-sparse":
+        if args.block > args.n:
+            parser.error(f"argument --block: must be at most --n ({args.n}), "
+                         f"got {args.block}")
+        if not 0 < args.lambda1 < 1:
+            parser.error(f"argument --lambda1: must lie in (0, 1), got {args.lambda1}")
+        if not 0 < args.inner_radius < args.lambda1:
+            parser.error(f"argument --inner-radius: must lie in (0, --lambda1 = "
+                         f"{args.lambda1}), got {args.inner_radius}")
+    if args.out is None:
+        args.out = os.path.join(os.environ.get(ENV_OUTDIR, "."),
+                                f"gencheb-{args.subcommand}")
     start = time.perf_counter()
     try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        code = _RUNNERS[cfg.subcommand](cfg)
+        os.makedirs(args.out, exist_ok=True)
+        code = _RUNNERS[args.subcommand](args)
     except (UnreadableMatrix, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

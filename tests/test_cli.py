@@ -11,14 +11,18 @@ from gencheb.cli import (
     EXIT_IO,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
-    ExperimentConfig,
     _commutator_check,
     main,
     read_spectrum_file,
 )
 from gencheb.errors import UnreadableMatrix
 from gencheb.genmat import NormalMatrixSpec, assemble_normal_system, example33_fixture
-from gencheb.linalg import ComplexSparseMatrix, read_matrix_market, write_matrix_market
+from gencheb.linalg import (
+    ComplexSparseMatrix,
+    read_matrix_market,
+    write_matrix_market,
+    write_vector_market,
+)
 from gencheb.solvers import solve
 from gencheb.spectrum import SpectrumInfo, build_report
 
@@ -58,7 +62,7 @@ class TestExample33Command:
         assert rates["basic"] == pytest.approx(0.81, abs=0.02)
         assert rates["generalized"] == pytest.approx(0.442, abs=0.02)
         meta, rows = read_trace(out / "trace.csv")
-        assert "subcommand=example33" in meta and "seed=42" in meta
+        assert "subcommand=example33" in meta and "steps=65" in meta
         assert set(rows[0]) == {"m", "scheme", "err_norm", "residual", "ratio",
                                 "matvecs"}
         schemes = {r["scheme"] for r in rows}
@@ -204,6 +208,30 @@ class TestCustomCommand:
         ])
         assert code == EXIT_IO
         assert "oob.mtx" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["matrix", "rhs", "tilde", "tilde-rhs"])
+    def test_inputs_that_disagree_in_shape_name_the_file(self, tmp_path, capsys, bad):
+        mpath, tpath, _spath = self._write_inputs(tmp_path)
+        gpath, gtpath = tmp_path / "g.mtx", tmp_path / "gt.mtx"
+        write_vector_market(np.full(4, 0.1 + 0j), gpath)
+        write_vector_market(np.full(4, 0.1 + 0j), gtpath)
+        wrong = tmp_path / "wrong.mtx"
+        if bad == "matrix":
+            write_matrix_market(ComplexSparseMatrix.from_dense(np.full((2, 3), 0.1)), wrong)
+        elif bad == "tilde":
+            write_matrix_market(ComplexSparseMatrix.from_dense(np.eye(3) * 0.1), wrong)
+        else:
+            write_vector_market(np.full(3, 0.1 + 0j), wrong)
+        files = {"matrix": mpath, "rhs": gpath, "tilde": tpath, "tilde-rhs": gtpath}
+        files[bad] = wrong
+        out = tmp_path / "o"
+        code = main([
+            "custom", *(arg for flag, path in files.items() for arg in (f"--{flag}", str(path))),
+            "--lambda1", "0.9", "--out", str(out),
+        ])
+        assert code == EXIT_IO
+        assert "error: " + str(wrong) in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
 
     def test_generalized_without_tilde_refused(self, tmp_path):
         mpath, _tpath, spath = self._write_inputs(tmp_path)
@@ -507,16 +535,80 @@ class TestReportCommand:
 
 
 class TestCommonFlags:
-    def test_metadata_keys_follow_the_config_fields(self):
-        meta = ExperimentConfig(subcommand="report", out_dir="o").metadata()
-        keys = [pair.split("=")[0] for pair in meta[2:].split(" ")]
-        assert keys == [
-            "subcommand", "version", "steps", "residual_tol", "schemes", "k",
-            "k_max", "seed", "n", "block_size", "planted_lambda1",
-            "inner_radius", "matrix_path", "rhs_path", "tilde_path",
-            "tilde_rhs_path", "spectrum_path", "lambda1", "estimate",
-            "assume_normal", "resolution", "boundary_samples",
-        ]
+    @pytest.mark.parametrize("argv, keys", [
+        (["example33", "--steps", "0"],
+         ["out", "steps", "schemes", "k", "k_max"]),
+        (["normal-sparse", "--n", "20", "--block", "4", "--steps", "0"],
+         ["out", "steps", "schemes", "k", "k_max", "seed", "n", "block", "lambda1",
+          "inner_radius"]),
+        (["custom", "--matrix", "M.mtx", "--lambda1", "0.9", "--schemes", "basic",
+          "--steps", "0"],
+         ["out", "steps", "tol", "schemes", "k", "k_max", "seed", "matrix", "rhs",
+          "tilde", "tilde_rhs", "spectrum", "lambda1", "estimate", "assume_normal"]),
+        (["deltoid-sample", "--resolution", "3", "--boundary-samples", "3"],
+         ["out", "resolution", "boundary_samples", "spectrum"]),
+        (["report", "--lambda1", "0.9"],
+         ["out", "k_max", "spectrum", "lambda1"]),
+    ], ids=["example33", "normal-sparse", "custom", "deltoid-sample", "report"])
+    def test_metadata_keys_are_the_subcommand_flags(self, tmp_path, argv, keys):
+        # line 1 of every output file: subcommand, version, then exactly the
+        # flags this subcommand parsed, in parser order
+        write_matrix_market(example33_fixture().system.M, tmp_path / "M.mtx")
+        argv = [str(tmp_path / a) if a == "M.mtx" else a for a in argv]
+        out = tmp_path / "o"
+        main([*argv, "--out", str(out)])
+        files = sorted(out.glob("*.csv")) + sorted(out.glob("*.txt"))
+        assert files
+        for path in files:
+            meta = path.read_text().splitlines()[0].removeprefix("# ")
+            pairs = [pair.split("=", 1) for pair in meta.split(" ")]
+            assert [k for k, _ in pairs] == ["subcommand", "version", *keys]
+            assert pairs[0][1] == argv[0] and dict(pairs)["out"] == str(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["example33", "--tol", "1e-8"],
+        ["example33", "--seed", "1"],
+        ["normal-sparse", "--n", "20", "--block", "4", "--tol", "1e-8"],
+        ["deltoid-sample", "--steps", "5"],
+        ["deltoid-sample", "--tol", "1e-8"],
+        ["deltoid-sample", "--schemes", "basic"],
+        ["deltoid-sample", "--k", "2"],
+        ["deltoid-sample", "--k-max", "4"],
+        ["deltoid-sample", "--seed", "1"],
+        ["report", "--lambda1", "0.9", "--steps", "5"],
+        ["report", "--lambda1", "0.9", "--tol", "1e-8"],
+        ["report", "--lambda1", "0.9", "--schemes", "basic"],
+        ["report", "--lambda1", "0.9", "--k", "2"],
+        ["report", "--lambda1", "0.9", "--seed", "1"],
+    ], ids=" ".join)
+    def test_flag_the_subcommand_does_not_read_is_a_usage_error(self, tmp_path, capsys,
+                                                                argv):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--lambda1", ["normal-sparse", "--lambda1", "1.5"]),
+        ("--inner-radius", ["normal-sparse", "--inner-radius", "0.95"]),
+        ("--lambda1", ["normal-sparse", "--lambda1", "0"]),
+        ("--inner-radius", ["normal-sparse", "--inner-radius", "0"]),
+        ("--lambda1", ["normal-sparse", "--lambda1", "nan"]),
+        ("--inner-radius", ["normal-sparse", "--inner-radius", "nan"]),
+        ("--inner-radius", ["normal-sparse", "--lambda1", "0.5"]),
+        ("--resolution", ["deltoid-sample", "--resolution", "-1"]),
+        ("--boundary-samples", ["deltoid-sample", "--boundary-samples", "-3"]),
+    ], ids=lambda arg: " ".join(arg) if isinstance(arg, list) else arg)
+    def test_out_of_range_planted_or_sampling_value_is_a_usage_error(
+            self, tmp_path, capsys, flag, argv):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--schemes", "sor"], ["--k", "x"], ["--k", "0"], ["--steps", "-1"],
