@@ -33,7 +33,6 @@ from .errors import (
     MissingTildeData,
     NoConvergence,
     NotConverged,
-    NotUniqueDominant,
     UnreadableMatrix,
 )
 from .genmat import (
@@ -75,7 +74,6 @@ from .spectrum import (
     classify_dominant,
     estimate_dominant_eigenvalue,
     feasibility_threshold,
-    k_for_family,
     mu_max,
     select_k_bound,
     select_k_geometric,

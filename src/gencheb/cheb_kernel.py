@@ -103,8 +103,7 @@ class ChebCoefficientStream:
 
     which satisfy c1 - c2 + c3 = 1.  Only a three-value window of f values
     is kept, rescaled by its max magnitude each step; the coefficients are
-    ratios and therefore invariant under that rescaling.  `scale_exponent`
-    accumulates log of the discarded scale for introspection only.
+    ratios and therefore invariant under that rescaling.
     """
 
     def __init__(self, lambda1: complex):
@@ -118,7 +117,6 @@ class ChebCoefficientStream:
         w, wb = self.w, self.w.conjugate()
         # window holds values proportional to (f_{m-3}, f_{m-2}, f_{m-1})(w)
         self.window = np.array([1.0 + 0j, w, 3 * w * w - 2 * wb])
-        self.scale_exponent = 0.0
         self.m = 3
 
     def step(self) -> tuple[complex, complex, complex]:
@@ -135,7 +133,6 @@ class ChebCoefficientStream:
         c2 = 3 * f_prev2 / (self.lambda1.conjugate() * f_m)
         c3 = f_prev3 / f_m
         self.window = np.array([f_prev2, f_prev1, f_m]) / scale
-        self.scale_exponent += np.log(scale)
         self.m += 1
         return c1, c2, c3
 
@@ -157,7 +154,6 @@ class ClassicalChebRatioStream:
         self.rho = rho
         self.t = 1.0 / rho
         self.window = np.array([1.0, self.t])  # (C_{m-2}, C_{m-1})
-        self.scale_exponent = 0.0
         self.m = 2
 
     def step(self) -> tuple[float, float]:
@@ -171,7 +167,6 @@ class ClassicalChebRatioStream:
         first = 2 * c_prev1 / (self.rho * c_m)
         second = c_prev2 / c_m
         self.window = np.array([c_prev1, c_m]) / scale
-        self.scale_exponent += np.log(scale)
         self.m += 1
         return first, second
 

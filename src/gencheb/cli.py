@@ -9,8 +9,10 @@ contract:
 
     0  success
     2  usage error (argparse)
-    3  spectrum inapplicable to the acceleration, or a dominant eigenvalue
-       that is zero or not inside the unit disc
+    3  no power-transform order k: the spectrum is inapplicable to the
+       acceleration, no k up to --k-max serves it, or its dominant
+       eigenvalue is zero or not inside the unit disc (report.txt still
+       written, except for that last case)
     4  a requested run did not converge: it reached the step cap short of
        the tolerance, or the divergence guard stopped it (trace still
        written, and report.txt names the step)
@@ -48,12 +50,7 @@ from .genmat import (
 )
 from .linalg import read_matrix_market, read_vector_market
 from .solvers import SCHEMES, ConvergenceTrace, IterationSystem, run, transform_system
-from .spectrum import (
-    INAPPLICABLE,
-    SpectrumInfo,
-    build_report,
-    estimate_dominant_eigenvalue,
-)
+from .spectrum import SpectrumInfo, build_report, estimate_dominant_eigenvalue
 
 EXIT_OK = 0
 EXIT_INAPPLICABLE = 3
@@ -158,6 +155,14 @@ def _k_used(args: argparse.Namespace, report) -> int:
     return report.k_selected if args.k == "auto" else args.k
 
 
+def _refuse(args: argparse.Namespace, report, lines: list[str]) -> int:
+    """Write report.txt for a report with no selected k; exit code 3."""
+    _write_report(args, lines)
+    print(f"{args.subcommand}: no k selected ({report.classification}, "
+          f"--k-max {args.k_max}); report written", file=sys.stderr)
+    return EXIT_INAPPLICABLE
+
+
 def _run_schemes(
     args: argparse.Namespace,
     base_system: IterationSystem,
@@ -214,6 +219,8 @@ def _run_planted(args, info, system, x, extra_lines, windows) -> int:
     """Report, scheme runs, trace and rate lines for a built-in system whose
     spectrum and solution x are known."""
     report = build_report(info, k_max=args.k_max)
+    if report.k_selected is None:
+        return _refuse(args, report, report.lines() + extra_lines)
     k = _k_used(args, report)
     traces, stops, code = _run_schemes(args, system, k, x)
     _write_csv(args, "trace.csv", TRACE_HEADER, _trace_rows(traces))
@@ -324,10 +331,8 @@ def run_custom(args: argparse.Namespace) -> int:
             raise UnreadableMatrix("--tilde or --assume-normal with --rhs also needs "
                                    "--tilde-rhs (reference solution unknown)")
 
-    if report.classification.kind == INAPPLICABLE:
-        _write_report(args, lines)
-        print("custom: spectrum inapplicable; report written", file=sys.stderr)
-        return EXIT_INAPPLICABLE
+    if report.k_selected is None:
+        return _refuse(args, report, lines)
 
     k = _k_used(args, report)
     if "generalized" in args.schemes and m_tilde is None:
@@ -391,9 +396,7 @@ def run_report(args: argparse.Namespace) -> int:
     for line in report.lines():
         print(line)
     print(f"report: wrote {path}")
-    if report.classification.kind == INAPPLICABLE:
-        return EXIT_INAPPLICABLE
-    return EXIT_OK
+    return EXIT_INAPPLICABLE if report.k_selected is None else EXIT_OK
 
 
 def _count(minimum: int):

@@ -51,11 +51,11 @@ class Divergence(NotConverged):
 
 
 class InapplicableSpectrum(GenChebError, ValueError):
-    """The dominant eigenvalue is zero or not inside the unit disc."""
+    """No power-transform order k makes the acceleration apply.
 
-
-class NotUniqueDominant(GenChebError, ValueError):
-    """Bound-based k selection requires a unique dominant eigenvalue."""
+    The dominant eigenvalue is zero or not inside the unit disc, or the
+    dominant set is not a root-of-unity family.
+    """
 
 
 class NoConvergence(GenChebError, RuntimeError):

@@ -97,20 +97,18 @@ class ConvergenceTrace:
     matvecs: list[int] = field(default_factory=list)
 
     def append(self, m: int, err: float | None, residual: float, cost: int) -> None:
-        if err is not None and self.err_norms and self.err_norms[-1] not in (None, 0.0):
-            ratio = err / self.err_norms[-1]
-        elif err is not None and not self.steps and self.initial_err:
-            ratio = err / self.initial_err
-        elif err is None and self.residuals and self.residuals[-1] != 0.0:
-            ratio = residual / self.residuals[-1]
-        elif err is None and not self.steps and self.initial_residual:
-            ratio = residual / self.initial_residual
+        """Record step m; its ratio divides err (else the residual) by the
+        previous step's, or by the initial value on the first step, and is
+        None when that divisor is missing or 0."""
+        if err is None:
+            value, history, initial = residual, self.residuals, self.initial_residual
         else:
-            ratio = None
+            value, history, initial = err, self.err_norms, self.initial_err
+        divisor = history[-1] if history else initial
+        self.ratios.append(value / divisor if divisor else None)
         self.steps.append(m)
         self.err_norms.append(err)
         self.residuals.append(residual)
-        self.ratios.append(ratio)
         self.matvecs.append(cost)
 
     @property
@@ -119,8 +117,8 @@ class ConvergenceTrace:
 
     def _series(self) -> tuple[list[int], list[float]]:
         if self.err_norms and self.err_norms[0] is not None:
-            return self.steps, [e for e in self.err_norms]
-        return self.steps, [r for r in self.residuals]
+            return self.steps, self.err_norms
+        return self.steps, self.residuals
 
     def _value_at(self, m: int) -> float:
         steps, vals = self._series()

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cheb_kernel import DEFAULT_MEMBERSHIP_TOL, membership_defect
-from .errors import InapplicableSpectrum, NoConvergence, NotUniqueDominant
+from .errors import InapplicableSpectrum, NoConvergence
 from .linalg import ComplexSparseMatrix, dense_eigendecomposition
 
 UNIQUE_DOMINANT = "unique_dominant"
@@ -64,6 +64,10 @@ class SpectrumInfo:
 
 @dataclass(frozen=True)
 class Classification:
+    """The dominant set's regime and its order k0: 1 for a unique dominant
+    eigenvalue, the family order for a root-of-unity family, None when
+    inapplicable."""
+
     kind: str
     k0: int | None = None
 
@@ -73,47 +77,44 @@ class Classification:
         return self.kind
 
 
-def _dominant_set(info: SpectrumInfo, mod_tol: float) -> list[complex]:
-    bar = (1.0 - mod_tol) * abs(info.lambda1)
-    return [v for v in info.eigenvalues if abs(v) >= bar]
-
-
-def _root_of_unity_order(zeta: complex, tol: float, max_order: int) -> int | None:
-    z = complex(zeta)
+def _root_of_unity_order(zeta: complex, tol: float) -> int | None:
     power = 1.0 + 0j
-    for n in range(1, max_order + 1):
-        power *= z
+    for n in range(1, DEFAULT_ROU_MAX_ORDER + 1):
+        power *= zeta
         if abs(power - 1.0) <= tol:
             return n
     return None
 
 
-def classify_dominant(
-    info: SpectrumInfo,
-    mod_tol: float | None = None,
-    rou_max_order: int = DEFAULT_ROU_MAX_ORDER,
-) -> Classification:
-    """Sort the dominant eigenvalue set into one of three regimes.
+def _dominance(info: SpectrumInfo) -> tuple[Classification, float]:
+    """The dominant set's classification and the largest other quotient.
 
-    A single dominant eigenvalue is the easy case.  Several dominants are
-    workable only when every pairwise ratio is a root of unity (order
-    capped at rou_max_order); the family order k0 is the lcm of the
-    minimal orders.  Anything else defeats the acceleration.
+    Eigenvalues within `info.mod_tol()` of |lambda1| in modulus are
+    dominant.  Several dominants are workable only when every pairwise
+    ratio is a root of unity (order capped at DEFAULT_ROU_MAX_ORDER); the
+    family order k0 is the lcm of the minimal orders, and a family of
+    order 1 is one eigenvalue.  The quotient is max |v / lambda1| over the
+    other eigenvalues, 0 when there is none.
     """
-    tol = info.mod_tol() if mod_tol is None else mod_tol
-    dominant = _dominant_set(info, tol)
-    if len(dominant) <= 1:
-        return Classification(UNIQUE_DOMINANT)
+    tol = info.mod_tol()
+    bar = (1.0 - tol) * abs(info.lambda1)
+    mods = list(map(abs, info.eigenvalues))
+    dominant = [v for v, r in zip(info.eigenvalues, mods) if r >= bar]
+    ratio = max((r for r in mods if r < bar), default=0.0) / abs(info.lambda1)
     k0 = 1
-    for i in range(len(dominant)):
-        for j in range(i + 1, len(dominant)):
-            order = _root_of_unity_order(
-                dominant[i] / dominant[j], tol, rou_max_order
-            )
+    for i, a in enumerate(dominant):
+        for b in dominant[i + 1:]:
+            order = _root_of_unity_order(a / b, tol)
             if order is None:
-                return Classification(INAPPLICABLE)
+                return Classification(INAPPLICABLE), ratio
             k0 = math.lcm(k0, order)
-    return Classification(ROOT_OF_UNITY_FAMILY, k0=k0)
+    kind = UNIQUE_DOMINANT if k0 == 1 else ROOT_OF_UNITY_FAMILY
+    return Classification(kind, k0), ratio
+
+
+def classify_dominant(info: SpectrumInfo) -> Classification:
+    """Unique dominant eigenvalue, root-of-unity family, or inapplicable."""
+    return _dominance(info)[0]
 
 
 def _smallest_k_for_ratio(r: float) -> int:
@@ -128,21 +129,19 @@ def _smallest_k_for_ratio(r: float) -> int:
     return k
 
 
-def select_k_bound(info: SpectrumInfo, mod_tol: float | None = None) -> int:
-    """Transform order from the modulus bound: shrink quotients into |z| <= 1/3.
+def select_k_bound(info: SpectrumInfo) -> int:
+    """Transform order from the modulus bound: k0 * k1.
 
-    Needs a unique dominant eigenvalue; with no non-dominant eigenvalue
-    known the answer is 1.
+    k0 collapses the dominant set to one eigenvalue (1 when it is unique,
+    the family order for a root-of-unity family); k1 is the smallest order
+    that shrinks the largest other quotient into the |z| <= 1/3 disc, 1
+    when no other eigenvalue is known.  Raises InapplicableSpectrum when
+    the dominant set is not such a family.
     """
-    tol = info.mod_tol() if mod_tol is None else mod_tol
-    cls = classify_dominant(info, tol)
-    if cls.kind != UNIQUE_DOMINANT:
-        raise NotUniqueDominant(f"classification is {cls}")
-    bar = (1.0 - tol) * abs(info.lambda1)
-    ratios = [abs(v) / abs(info.lambda1) for v in info.eigenvalues if abs(v) < bar]
-    if not ratios:
-        return 1
-    return _smallest_k_for_ratio(max(ratios))
+    cls, ratio = _dominance(info)
+    if cls.kind == INAPPLICABLE:
+        raise InapplicableSpectrum(f"no modulus-bound k: classification is {cls}")
+    return cls.k0 * _smallest_k_for_ratio(ratio)
 
 
 def select_k_geometric(
@@ -163,23 +162,6 @@ def select_k_geometric(
             return k
         powers = powers * quotients
     return None
-
-
-def k_for_family(
-    k0: int, info: SpectrumInfo, mod_tol: float | None = None
-) -> int:
-    """Transform order for a root-of-unity dominant family.
-
-    k0 collapses the family to a single eigenvalue; a further factor k1
-    shrinks the largest non-dominant quotient into the |z| <= 1/3 disc.
-    """
-    tol = info.mod_tol() if mod_tol is None else mod_tol
-    bar = (1.0 - tol) * abs(info.lambda1)
-    others = [abs(v) for v in info.eigenvalues if abs(v) < bar]
-    if not others:
-        return k0
-    ratio = max(others) / abs(info.lambda1)
-    return k0 * _smallest_k_for_ratio(ratio)
 
 
 def alpha_from_lambda1(lambda1: float) -> float:
@@ -335,16 +317,16 @@ class SpectrumReport:
     classification: Classification
     lambda1: complex
     source: str
-    k_bound: int | None
-    k_geometric: int | None
-    k_selected: int | None
-    predicted_basic_rate: float | None
-    predicted_accel_rate: float | None
-    fair_comparison_rate: float | None
-    practical: bool
-    practical_threshold: float | None
-    alpha: float | None
-    g_rate: float | None
+    k_bound: int | None = None
+    k_geometric: int | None = None
+    k_selected: int | None = None
+    predicted_basic_rate: float | None = None
+    predicted_accel_rate: float | None = None
+    fair_comparison_rate: float | None = None
+    practical: bool = False
+    practical_threshold: float | None = None
+    alpha: float | None = None
+    g_rate: float | None = None
 
     def lines(self) -> list[str]:
         """Plain-text rendering used by report files."""
@@ -370,47 +352,31 @@ class SpectrumReport:
                 f"= {_practical_constant():.6f}; threshold is its k-th root",
             ]
         else:
-            out += [
-                "acceleration not applicable; no rates predicted",
-                "practical: False",
-            ]
+            reason = ("acceleration not applicable" if self.k_bound is None
+                      else "k_bound above k_max")
+            out += [f"{reason}; no rates predicted", "practical: False"]
         return out
 
 
 def build_report(
-    info: SpectrumInfo,
-    k_max: int = DEFAULT_ROU_MAX_ORDER,
-    mod_tol: float | None = None,
-    rou_max_order: int = DEFAULT_ROU_MAX_ORDER,
+    info: SpectrumInfo, k_max: int = DEFAULT_ROU_MAX_ORDER
 ) -> SpectrumReport:
     """Compose classification, k selection, and rate prediction.
 
-    Geometric k selection is preferred when the full spectrum is known,
-    the modulus bound otherwise; an inapplicable spectrum yields a report
-    state rather than an exception.
+    The selected k is the smaller of the modulus bound and, when the full
+    spectrum is known, the geometric k (the |z| <= 1/3 disc lies inside
+    the deltoid, so the bound's k passes the geometric test too).  An
+    inapplicable spectrum, or a selected k above k_max, yields a report
+    with no k_selected and no rates rather than an exception.
     """
-    cls = classify_dominant(info, mod_tol, rou_max_order)
-    k_bound = k_geometric = k_selected = None
+    cls = classify_dominant(info)
     if cls.kind == INAPPLICABLE:
-        return SpectrumReport(
-            classification=cls, lambda1=info.lambda1, source=info.source,
-            k_bound=None, k_geometric=None, k_selected=None,
-            predicted_basic_rate=None, predicted_accel_rate=None,
-            fair_comparison_rate=None, practical=False,
-            practical_threshold=None, alpha=None, g_rate=None,
-        )
-    if cls.kind == UNIQUE_DOMINANT:
-        k_bound = select_k_bound(info, mod_tol)
-        if not info.partial:
-            k_geometric = select_k_geometric(info, k_max)
-        k_selected = k_geometric if k_geometric is not None else k_bound
-    else:
-        k_selected = k_for_family(cls.k0, info, mod_tol)
-        if not info.partial:
-            k_geometric = select_k_geometric(info, k_max)
-            if k_geometric is not None:
-                k_selected = min(k_selected, k_geometric)
-
+        return SpectrumReport(cls, info.lambda1, info.source)
+    k_bound = select_k_bound(info)
+    k_geometric = None if info.partial else select_k_geometric(info, k_max)
+    k_selected = min(k_bound, k_geometric or k_bound)
+    if k_selected > k_max:
+        return SpectrumReport(cls, info.lambda1, info.source, k_bound=k_bound)
     lam_k = complex(info.lambda1) ** k_selected
     basic = abs(info.lambda1) ** k_selected
     fair = basic * basic

@@ -189,13 +189,6 @@ class TestCoefficientStream:
         for x, y in zip(ca, cb):
             assert abs(x - y) <= 1e-13 * max(1.0, abs(x))
 
-    def test_scale_exponent_grows(self):
-        stream = ChebCoefficientStream(0.5)
-        for _ in range(50):
-            stream.step()
-        assert stream.scale_exponent > 0.0
-        assert np.max(np.abs(stream.window)) <= 1.0 + 1e-12
-
     @pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, -2.0, 1j])
     def test_invalid_lambda_rejected(self, lam):
         if abs(lam) < 1 and lam != 0:

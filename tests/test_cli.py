@@ -41,6 +41,17 @@ def report_value(text, label):
     return match.group(2)
 
 
+#: lambda1 = 0.9 and a second eigenvalue of modulus 0.8999 at an irrational
+#: angle: unique dominant, but the modulus bound needs k = 9887.
+NEAR_DOMINANT = (0.9 + 0j, 0.8999 * np.exp(1j))
+
+
+def write_spectrum(path, values):
+    path.write_text("".join(f"{float(v.real)!r} {float(v.imag)!r}\n"
+                            for v in map(complex, values)))
+    return path
+
+
 def measured_rates(text):
     out = {}
     for scheme, _est, value in re.findall(
@@ -85,6 +96,17 @@ class TestExample33Command:
         report = (out / "report.txt").read_text()
         assert report_value(report, "k_used") == "2"
 
+    @pytest.mark.parametrize("flags", [[], ["--k", "2"]])
+    def test_k_above_k_max_refused(self, tmp_path, flags):
+        # k_geometric = 2 needs --k-max 2; the bound alone would be k = 10
+        out = tmp_path / "cap"
+        assert main(["example33", "--out", str(out), "--k-max", "1",
+                     *flags]) == EXIT_INAPPLICABLE
+        report = (out / "report.txt").read_text()
+        assert report_value(report, "k_bound") == "10"
+        assert report_value(report, "k_selected") == "None"
+        assert "k_used" not in report
+        assert not (out / "trace.csv").exists()
 
     def test_fixed_step_divergence_keeps_the_trace(self, tmp_path):
         # at k = 1 the quotients 0.4/0.9 +- 0.7i/0.9 lie outside the deltoid
@@ -160,6 +182,20 @@ class TestCustomCommand:
         ])
         assert code == EXIT_INAPPLICABLE
         assert (out / "report.txt").exists()
+
+    def test_k_above_k_max_refused(self, tmp_path):
+        lams = np.array(NEAR_DOMINANT)
+        mpath = tmp_path / "M.mtx"
+        write_matrix_market(ComplexSparseMatrix.from_dense(np.diag(lams)), mpath)
+        spath = write_spectrum(tmp_path / "s.txt", lams)
+        out = tmp_path / "cap"
+        code = main(["custom", "--matrix", str(mpath), "--spectrum", str(spath),
+                     "--schemes", "basic", "--out", str(out)])
+        assert code == EXIT_INAPPLICABLE
+        report = (out / "report.txt").read_text()
+        assert report_value(report, "k_bound") == "9887"
+        assert report_value(report, "k_selected") == "None"
+        assert not (out / "trace.csv").exists()
 
     def test_not_converged_exit_code(self, tmp_path):
         mpath, tpath, spath = self._write_inputs(tmp_path)
@@ -517,6 +553,27 @@ class TestReportCommand:
         code = main(["report", "--spectrum", str(spath),
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_INAPPLICABLE
+
+    def test_k_above_k_max_refused(self, tmp_path):
+        spath = write_spectrum(tmp_path / "s.txt", NEAR_DOMINANT)
+        out = tmp_path / "o"
+        code = main(["report", "--spectrum", str(spath), "--out", str(out)])
+        assert code == EXIT_INAPPLICABLE
+        report = (out / "report.txt").read_text()
+        assert report_value(report, "classification") == "unique_dominant"
+        assert report_value(report, "k_bound") == "9887"
+        assert report_value(report, "k_geometric") == "None"
+        assert report_value(report, "k_selected") == "None"
+        assert "k_bound above k_max; no rates predicted" in report
+
+    def test_repeated_dominant_eigenvalue_is_unique(self, tmp_path):
+        spath = write_spectrum(tmp_path / "s.txt", (0.9, 0.9))
+        out = tmp_path / "o"
+        assert main(["report", "--spectrum", str(spath), "--out", str(out)]) == EXIT_OK
+        report = (out / "report.txt").read_text()
+        assert report_value(report, "classification") == "unique_dominant"
+        assert report_value(report, "k_bound") == "1"
+        assert report_value(report, "k_selected") == "1"
 
     @pytest.mark.parametrize("spectrum", [None, "0.5 0.0\n0.0 1.0\n", "1.2 0.0\n"])
     def test_dominant_eigenvalue_outside_the_disc(self, tmp_path, capsys, spectrum):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gencheb.errors import NoConvergence, NotUniqueDominant
+from gencheb.errors import InapplicableSpectrum, NoConvergence
 from gencheb.genmat import NormalMatrixSpec, assemble_normal_system
 from gencheb.linalg import ComplexSparseMatrix
 from gencheb.spectrum import (
@@ -17,7 +17,6 @@ from gencheb.spectrum import (
     classify_dominant,
     estimate_dominant_eigenvalue,
     feasibility_threshold,
-    k_for_family,
     mu_max,
     select_k_bound,
     select_k_geometric,
@@ -51,8 +50,9 @@ class TestSelectKBound:
         assert select_k_bound(info) == 1
 
     def test_requires_unique_dominant(self):
-        info = SpectrumInfo((0.8, -0.8), lambda1=0.8, source="exact")
-        with pytest.raises(NotUniqueDominant):
+        zeta = np.exp(2j * np.pi * np.sqrt(2) / 2)
+        info = SpectrumInfo((0.8, 0.8 * zeta), lambda1=0.8, source="exact")
+        with pytest.raises(InapplicableSpectrum):
             select_k_bound(info)
 
     def test_monotone_in_ratio(self):
@@ -114,7 +114,14 @@ class TestClassify:
     def test_irrational_rotation_inapplicable(self):
         zeta = np.exp(2j * np.pi * np.sqrt(2) / 2)
         info = SpectrumInfo((0.8, 0.8 * zeta), lambda1=0.8, source="exact")
-        assert classify_dominant(info, rou_max_order=64).kind == INAPPLICABLE
+        assert classify_dominant(info).kind == INAPPLICABLE
+
+    def test_repeated_dominant_eigenvalue_is_unique(self):
+        info = SpectrumInfo((0.9, 0.9, 0.3), lambda1=0.9, source="exact")
+        cls = classify_dominant(info)
+        assert cls.kind == UNIQUE_DOMINANT
+        assert str(cls) == UNIQUE_DOMINANT
+        assert select_k_bound(info) == 1
 
     def test_scale_invariance_under_global_phase(self):
         rng = np.random.default_rng(17)
@@ -132,11 +139,11 @@ class TestClassify:
 class TestKForFamily:
     def test_all_dominant(self):
         info = SpectrumInfo((0.8, -0.8), lambda1=0.8, source="exact")
-        assert k_for_family(2, info) == 2
+        assert select_k_bound(info) == 2
 
     def test_with_tail_at_table_ratio(self):
         info = SpectrumInfo((0.8, -0.8, 0.8 * 0.577), lambda1=0.8, source="exact")
-        assert k_for_family(2, info) == 4
+        assert select_k_bound(info) == 4
 
     def test_tail_already_inside_disc(self):
         info = SpectrumInfo(
@@ -144,7 +151,7 @@ class TestKForFamily:
             lambda1=0.7,
             source="exact",
         )
-        assert k_for_family(3, info) == 3
+        assert select_k_bound(info) == 3
 
 
 class TestAlphaAndG:
@@ -287,10 +294,29 @@ class TestReport:
         assert report.k_selected is None
         assert not report.practical
 
+    def test_k_above_k_max_selects_none(self):
+        info = SpectrumInfo((0.9, 0.8999 * np.exp(1j)), lambda1=0.9, source="exact")
+        report = build_report(info)
+        assert report.classification.kind == UNIQUE_DOMINANT
+        assert report.k_bound == 9887
+        assert report.k_geometric is None
+        assert report.k_selected is None
+        assert report.predicted_basic_rate is None
+        assert report.predicted_accel_rate is None
+        assert not report.practical
+        assert "k_bound above k_max; no rates predicted" in report.lines()
+
+    def test_k_max_caps_the_bound_too(self):
+        info = SpectrumInfo(EX33, lambda1=0.9, source="exact")
+        assert build_report(info, k_max=2).k_selected == 2
+        report = build_report(info, k_max=1)
+        assert (report.k_bound, report.k_geometric, report.k_selected) == (10, None, None)
+
     def test_family_selects_even_k(self):
         info = SpectrumInfo((0.8, -0.8, 0.2), lambda1=0.8, source="exact")
         report = build_report(info)
         assert report.classification.kind == ROOT_OF_UNITY_FAMILY
+        assert report.k_bound == 2  # k0 = 2, and 0.2 / 0.8 already inside 1/3
         assert report.k_selected % 2 == 0
         assert report.predicted_basic_rate == pytest.approx(
             0.8**report.k_selected, abs=1e-12
