@@ -3,15 +3,21 @@
 Vectors are plain 1-D complex128 numpy arrays; `as_vector` validates
 finiteness on construction.
 
-Summation contract of the matvec.  A dense panel (a run of at least two
-consecutive rows that all store one contiguous column range, with at least
-_PANEL_MIN_ENTRIES entries) is multiplied by one BLAS gemv, so its rows are
-summed in BLAS dot order.  Every other row is summed with np.add.reduceat
-over its stored entries in column order.  Which rows form panels depends
-only on the stored pattern, so bits repeat run to run for a given numpy and
-BLAS build and CPU, and the tests check that the panel bits do not depend on
-the BLAS thread count.  A matrix without panels gives exactly the reduceat
-bits; panel rows differ from them by rounding only.
+Summation contract of the matvec.  When a matrix is built, its rows are
+split by their stored pattern alone, and each product spends one numpy call
+per run of rows:
+- a dense panel, at least two consecutive rows that store one contiguous
+  range of at least two columns, with at least _PANEL_MIN_ENTRIES (1024)
+  entries, is one BLAS gemv, so its rows are summed in BLAS dot order;
+- a diagonal run, at least _DIAGONAL_MIN_ROWS (128) consecutive one-entry
+  rows, each a column right of the one above, is one elementwise multiply;
+- every other row is summed with np.add.reduceat over its products in
+  column order, each product np.multiply(value, v[col]) with the stored
+  value first, whatever the number of entries.
+So bits repeat run to run for a given numpy and BLAS build and CPU, and the
+tests check that they do not depend on the BLAS thread count.  A diagonal
+run gives the reduceat bits of its rows; panel rows differ from them by
+rounding only, so a matrix without panels gives exactly the reduceat bits.
 
 Matrix Market exchange: `coordinate complex general`, entries `row col
 real imag` with integer 1-based indices and shortest round-trip floats, a
@@ -44,10 +50,13 @@ def as_vector(values, n: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
-# Fewest stored entries in a dense panel.  The BLAS product overtakes the
-# reduceat one between about 1,000 and 2,300 entries (x86_64, OpenBLAS 0.3.31,
-# one thread); smaller runs save too little to measure and keep reduceat bits.
-_PANEL_MIN_ENTRIES = 4096
+# Fewest stored entries in a dense panel and fewest rows in a diagonal run.
+# A run costs one numpy call, 1.5-2.5 us; the same rows cost reduceat 1 us
+# at a 24 x 24 panel, 4.4 us at 32 x 32 and 1.7 us at 128 diagonal rows
+# (x86_64 Xeon, OpenBLAS 0.3.31, one thread).  Smaller runs keep reduceat
+# bits; 4 x 4 is 16 entries.
+_PANEL_MIN_ENTRIES = 1024
+_DIAGONAL_MIN_ROWS = 128
 
 
 class ComplexSparseMatrix:
@@ -60,8 +69,8 @@ class ComplexSparseMatrix:
     """
 
     __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values",
-                 "_panels", "_rest_values", "_rest_cols", "_starts",
-                 "_stored_rows")
+                 "_runs", "_zero_fill", "_rest_values", "_rest_cols", "_starts",
+                 "_rest_rows")
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
         self.n_rows = int(n_rows)
@@ -71,38 +80,34 @@ class ComplexSparseMatrix:
         self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=complex)
-        self._validate()
-        # dense panels are (rows, w) views of values, multiplied by BLAS
-        counts = np.diff(self.row_offsets)
-        in_panel = np.zeros(self.n_rows, dtype=bool)
-        self._panels = []
-        for r0, r1, c0, w in _dense_panels(self.row_offsets, self.col_indices):
-            entries = slice(self.row_offsets[r0], self.row_offsets[r1])
-            panel = self.values[entries].reshape(r1 - r0, w)
-            self._panels.append((r0, r1, c0, c0 + w, panel))
-            in_panel[r0:r1] = True
-        # the other rows are summed by reduceat from their starts in the rest
-        # arrays; a panel row keeps its first entry there, so the sums line up
-        # with the rows, and its panel product overwrites that sum
+        counts = self._validate()
+        # dense panels and diagonal runs: one numpy call each, on a view of
+        # values and into a slice of the product
+        rest = counts > 0
+        self._zero_fill = not rest.all()  # no call writes an empty row
+        self._runs = []
+        for op, r0, r1, c0, c1 in _row_runs(self.row_offsets, self.col_indices, counts):
+            block = self.values[self.row_offsets[r0]:self.row_offsets[r1]]
+            self._runs.append((op, r0, r1, c0, c1,
+                               block.reshape(r1 - r0, -1) if op is np.dot else block))
+            rest[r0:r1] = False
+        # the other stored rows are summed by reduceat from their starts; the
+        # sums are scattered unless they are all the rows
+        self._rest_rows = np.flatnonzero(rest) if self._runs or self._zero_fill else None
         self._rest_values, self._rest_cols = self.values, self.col_indices
-        rest_offsets = self.row_offsets
-        if self._panels:
-            keep = np.repeat(~in_panel, counts)
-            keep[self.row_offsets[:-1][in_panel]] = True
-            counts = np.where(in_panel, 1, counts)
-            rest_offsets = np.concatenate(([0], np.cumsum(counts)))
-            self._rest_values = self.values[keep]
-            self._rest_cols = self.col_indices[keep]
-        # empty rows need a scatter
-        stored = counts > 0
-        self._starts = rest_offsets[:-1][stored]
-        self._stored_rows = None if stored.all() else np.flatnonzero(stored)
+        self._starts = self.row_offsets[:-1][rest]
+        if self._runs and self._rest_rows.size:
+            keep = np.repeat(rest, counts)
+            self._rest_values, self._rest_cols = self.values[keep], self.col_indices[keep]
+            self._starts = np.cumsum(counts[rest]) - counts[rest]
 
-    def _validate(self):
+    def _validate(self) -> np.ndarray:
+        """Check the invariants; return the number of entries in each row."""
         ro, ci = self.row_offsets, self.col_indices
         if ro.shape != (self.n_rows + 1,):
             raise ValueError("row_offsets must have length n_rows + 1")
-        if ro[0] != 0 or np.any(np.diff(ro) < 0):
+        counts = ro[1:] - ro[:-1]
+        if ro[0] != 0 or counts.min() < 0:
             raise ValueError("row_offsets must be nondecreasing and start at 0")
         nnz = int(ro[-1])
         if ci.shape != (nnz,) or self.values.shape != (nnz,):
@@ -110,18 +115,16 @@ class ComplexSparseMatrix:
         if nnz:
             if ci.min() < 0 or ci.max() >= self.n_cols:
                 raise ValueError("column index out of bounds")
-            # strictly increasing within each row: diffs may only be <= 0 at
-            # row boundaries
-            inner = np.ones(nnz, dtype=bool)
-            starts = ro[1:-1]
-            inner[starts[starts < nnz]] = False  # first entry of each later row
-            bad = (np.diff(ci) <= 0) & inner[1:]
-            if np.any(bad):
+            # strictly increasing within each row: falls[i], entry i is not
+            # right of entry i - 1, is allowed only where a row starts
+            falls = np.zeros(nnz + 1, dtype=bool)
+            np.less_equal(ci[1:], ci[:-1], out=falls[1:-1])
+            falls[ro] = False
+            if falls.any():
                 raise ValueError("column indices must strictly increase within a row")
-        if not np.all(np.isfinite(self.values.real)) or not np.all(
-            np.isfinite(self.values.imag)
-        ):
+        if not np.isfinite(self.values).all():  # both parts of every entry
             raise ValueError("matrix values contain NaN or Inf")
+        return counts
 
     # -- construction -----------------------------------------------------
 
@@ -187,23 +190,34 @@ class ComplexSparseMatrix:
     # -- operations ---------------------------------------------------------
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Sparse product A @ v.  Each dense panel is one BLAS gemv
-        `panel @ v[c0:c0+w]`, summed in BLAS dot order; every other row is
-        summed by np.add.reduceat over its stored entries in column order.
-        Equal inputs give equal bits for a given numpy/BLAS build and CPU."""
+        """Sparse product A @ v: `np.dot(panel, v[c0:c1])` per dense panel
+        and `np.multiply(d, v[c0:c1])` per diagonal run, into slices of the
+        product, and np.add.reduceat over `np.multiply(values, v[cols])` for
+        the other rows.  Equal inputs give equal bits for a given numpy/BLAS
+        build and CPU."""
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.n_cols,):
             raise DimensionMismatch(
                 f"matvec of {self.shape} matrix with vector of shape {v.shape}"
             )
-        sums = np.add.reduceat(self._rest_values * v[self._rest_cols], self._starts)
-        if self._stored_rows is not None:
-            out = np.zeros(self.n_rows, dtype=complex)
-            out[self._stored_rows] = sums
-            sums = out
-        for r0, r1, c0, c1, panel in self._panels:
-            sums[r0:r1] = panel @ v[c0:c1]
-        return sums
+        if self._rest_rows is None:
+            return self._rest_sums(v)
+        out = (np.zeros if self._zero_fill else np.empty)(self.n_rows, dtype=complex)
+        for op, r0, r1, c0, c1, block in self._runs:
+            op(block, v[c0:c1], out=out[r0:r1])
+        if self._rest_rows.size:
+            out[self._rest_rows] = self._rest_sums(v)
+        return out
+
+    def _rest_sums(self, v: np.ndarray) -> np.ndarray:
+        # `values * v[cols]` lets numpy reuse the gathered temporary from
+        # 256 KiB up, multiplying it first.  In place, the explicit product
+        # has the fresh-array bits at every size but one entry, which numpy
+        # then multiplies by its scalar loop.
+        gathered = v[self._rest_cols]
+        products = np.multiply(self._rest_values, gathered,
+                               out=gathered if gathered.size > 1 else None)
+        return np.add.reduceat(products, self._starts)
 
     def conj_transpose(self) -> "ComplexSparseMatrix":
         """Return A*: the entries in column order, conjugated."""
@@ -215,29 +229,34 @@ class ComplexSparseMatrix:
         )
 
 
-def _dense_panels(row_offsets: np.ndarray, col_indices: np.ndarray) -> list:
-    """Maximal runs of consecutive rows that all store one contiguous column
-    range [c0, c0 + w), as (r0, r1, c0, w).  A run counts from two rows and
-    _PANEL_MIN_ENTRIES entries up: numpy hands a one-row product to BLAS dot,
-    whose threaded sum of a long row depends on the BLAS thread count."""
-    if row_offsets[-1] < _PANEL_MIN_ENTRIES:
+def _row_runs(row_offsets: np.ndarray, col_indices: np.ndarray,
+              counts: np.ndarray) -> list:
+    """Dense panels and diagonal runs (see the summation contract), as (op,
+    r0, r1, c0, c1): rows r0..r1-1 store the (r1 - r0, c1 - c0) block at
+    column c0 (op np.dot), or one entry each on the diagonal from (r0, c0)
+    (op np.multiply).  A panel has two rows or more: numpy hands a one-row
+    product to BLAS dot, whose threaded sum depends on the thread count."""
+    n = counts.size
+    if col_indices.size < min(_PANEL_MIN_ENTRIES, _DIAGONAL_MIN_ROWS):
         return []
-    counts = np.diff(row_offsets)
-    stored = counts > 0
-    first = np.zeros_like(counts)
-    first[stored] = col_indices[row_offsets[:-1][stored]]
-    last = np.zeros_like(counts)
-    last[stored] = col_indices[row_offsets[1:][stored] - 1]
-    # columns strictly increase within a row, so a stored row is contiguous
-    # exactly when last - first + 1 == count (never true for an empty row)
+    # first and last stored column of each row; an empty row gets its
+    # neighbours' and joins only empty rows, in runs of no entries
+    first = col_indices.take(row_offsets[:-1], mode="clip")
+    last = col_indices[row_offsets[1:] - 1]
+    # columns strictly increase within a row, so a row is contiguous exactly
+    # when last - first + 1 == count
     dense = last - first + 1 == counts
-    joins = (dense[1:] & dense[:-1] & (first[1:] == first[:-1])
-             & (counts[1:] == counts[:-1]))
-    r0 = np.flatnonzero(np.concatenate(([True], ~joins)))
-    r1 = np.append(r0[1:], counts.size)
-    big = dense[r0] & (r1 - r0 > 1) & ((r1 - r0) * counts[r0] >= _PANEL_MIN_ENTRIES)
-    return [(int(a), int(b), int(first[a]), int(counts[a]))
-            for a, b in zip(r0[big], r1[big])]
+    # joins[i + 1]: row i + 1 continues row i, in the same columns or, for
+    # one-entry rows, one column right
+    joins = np.zeros(n + 1, dtype=bool)
+    np.equal(first[1:] - first[:-1], counts[1:] == 1, out=joins[1:-1])
+    joins[1:-1] &= dense[1:] & dense[:-1] & (counts[1:] == counts[:-1])
+    edges = np.flatnonzero(joins[1:] != joins[:-1])
+    r0, r1 = edges[0::2], edges[1::2] + 1
+    width = counts[r0]
+    big = (r1 - r0) * width >= np.where(width > 1, _PANEL_MIN_ENTRIES, _DIAGONAL_MIN_ROWS)
+    return [(np.dot, a, b, c, c + w) if w > 1 else (np.multiply, a, b, c, c + b - a)
+            for a, b, c, w in np.array((r0, r1, first[r0], width))[:, big].T.tolist()]
 
 
 def _entry_rows(a: ComplexSparseMatrix) -> np.ndarray:

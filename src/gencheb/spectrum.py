@@ -238,10 +238,9 @@ def _stream_decay_rate(lam_k: complex) -> float:
     lam_k the roots are e^alpha, 1, e^-alpha and this reduces to e^-alpha.
     """
     w = 1.0 / complex(lam_k)
-    companion = np.array(
-        [[0, 0, 1.0], [1, 0, -3.0 * w.conjugate()], [0, 1, 3.0 * w]], dtype=complex
-    )
-    roots, _ = dense_eigendecomposition(companion)
+    # np.roots, not dense_eigendecomposition: at |w| ~ 1e11 the companion
+    # matrix is too badly scaled for its absolute residual contract
+    roots = np.roots([1.0, -3.0 * w, 3.0 * w.conjugate(), -1.0])
     return float(1.0 / np.max(np.abs(roots)))
 
 

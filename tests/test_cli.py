@@ -385,7 +385,7 @@ class TestCustomCommand:
 
 class TestRoundTripThroughFiles:
     @staticmethod
-    def _round_trip(tmp_path, n, block, panels):
+    def _round_trip(tmp_path, n, block):
         # normal-sparse writes the system, custom reads it back and solves
         # it; the residuals must be the bits of an in-library solve
         spec = NormalMatrixSpec(n=n, block_size=block, seed=42)
@@ -395,8 +395,13 @@ class TestRoundTripThroughFiles:
             "--seed", "42", "--out", str(gen_dir),
         ]) == EXIT_OK
         gen = assemble_normal_system(spec)
-        for m in (gen.system.M, read_matrix_market(gen_dir / "M.mtx")):
-            assert [p[:4] for p in m._panels] == panels
+        # the block is one BLAS panel and the tail one diagonal run, in M and
+        # M_tilde as generated and as read back: no row is left to reduceat
+        for m in (gen.system.M, read_matrix_market(gen_dir / "M.mtx"),
+                  gen.system.M_tilde, read_matrix_market(gen_dir / "M_tilde.mtx")):
+            assert [r[:5] for r in m._runs] == [(np.dot, 0, block, 0, block),
+                                                 (np.multiply, block, n, block, n)]
+            assert m._rest_rows.size == 0
         spath = tmp_path / "S.txt"
         spath.write_text("".join(
             f"{float(v.real)!r} {float(v.imag)!r}\n" for v in gen.planted
@@ -422,13 +427,10 @@ class TestRoundTripThroughFiles:
             assert int(cli_rows[-1]["matvecs"]) == trace.total_matvecs
 
     def test_generated_files_reproduce_the_library_solve(self, tmp_path):
-        # a 40 x 40 block is below the dense-panel floor: reduceat rows only
-        self._round_trip(tmp_path, 400, 40, panels=[])
+        self._round_trip(tmp_path, 400, 40)
 
     def test_round_trip_with_a_dense_panel(self, tmp_path):
-        # the 100 x 100 block is one BLAS panel, in the generated matrix and
-        # in the one read back from M.mtx
-        self._round_trip(tmp_path, 2000, 100, panels=[(0, 100, 0, 100)])
+        self._round_trip(tmp_path, 2000, 100)
 
     def test_partial_spectrum_divergence_stops_the_run(self, tmp_path):
         # lambda1 alone selects k = 1, where the three-term scheme diverges on
@@ -565,6 +567,14 @@ class TestReportCommand:
         assert report_value(report, "k_geometric") == "None"
         assert report_value(report, "k_selected") == "None"
         assert "k_bound above k_max; no rates predicted" in report
+
+    def test_small_complex_lambda1_power(self, tmp_path):
+        spath = write_spectrum(tmp_path / "s.txt", (
+            0.2632747685671118 + 0.1438276615812609j,
+            -0.2379396538174393 + 0.17774622679887508j))
+        out = tmp_path / "o"
+        assert main(["report", "--spectrum", str(spath), "--out", str(out)]) == EXIT_OK
+        assert report_value((out / "report.txt").read_text(), "k_selected") == "22"
 
     def test_repeated_dominant_eigenvalue_is_unique(self, tmp_path):
         spath = write_spectrum(tmp_path / "s.txt", (0.9, 0.9))

@@ -13,6 +13,8 @@ import gencheb
 from gencheb.errors import DimensionMismatch, UnreadableMatrix
 from gencheb.genmat import example33_fixture
 from gencheb.linalg import (
+    _DIAGONAL_MIN_ROWS,
+    _PANEL_MIN_ENTRIES,
     ComplexSparseMatrix,
     PoweredOperator,
     as_vector,
@@ -105,6 +107,106 @@ def _case(stored, v):
     return stored, np.where(stored, 1.5 - 0.5j, 0.0), np.asarray(v, dtype=complex)
 
 
+@st.composite
+def stacked_runs(draw):
+    """Rows stacked from pieces that form, or nearly form, runs: diagonal
+    stretches and dense blocks around both floors, two-entry rows and empty
+    rows; adjacent pieces may join.  Returns (n_cols, columns per row, seed)."""
+    pieces = draw(st.lists(st.one_of(
+        st.tuples(st.just("diagonal"), st.integers(100, 160), st.integers(0, 160)),
+        st.tuples(st.just("block"), st.integers(1, 40), st.integers(2, 40),
+                  st.integers(0, 280)),
+        st.tuples(st.just("pair"), st.integers(0, 318)),
+        st.tuples(st.just("empty")),
+    ), min_size=1, max_size=6))
+    rows = []
+    for kind, *p in pieces:
+        if kind == "diagonal":
+            rows += [[p[1] + i] for i in range(p[0])]
+        elif kind == "block":
+            rows += [list(range(p[2], p[2] + p[1]))] * p[0]
+        else:
+            rows.append([p[0], p[0] + 1] if kind == "pair" else [])
+    return 320, rows, draw(st.integers(0, 2**32 - 1))
+
+
+def _kernel_plan(a):
+    """The rows of `a` by kernel: panels and diagonal runs as (r0, r1, c0,
+    c1), the reduceat rows and the empty rows.  Asserts that every row is in
+    exactly one of them and that each run multiplies a view of values."""
+    panels, diagonals = [], []
+    owners = np.zeros(a.n_rows, dtype=int)
+    for op, r0, r1, c0, c1, block in a._runs:
+        assert np.shares_memory(block, a.values)
+        if op is np.dot:
+            panels.append((r0, r1, c0, c1))
+            assert block.shape == (r1 - r0, c1 - c0)
+        else:
+            assert op is np.multiply
+            diagonals.append((r0, r1, c0, c1))
+            assert block.shape == (r1 - r0,) == (c1 - c0,)
+        owners[r0:r1] += 1
+    rest = np.arange(a.n_rows) if a._rest_rows is None else a._rest_rows
+    empty = np.flatnonzero(np.diff(a.row_offsets) == 0)
+    owners[rest] += 1
+    owners[empty] += 1
+    assert np.all(owners == 1)
+    return panels, diagonals, rest, empty
+
+
+def _loop_runs(a):
+    """Panels and diagonal runs found by a plain loop over the rows."""
+    rows = [a.col_indices[a.row_offsets[r]:a.row_offsets[r + 1]].tolist()
+            for r in range(a.n_rows)]
+
+    def contiguous(cols):
+        return bool(cols) and cols == list(range(cols[0], cols[0] + len(cols)))
+
+    def continues(r):  # row r extends the run of row r - 1
+        prev, cur = rows[r - 1], rows[r]
+        return (contiguous(prev) and contiguous(cur) and len(prev) == len(cur)
+                and cur[0] == prev[0] + (len(cur) == 1))
+
+    panels, diagonals, r0 = [], [], 0
+    for r in range(1, a.n_rows + 1):
+        if r < a.n_rows and continues(r):
+            continue
+        height, width = r - r0, len(rows[r0])
+        if height > 1 and width > 1 and height * width >= _PANEL_MIN_ENTRIES:
+            panels.append((r0, r, rows[r0][0], rows[r0][0] + width))
+        if height >= max(2, _DIAGONAL_MIN_ROWS) and width == 1:
+            diagonals.append((r0, r, rows[r0][0], rows[r0][0] + height))
+        r0 = r
+    return panels, diagonals
+
+
+def _reduceat_product(a, v):
+    """A @ v summed by reduceat alone, the products made in a fresh array."""
+    out = np.zeros(a.n_rows, dtype=complex)
+    stored = np.diff(a.row_offsets) > 0
+    if a.nnz:
+        out[stored] = np.add.reduceat(np.multiply(a.values, v[a.col_indices]),
+                                      a.row_offsets[:-1][stored])
+    return out
+
+
+def _assert_product(a, v):
+    """matvec matches the dense product to 1e-13 of |A| |v| and repeats its
+    bits; rows outside panels have the reduceat bits."""
+    got = a.matvec(v)
+    dense = a.to_dense()
+    assert got.shape == (a.n_rows,)
+    assert np.all(np.abs(got - dense @ v) <= 1e-13 * (np.abs(dense) @ np.abs(v)))
+    assert np.array_equal(a.matvec(v.copy()), got)
+    outside = np.ones(a.n_rows, dtype=bool)
+    for r0, r1, _, _ in _kernel_plan(a)[0]:
+        outside[r0:r1] = False
+    assert np.array_equal(got[outside], _reduceat_product(a, v)[outside])
+
+
+MAIN_200 = [(0, 200, 0)]
+
+
 class TestMatvecProperties:
     @given(stored_pattern_and_vector())
     # 1x1; nnz 0; an empty first, middle and last row
@@ -117,39 +219,69 @@ class TestMatvecProperties:
         stored, values, v = case
         rows, cols = np.nonzero(stored)
         a = ComplexSparseMatrix.from_triplets(*stored.shape, rows, cols, values[rows, cols])
-        got = a.matvec(v)
-        dense = a.to_dense()
-        scale = np.abs(dense) @ np.abs(v)
-        assert got.shape == (stored.shape[0],)
-        assert np.all(np.abs(got - dense @ v) <= 1e-13 * scale)
-        assert np.array_equal(a.matvec(v.copy()), got)
+        _assert_product(a, v)
 
-    # dense blocks of at least _PANEL_MIN_ENTRIES entries (64 x 64 = 4096),
-    # with a diagonal on the other rows as in the generated normal systems:
-    # (shape, blocks (r0, r1, c0, c1), dropped entries, diagonal?, panels)
+    @given(stacked_runs())
+    def test_runs_are_the_row_loop_runs_and_match_the_dense_product(self, case):
+        n_cols, stored_rows, seed = case
+        rows = np.repeat(np.arange(len(stored_rows)), [len(c) for c in stored_rows])
+        cols = np.array([c for r in stored_rows for c in r], dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
+        a = ComplexSparseMatrix.from_triplets(len(stored_rows), n_cols, rows, cols, values)
+        panels, diagonals, _, _ = _kernel_plan(a)
+        assert (panels, diagonals) == _loop_runs(a)
+        _assert_product(a, rng.standard_normal(n_cols) + 1j * rng.standard_normal(n_cols))
+
+    # (shape, dense blocks (r0, r1, c0, c1), dropped entries, diagonal
+    # stretches (r0, r1, c0), panels, diagonal runs); a block replaces its rows
     PANEL_CASES = {
-        "first rows": ((200, 200), [(0, 64, 0, 64)], [], True,
-                       [(0, 64, 0, 64)]),
-        "middle rows": ((200, 200), [(70, 134, 30, 94)], [], True,
-                        [(70, 134, 30, 94)]),
-        "last rows": ((200, 200), [(136, 200, 136, 200)], [], True,
-                      [(136, 200, 136, 200)]),
-        "adjacent, other start": ((200, 200), [(0, 64, 0, 64), (64, 128, 10, 74)],
-                                  [], True, [(0, 64, 0, 64), (64, 128, 10, 74)]),
-        "adjacent, other width": ((200, 200), [(0, 64, 0, 64), (64, 128, 0, 80)],
-                                  [], True, [(0, 64, 0, 64), (64, 128, 0, 80)]),
-        "dropped entry splits": ((200, 200), [(0, 140, 0, 64)], [(64, 30)], True,
-                                 [(0, 64, 0, 64), (65, 140, 0, 64)]),
-        "empty rows around": ((200, 100), [(10, 74, 20, 84)], [], False,
-                              [(10, 74, 20, 84)]),
-        "n x 1": ((5000, 1), [(0, 5000, 0, 1)], [], False, [(0, 5000, 0, 1)]),
+        "first rows": ((200, 200), [(0, 64, 0, 64)], [], MAIN_200,
+                       [(0, 64, 0, 64)], [(64, 200, 64, 200)]),
+        # 70 and 66 diagonal rows are below the run floor
+        "middle rows": ((200, 200), [(70, 134, 30, 94)], [], MAIN_200,
+                        [(70, 134, 30, 94)], []),
+        "last rows": ((200, 200), [(136, 200, 136, 200)], [], MAIN_200,
+                      [(136, 200, 136, 200)], [(0, 136, 0, 136)]),
+        "adjacent, other start": ((200, 200), [(0, 64, 0, 64), (64, 128, 10, 74)], [],
+                                  MAIN_200, [(0, 64, 0, 64), (64, 128, 10, 74)], []),
+        "adjacent, other width": ((200, 200), [(0, 64, 0, 64), (64, 128, 0, 80)], [],
+                                  MAIN_200, [(0, 64, 0, 64), (64, 128, 0, 80)], []),
+        "dropped entry splits": ((200, 200), [(0, 140, 0, 64)], [(64, 30)], MAIN_200,
+                                 [(0, 64, 0, 64), (65, 140, 0, 64)], []),
+        "empty rows around": ((200, 100), [(10, 74, 20, 84)], [], [],
+                              [(10, 74, 20, 84)], []),
+        # one-entry rows in one column are neither a panel nor a diagonal
+        "n x 1": ((5000, 1), [(0, 5000, 0, 1)], [], [], [], []),
+        "panel at the floor": ((200, 200), [(0, 32, 0, 32)], [], MAIN_200,
+                               [(0, 32, 0, 32)], [(32, 200, 32, 200)]),
+        "the n=400, block 40 systems": ((400, 400), [(0, 40, 0, 40)], [], [(0, 400, 0)],
+                                        [(0, 40, 0, 40)], [(40, 400, 40, 400)]),
+        # two-entry rows below the floor around the diagonal runs
+        "diagonal, first rows": ((300, 300), [(200, 300, 0, 2)], [], [(0, 200, 0)],
+                                 [], [(0, 200, 0, 200)]),
+        "diagonal, middle rows": ((300, 300), [(0, 50, 0, 2), (250, 300, 0, 2)], [],
+                                  [(50, 250, 50)], [], [(50, 250, 50, 250)]),
+        "diagonal, last rows": ((300, 300), [(0, 100, 0, 2)], [], [(100, 300, 100)],
+                                [], [(100, 300, 100, 300)]),
+        "diagonal at the floor": ((300, 300), [(128, 300, 0, 2)], [], [(0, 128, 0)],
+                                  [], [(0, 128, 0, 128)]),
+        "shifted diagonal": ((300, 400), [], [], [(0, 300, 100)], [], [(0, 300, 100, 400)]),
+        "below the diagonal, empty rows above": ((400, 300), [], [], [(100, 400, 0)],
+                                                 [], [(100, 400, 0, 300)]),
+        "a column gap splits": ((400, 401), [], [], [(0, 200, 0), (200, 400, 201)],
+                                [], [(0, 200, 0, 200), (200, 400, 201, 401)]),
+        "a two-entry row splits": ((400, 400), [(200, 201, 200, 202)], [], [(0, 400, 0)],
+                                   [], [(0, 200, 0, 200), (201, 400, 201, 400)]),
+        "an empty row splits": ((400, 400), [], [(200, 200)], [(0, 400, 0)],
+                                [], [(0, 200, 0, 200), (201, 400, 201, 400)]),
     }
 
     @staticmethod
-    def _pattern_matrix(shape, blocks, dropped, diagonal, seed=0):
+    def _pattern_matrix(shape, blocks, dropped, diagonals, seed=0):
         stored = np.zeros(shape, dtype=bool)
-        if diagonal:
-            np.fill_diagonal(stored, True)
+        for r0, r1, c0 in diagonals:
+            stored[np.arange(r0, r1), np.arange(c0, c0 + r1 - r0)] = True
         for r0, r1, c0, c1 in blocks:
             stored[r0:r1] = False
             stored[r0:r1, c0:c1] = True
@@ -163,27 +295,56 @@ class TestMatvecProperties:
 
     @pytest.mark.parametrize("case", list(PANEL_CASES))
     def test_dense_panels_match_dense_product_and_repeat_bits(self, case):
-        shape, blocks, dropped, diagonal, panels = self.PANEL_CASES[case]
-        a, v = self._pattern_matrix(shape, blocks, dropped, diagonal)
-        assert [p[:4] for p in a._panels] == panels
-        for r0, r1, c0, c1, panel in a._panels:
-            assert panel.shape == (r1 - r0, c1 - c0)
-            assert np.shares_memory(panel, a.values)
-        got = a.matvec(v)
-        dense = a.to_dense()
-        assert np.all(np.abs(got - dense @ v) <= 1e-13 * (np.abs(dense) @ np.abs(v)))
-        assert np.array_equal(a.matvec(v.copy()), got)
+        shape, blocks, dropped, diagonals, panels, runs = self.PANEL_CASES[case]
+        a, v = self._pattern_matrix(shape, blocks, dropped, diagonals)
+        assert _kernel_plan(a)[:2] == (panels, runs) == _loop_runs(a)
+        _assert_product(a, v)
 
-    @pytest.mark.parametrize("shape, blocks", [
-        ((200, 200), [(0, 63, 0, 64)]),    # one row short of the floor
-        ((400, 400), [(0, 40, 0, 40)]),    # the n=400, block 40 systems
-        ((3, 5000), [(1, 2, 0, 5000)]),    # one long row is not a panel
+    @pytest.mark.parametrize("shape, blocks, diagonals", [
+        ((200, 200), [(0, 31, 0, 33)], MAIN_200),    # 1023 entries
+        ((200, 200), [(0, 200, 0, 5)], []),          # 1000 entries
+        ((200, 200), [(127, 200, 0, 2)], [(0, 127, 0)]),  # 127 diagonal rows
+        ((3, 5000), [(1, 2, 0, 5000)], [(0, 3, 0)]),  # one long row is not a panel
     ])
-    def test_below_the_floor_gives_the_reduceat_bits(self, shape, blocks):
-        a, v = self._pattern_matrix(shape, blocks, [], True)
-        assert a._panels == []
-        plain = np.add.reduceat(a.values * v[a.col_indices], a.row_offsets[:-1])
-        assert np.array_equal(a.matvec(v), plain)
+    def test_below_the_floor_gives_the_reduceat_bits(self, shape, blocks, diagonals):
+        a, v = self._pattern_matrix(shape, blocks, [], diagonals)
+        assert _kernel_plan(a)[0] == []
+        assert np.array_equal(a.matvec(v), _reduceat_product(a, v))
+
+    @pytest.mark.parametrize("n, runs", [(1, []), (127, []), (128, [(0, 128, 0, 128)]),
+                                         (3000, [(0, 3000, 0, 3000)])])
+    def test_identity_is_one_diagonal_run(self, n, runs):
+        eye = ComplexSparseMatrix.identity(n)
+        assert _kernel_plan(eye)[:2] == ([], runs)
+        v = np.random.default_rng(n).standard_normal(n) + 1j
+        assert np.array_equal(eye.matvec(v), v)
+
+    def test_example33_has_no_run(self):
+        fixture = example33_fixture()
+        for m in (fixture.system.M, fixture.system.M_tilde):
+            assert m._runs == [] and m._rest_rows is None
+
+    # `values * v[cols]` reuses the gathered temporary from 16,384 entries
+    # (256 KiB) up and multiplies it first, which changes imaginary-part bits
+    @pytest.mark.parametrize("n", [4000, 4096, 10000])
+    def test_reduceat_products_have_fresh_array_bits_at_every_size(self, n):
+        rng = np.random.default_rng(n)
+        cols = np.sort((np.arange(n)[:, None] + [0, 3, 7, 11]) % n, axis=1).ravel()
+        rows = np.repeat(np.arange(n), 4)
+        values = rng.standard_normal(4 * n) + 1j * rng.standard_normal(4 * n)
+        a = ComplexSparseMatrix.from_triplets(n, n, rows, cols, values)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert a._rest_rows is None
+        assert np.array_equal(a.matvec(v), _reduceat_product(a, v))
+
+    def test_one_entry_product_has_fresh_array_bits(self):
+        # numpy multiplies one entry in place by a scalar loop of other bits
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            a = ComplexSparseMatrix.from_triplets(3, 3, [1], [2], [x])
+            v = np.array([0.0, 0.0, y])
+            assert np.array_equal(a.matvec(v), _reduceat_product(a, v))
 
 
 _PANEL_DIGEST = """
@@ -192,10 +353,14 @@ import numpy as np
 from gencheb.linalg import ComplexSparseMatrix
 rng = np.random.default_rng(5)
 digest = hashlib.sha256()
-for rows, w in ((400, 400), (2, 32768), (8000, 1), (1, 32768)):
+for rows, w in ((400, 400), (40, 40), (2, 32768), (8000, 1), (1, 32768)):
     dense = rng.standard_normal((rows, w)) + 1j * rng.standard_normal((rows, w))
     v = rng.standard_normal(w) + 1j * rng.standard_normal(w)
     digest.update(ComplexSparseMatrix.from_dense(dense).matvec(v).tobytes())
+n = 20000
+d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+digest.update(ComplexSparseMatrix(n, n, np.arange(n + 1), np.arange(n), d).matvec(v).tobytes())
 print(digest.hexdigest())
 """
 
@@ -251,10 +416,11 @@ class TestConjTranspose:
         _assert_same_arrays(a.conj_transpose(), _triplet_conj_transpose(a))
 
     @pytest.mark.parametrize("case", ["first rows", "middle rows", "adjacent, other start",
-                                      "dropped entry splits", "empty rows around"])
+                                      "dropped entry splits", "empty rows around",
+                                      "diagonal, middle rows", "a two-entry row splits"])
     def test_panel_bits_equal_the_triplet_transpose(self, case):
-        shape, blocks, dropped, diagonal, _ = TestMatvecProperties.PANEL_CASES[case]
-        a, _ = TestMatvecProperties._pattern_matrix(shape, blocks, dropped, diagonal)
+        shape, blocks, dropped, diagonals, _, _ = TestMatvecProperties.PANEL_CASES[case]
+        a, _ = TestMatvecProperties._pattern_matrix(shape, blocks, dropped, diagonals)
         _assert_same_arrays(a.conj_transpose(), _triplet_conj_transpose(a))
 
 

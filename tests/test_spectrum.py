@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gencheb.errors import InapplicableSpectrum, NoConvergence
 from gencheb.genmat import NormalMatrixSpec, assemble_normal_system
@@ -23,6 +25,9 @@ from gencheb.spectrum import (
 )
 
 EX33 = (0.9 + 0j, 0.4 + 0.7j, 0.4 - 0.7j, -0.5 + 0j)
+# |lambda1| = 0.3 selects k = 22, so |w| = 1/|lambda1^22| is about 3e11
+SMALL_COMPLEX = (0.2632747685671118 + 0.1438276615812609j,
+                 -0.2379396538174393 + 0.17774622679887508j)
 
 
 def info_for_ratio(r):
@@ -336,6 +341,25 @@ class TestReport:
         assert report.alpha is None
         assert report.predicted_accel_rate is not None
         assert 0.0 < report.predicted_accel_rate < 1.0
+
+    def test_small_complex_lambda1_power_has_a_rate(self):
+        report = build_report(SpectrumInfo(SMALL_COMPLEX, lambda1=SMALL_COMPLEX[0],
+                                           source="user_supplied"))
+        assert report.k_selected == 22
+        # the largest root of the cubic tends to 3w as |w| grows
+        assert report.predicted_accel_rate == pytest.approx(
+            report.predicted_basic_rate / 3.0, rel=1e-9)
+
+    @given(st.floats(0.05, 0.99), st.floats(-math.pi, math.pi),
+           st.floats(0.0, 0.95), st.floats(-math.pi, math.pi))
+    @example(0.3, 0.5, 0.99, 2.0)
+    def test_complex_lambda1_rates_on_random_spectra(self, modulus, arg, ratio, arg2):
+        lam1 = modulus * np.exp(1j * arg)
+        info = SpectrumInfo((lam1, ratio * modulus * np.exp(1j * arg2)),
+                            lambda1=lam1, source="exact")
+        report = build_report(info)
+        if report.k_selected is not None:
+            assert 0.0 < report.predicted_accel_rate < report.predicted_basic_rate
 
     def test_complex_lambda1_rate_matches_scheme_decay(self):
         from gencheb.solvers import IterationSystem, generalized_chebyshev_iterate
