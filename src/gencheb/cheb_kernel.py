@@ -22,7 +22,7 @@ from .errors import DegenerateCoefficient
 
 TWO_PI_I = 2j * np.pi
 
-#: Default absolute slack on the membership quartic.  Cusps are exact
+#: Absolute slack on the membership quartic.  Cusps are exact
 #: algebraic points; eigenvalue quotients computed in floating point are not.
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
@@ -76,20 +76,17 @@ def membership_defect(z):
     return h if h.ndim else float(h)
 
 
-def deltoid_contains(z: complex, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    """True iff z lies in the deltoid, up to absolute slack tol on h."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    return bool(membership_defect(complex(z)) <= tol)
+def deltoid_contains(z):
+    """True iff z lies in the deltoid, up to DEFAULT_MEMBERSHIP_TOL on h;
+    elementwise on arrays."""
+    return membership_defect(z) <= DEFAULT_MEMBERSHIP_TOL
 
 
-def power_preimage_contains(
-    z: complex, k: int, tol: float = DEFAULT_MEMBERSHIP_TOL
-) -> bool:
+def power_preimage_contains(z, k: int):
     """True iff z**k lies in the deltoid (preimage under the power map)."""
     if k < 1:
         raise ValueError(f"power must be positive, got {k}")
-    return deltoid_contains(complex(z) ** k, tol)
+    return deltoid_contains(z ** k)
 
 
 class ChebCoefficientStream:

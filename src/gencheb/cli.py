@@ -33,7 +33,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .cheb_kernel import DEFAULT_MEMBERSHIP_TOL, membership_defect
+from .cheb_kernel import membership_defect, power_preimage_contains
 from .errors import (
     Divergence,
     GenChebError,
@@ -117,7 +117,7 @@ def _write_report(args: argparse.Namespace, lines: list[str]) -> str:
 
 
 def read_spectrum_file(path: str) -> list[complex]:
-    """Eigenvalue list: one `re im` pair per line; # and % start comments."""
+    """Eigenvalue list: one finite `re im` pair per line; # and % start comments."""
     try:
         with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty: refused below
@@ -132,6 +132,8 @@ def read_spectrum_file(path: str) -> list[complex]:
         raise UnreadableMatrix(
             f"spectrum lines need two floats `re im`, got {data.shape[1]} in {path}"
         )
+    if not np.all(np.isfinite(data)):
+        raise UnreadableMatrix(f"spectrum file {path} holds a non-finite value")
     values = np.empty(data.shape[0], dtype=complex)
     values.real, values.imag = data[:, 0], data[:, 1]  # keeps the sign of -0.0
     return values.tolist()
@@ -350,7 +352,7 @@ def run_custom(args: argparse.Namespace) -> int:
 
 def _inside_flags(zs) -> list[np.ndarray]:
     """Deltoid membership of zs**k for k = 1, 2, 3."""
-    return [membership_defect(zs**k) <= DEFAULT_MEMBERSHIP_TOL for k in (1, 2, 3)]
+    return [power_preimage_contains(zs, k) for k in (1, 2, 3)]
 
 
 def _grid_rows(axis: np.ndarray):
@@ -420,6 +422,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_complex(text: str) -> complex:
+    """argparse type: a finite complex number, e.g. 0.9 or 0.4+0.7j."""
+    value = complex(text)  # a ValueError is reported as a usage error too
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _k_order(text: str) -> str | int:
     """argparse type for --k: 'auto' or a positive integer."""
     return text if text == "auto" else _count(1)(text)
@@ -483,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tilde", help="companion matrix file")
     p.add_argument("--tilde-rhs", help="companion right-hand side (.mtx)")
     p.add_argument("--spectrum", help="full eigenvalue list file")
-    p.add_argument("--lambda1", type=complex, default=None,
+    p.add_argument("--lambda1", type=_finite_complex, default=None,
                    help="dominant eigenvalue, e.g. 0.9 or 0.4+0.7j")
     p.add_argument("--estimate", action="store_true",
                    help="estimate lambda1 by power iteration")
@@ -497,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("report", "spectrum report without running solvers", "--k-max")
     p.add_argument("--spectrum")
-    p.add_argument("--lambda1", type=complex, default=None)
+    p.add_argument("--lambda1", type=_finite_complex, default=None)
     return parser
 
 

@@ -320,8 +320,8 @@ def dense_eigendecomposition(a, max_dim: int = 64):
     """Eigenvalues and eigenvectors of a small dense matrix.
 
     Validation tool, not a production eigensolver; hence the dimension
-    guard.  Each returned pair satisfies |A v - lambda v| <= 1e-8 for the
-    unit-norm eigenvector, else ConvergenceFailure is raised.
+    guard.  Each returned pair satisfies |A v - lambda v| <= 1e-8 |A|_F |v|,
+    else ConvergenceFailure is raised.
     """
     if isinstance(a, ComplexSparseMatrix):
         a = a.to_dense()
@@ -338,7 +338,7 @@ def dense_eigendecomposition(a, max_dim: int = 64):
         raise ConvergenceFailure(f"dense eigensolve failed: {exc}") from exc
     residual = np.linalg.norm(a @ eigenvectors - eigenvectors * eigenvalues, axis=0)
     norms = np.linalg.norm(eigenvectors, axis=0)
-    if np.any(residual > 1e-8 * norms):
+    if np.any(residual > 1e-8 * np.linalg.norm(a) * norms):
         raise ConvergenceFailure(
             f"eigenpair residual {residual.max():.3e} above contract"
         )

@@ -10,20 +10,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .cheb_kernel import DEFAULT_MEMBERSHIP_TOL, membership_defect
+from .cheb_kernel import deltoid_contains
 from .errors import InapplicableSpectrum, NoConvergence
-from .linalg import ComplexSparseMatrix, dense_eigendecomposition
+from .linalg import ComplexSparseMatrix
 
 UNIQUE_DOMINANT = "unique_dominant"
 ROOT_OF_UNITY_FAMILY = "root_of_unity_family"
 INAPPLICABLE = "inapplicable"
 
-#: Dominance tolerance by spectrum source; estimated spectra get more slack.
-DEFAULT_MOD_TOL = {"exact": 1e-8, "user_supplied": 1e-8, "estimated": 1e-3}
+#: Labels a spectrum's source may carry; the report prints it.
+SOURCES = ("exact", "user_supplied", "estimated")
+#: Relative modulus gap within which an eigenvalue counts as dominant, and
+#: the slack on |ratio**n - 1| for a root-of-unity ratio; one for every source.
+DOMINANCE_TOL = 1e-8
 DEFAULT_ROU_MAX_ORDER = 64
 
 
@@ -42,14 +44,16 @@ class SpectrumInfo:
     partial: bool = False
 
     def __post_init__(self):
-        if self.source not in DEFAULT_MOD_TOL:
+        if self.source not in SOURCES:
             raise ValueError(f"unknown spectrum source {self.source!r}")
         lam1 = complex(self.lambda1)
+        evs = tuple(complex(v) for v in self.eigenvalues)
+        if not np.all(np.isfinite((lam1, *evs))):
+            raise ValueError("lambda1 and the eigenvalues must be finite")
         if lam1 == 0:
             raise InapplicableSpectrum("dominant eigenvalue must be nonzero")
         if abs(lam1) >= 1.0:
             raise InapplicableSpectrum(f"spectral radius must be below one, got |{lam1}|")
-        evs = tuple(complex(v) for v in self.eigenvalues)
         if not evs:
             raise ValueError("eigenvalue list must not be empty")
         slack = 1.0 + 1e-12
@@ -57,9 +61,6 @@ class SpectrumInfo:
             raise ValueError("lambda1 must have maximal modulus among eigenvalues")
         object.__setattr__(self, "eigenvalues", evs)
         object.__setattr__(self, "lambda1", lam1)
-
-    def mod_tol(self) -> float:
-        return DEFAULT_MOD_TOL[self.source]
 
 
 @dataclass(frozen=True)
@@ -77,44 +78,13 @@ class Classification:
         return self.kind
 
 
-def _root_of_unity_order(zeta: complex, tol: float) -> int | None:
+def _root_of_unity_order(zeta: complex) -> int | None:
     power = 1.0 + 0j
     for n in range(1, DEFAULT_ROU_MAX_ORDER + 1):
         power *= zeta
-        if abs(power - 1.0) <= tol:
+        if abs(power - 1.0) <= DOMINANCE_TOL:
             return n
     return None
-
-
-def _dominance(info: SpectrumInfo) -> tuple[Classification, float]:
-    """The dominant set's classification and the largest other quotient.
-
-    Eigenvalues within `info.mod_tol()` of |lambda1| in modulus are
-    dominant.  Several dominants are workable only when every pairwise
-    ratio is a root of unity (order capped at DEFAULT_ROU_MAX_ORDER); the
-    family order k0 is the lcm of the minimal orders, and a family of
-    order 1 is one eigenvalue.  The quotient is max |v / lambda1| over the
-    other eigenvalues, 0 when there is none.
-    """
-    tol = info.mod_tol()
-    bar = (1.0 - tol) * abs(info.lambda1)
-    mods = list(map(abs, info.eigenvalues))
-    dominant = [v for v, r in zip(info.eigenvalues, mods) if r >= bar]
-    ratio = max((r for r in mods if r < bar), default=0.0) / abs(info.lambda1)
-    k0 = 1
-    for i, a in enumerate(dominant):
-        for b in dominant[i + 1:]:
-            order = _root_of_unity_order(a / b, tol)
-            if order is None:
-                return Classification(INAPPLICABLE), ratio
-            k0 = math.lcm(k0, order)
-    kind = UNIQUE_DOMINANT if k0 == 1 else ROOT_OF_UNITY_FAMILY
-    return Classification(kind, k0), ratio
-
-
-def classify_dominant(info: SpectrumInfo) -> Classification:
-    """Unique dominant eigenvalue, root-of-unity family, or inapplicable."""
-    return _dominance(info)[0]
 
 
 def _smallest_k_for_ratio(r: float) -> int:
@@ -129,6 +99,37 @@ def _smallest_k_for_ratio(r: float) -> int:
     return k
 
 
+def _dominance(info: SpectrumInfo) -> tuple[Classification, int | None]:
+    """The dominant set's classification and the modulus-bound k.
+
+    Eigenvalues within DOMINANCE_TOL of |lambda1| in relative modulus are
+    dominant.  Several dominants are workable only when every pairwise
+    ratio is a root of unity (order capped at DEFAULT_ROU_MAX_ORDER); the
+    family order k0 is the lcm of the minimal orders, and a family of
+    order 1 is one eigenvalue.  The bound is k0 times the smallest k1 that
+    shrinks the largest other quotient max |v / lambda1| (0 when there is
+    none) into the |z| <= 1/3 disc; None for an inapplicable dominant set.
+    """
+    bar = (1.0 - DOMINANCE_TOL) * abs(info.lambda1)
+    mods = list(map(abs, info.eigenvalues))
+    dominant = [v for v, r in zip(info.eigenvalues, mods) if r >= bar]
+    ratio = max((r for r in mods if r < bar), default=0.0) / abs(info.lambda1)
+    k0 = 1
+    for i, a in enumerate(dominant):
+        for b in dominant[i + 1:]:
+            order = _root_of_unity_order(a / b)
+            if order is None:
+                return Classification(INAPPLICABLE), None
+            k0 = math.lcm(k0, order)
+    kind = UNIQUE_DOMINANT if k0 == 1 else ROOT_OF_UNITY_FAMILY
+    return Classification(kind, k0), k0 * _smallest_k_for_ratio(ratio)
+
+
+def classify_dominant(info: SpectrumInfo) -> Classification:
+    """Unique dominant eigenvalue, root-of-unity family, or inapplicable."""
+    return _dominance(info)[0]
+
+
 def select_k_bound(info: SpectrumInfo) -> int:
     """Transform order from the modulus bound: k0 * k1.
 
@@ -138,17 +139,14 @@ def select_k_bound(info: SpectrumInfo) -> int:
     when no other eigenvalue is known.  Raises InapplicableSpectrum when
     the dominant set is not such a family.
     """
-    cls, ratio = _dominance(info)
-    if cls.kind == INAPPLICABLE:
+    cls, k_bound = _dominance(info)
+    if k_bound is None:
         raise InapplicableSpectrum(f"no modulus-bound k: classification is {cls}")
-    return cls.k0 * _smallest_k_for_ratio(ratio)
+    return k_bound
 
 
-def select_k_geometric(
-    info: SpectrumInfo,
-    k_max: int = DEFAULT_ROU_MAX_ORDER,
-    tol: float = DEFAULT_MEMBERSHIP_TOL,
-) -> int | None:
+def select_k_geometric(info: SpectrumInfo,
+                       k_max: int = DEFAULT_ROU_MAX_ORDER) -> int | None:
     """Smallest k putting every eigenvalue quotient in the deltoid preimage.
 
     Uses the full eigenvalue list, so it can beat the modulus bound when
@@ -158,7 +156,7 @@ def select_k_geometric(
     quotients = np.asarray(info.eigenvalues, dtype=complex) / complex(info.lambda1)
     powers = quotients.copy()
     for k in range(1, k_max + 1):
-        if np.all(membership_defect(powers) <= tol):
+        if np.all(deltoid_contains(powers)):
             return k
         powers = powers * quotients
     return None
@@ -200,11 +198,10 @@ def mu_max(lam: complex, alpha: float) -> float:
 
     The cubic is mu^3 - a*lam*mu^2 - b*conj(lam)*mu - c with coefficients
     a = 1 + q + q^2, b = -(q + q^2 + q^3), c = q^3, q = e^-alpha; solved
-    via a 3x3 companion-matrix eigendecomposition.  At the dominant
-    eigenvalue the cubic degenerates to a triple root, which double
-    precision resolves only to ~eps^(1/3); an unresolvable root cluster is
-    therefore reported through its centroid (exact for a true triple root)
-    instead of the noisy individual roots.
+    by np.roots.  At the dominant eigenvalue the cubic degenerates to a
+    triple root, which double precision resolves only to ~eps^(1/3); an
+    unresolvable root cluster is therefore reported through its centroid
+    (exact for a true triple root) instead of the noisy individual roots.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -213,14 +210,7 @@ def mu_max(lam: complex, alpha: float) -> float:
     a = 1.0 + q + q * q
     b = -(q + q * q + q**3)
     c = q**3
-    # monic cubic mu^3 + p2 mu^2 + p1 mu + p0
-    p2 = -a * lam
-    p1 = -b * lam.conjugate()
-    p0 = -c
-    companion = np.array(
-        [[0, 0, -p0], [1, 0, -p1], [0, 1, -p2]], dtype=complex
-    )
-    roots, _ = dense_eigendecomposition(companion)
+    roots = np.roots([1.0, -a * lam, -b * lam.conjugate(), -c])
     centroid = roots.sum() / 3.0
     diameter = max(
         abs(roots[0] - roots[1]), abs(roots[0] - roots[2]), abs(roots[1] - roots[2])
@@ -238,24 +228,13 @@ def _stream_decay_rate(lam_k: complex) -> float:
     lam_k the roots are e^alpha, 1, e^-alpha and this reduces to e^-alpha.
     """
     w = 1.0 / complex(lam_k)
-    # np.roots, not dense_eigendecomposition: at |w| ~ 1e11 the companion
-    # matrix is too badly scaled for its absolute residual contract
     roots = np.roots([1.0, -3.0 * w, 3.0 * w.conjugate(), -1.0])
     return float(1.0 / np.max(np.abs(roots)))
 
 
-@lru_cache(maxsize=1)
-def _practical_constant() -> float:
-    """Real root of z^3 + z^2 + 2z - 1, by bisection to 1e-12."""
-    f = lambda z: z**3 + z * z + 2.0 * z - 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-13:
-        mid = (lo + hi) / 2.0
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+#: Real root of z^3 + z^2 + 2z - 1; the other two roots are complex.
+_PRACTICAL_CONSTANT = float(
+    min(np.roots([1.0, 1.0, 2.0, -1.0]), key=lambda z: abs(z.imag)).real)
 
 
 def feasibility_threshold(k: int) -> float:
@@ -263,7 +242,7 @@ def feasibility_threshold(k: int) -> float:
     iteration at fair (per-matvec) cost, under a k-power transform."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return _practical_constant() ** (1.0 / k)
+    return _PRACTICAL_CONSTANT ** (1.0 / k)
 
 
 def estimate_dominant_eigenvalue(
@@ -348,7 +327,7 @@ class SpectrumReport:
                 f"{self.practical_threshold:.6f}",
                 f"practical: {self.practical}",
                 "practical constant: real root of z^3 + z^2 + 2z - 1 "
-                f"= {_practical_constant():.6f}; threshold is its k-th root",
+                f"= {_PRACTICAL_CONSTANT:.6f}; threshold is its k-th root",
             ]
         else:
             reason = ("acceleration not applicable" if self.k_bound is None
@@ -368,10 +347,9 @@ def build_report(
     inapplicable spectrum, or a selected k above k_max, yields a report
     with no k_selected and no rates rather than an exception.
     """
-    cls = classify_dominant(info)
-    if cls.kind == INAPPLICABLE:
+    cls, k_bound = _dominance(info)
+    if k_bound is None:
         return SpectrumReport(cls, info.lambda1, info.source)
-    k_bound = select_k_bound(info)
     k_geometric = None if info.partial else select_k_geometric(info, k_max)
     k_selected = min(k_bound, k_geometric or k_bound)
     if k_selected > k_max:

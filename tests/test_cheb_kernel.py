@@ -82,7 +82,7 @@ class TestEvalF:
         for t1, t2 in rng.random((200, 2)):
             x = complex(phi1(t1, t2))
             for m in range(0, 51, 5):
-                assert deltoid_contains(eval_f(m, x), 1e-9)
+                assert deltoid_contains(eval_f(m, x))
 
 
 class TestDeltoid:
@@ -109,10 +109,6 @@ class TestDeltoid:
         t1, t2 = np.meshgrid(np.linspace(0, 1, 100), np.linspace(0, 1, 100))
         vals = phi1(t1, t2)
         assert np.max(membership_defect(vals)) <= 1e-12
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            deltoid_contains(0.0, tol=-1.0)
 
 
 class TestPowerPreimage:

@@ -478,7 +478,7 @@ class TestSpectrumFile:
 
     @pytest.mark.parametrize("text", [
         "0.9\n", "0.9 0.0 1.0\n", "0.9 0.0\n0.5\n", "0.9 0.0\n0.5 abc\n",
-        "", "# only comments\n\n%\n",
+        "", "# only comments\n\n%\n", "0.9 0.0\nnan 0.0\n", "0.9 inf\n",
     ])
     def test_malformed_or_empty_refused(self, tmp_path, text):
         spath = tmp_path / "s.txt"
@@ -599,6 +599,103 @@ class TestReportCommand:
 
     def test_needs_input(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "o")]) == EXIT_IO
+
+
+class TestNonFiniteSpectrum:
+    @pytest.mark.parametrize("text", ["0.9 0\nnan 0\n", "nan 0\n0.9 0\n",
+                                      "0.9 0\n0.5 -inf\n"])
+    @pytest.mark.parametrize("subcommand", ["report", "custom", "deltoid-sample"])
+    def test_spectrum_file_refused(self, tmp_path, capsys, subcommand, text):
+        spath = tmp_path / "nonfinite.txt"
+        spath.write_text(text)
+        flags = ["--spectrum", str(spath), "--out", str(tmp_path / "o")]
+        if subcommand == "custom":
+            mpath = tmp_path / "M.mtx"
+            write_matrix_market(example33_fixture().system.M, mpath)
+            flags += ["--matrix", str(mpath), "--schemes", "basic"]
+        assert main([subcommand, *flags]) == EXIT_IO
+        assert "nonfinite.txt holds a non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "0.5+nanj", "inf", "-infj"])
+    @pytest.mark.parametrize("subcommand", ["report", "custom"])
+    def test_lambda1_flag_is_a_usage_error(self, tmp_path, capsys, subcommand, value):
+        out = tmp_path / "o"
+        extra = ["--matrix", "M.mtx"] if subcommand == "custom" else []
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, *extra, f"--lambda1={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --lambda1: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+#: report.txt from line 2 on, as printed before dominance, membership and the
+#: rate cubics were each reduced to one code path; the reports must not move.
+PINNED_REPORTS = {
+    "complex_lambda1": ("0.4 0.7\n0.3 -0.2\n-0.5 0.1\n0.2 0.4\n", """\
+classification: unique_dominant
+lambda1: (0.4+0.7j)
+spectrum source: user_supplied
+k_bound: 3
+k_geometric: 2
+k_selected: 2
+predicted_basic_rate (|lambda1|^k): 0.650000
+predicted_accel_rate: 0.301559
+fair_comparison_rate (|lambda1|^2k): 0.422500
+alpha: n/a
+g_rate: n/a
+practical_threshold (k=2): 0.626615
+practical: True
+practical constant: real root of z^3 + z^2 + 2z - 1 = 0.392647; threshold is its k-th root
+"""),
+    "root_of_unity_family": ("0.8 0\n-0.8 0\n0 0.8\n0 -0.8\n0.3 0.2\n-0.5 0.1\n", """\
+classification: root_of_unity_family(k0=4)
+lambda1: (0.8+0j)
+spectrum source: user_supplied
+k_bound: 12
+k_geometric: 4
+k_selected: 4
+predicted_basic_rate (|lambda1|^k): 0.409600
+predicted_accel_rate: 0.162287
+fair_comparison_rate (|lambda1|^2k): 0.167772
+alpha: 1.818390
+g_rate: 0.162287
+practical_threshold (k=4): 0.791590
+practical: True
+practical constant: real root of z^3 + z^2 + 2z - 1 = 0.392647; threshold is its k-th root
+"""),
+    "example33": (None, """\
+classification: unique_dominant
+lambda1: (0.9+0j)
+spectrum source: exact
+k_bound: 10
+k_geometric: 2
+k_selected: 2
+predicted_basic_rate (|lambda1|^k): 0.810000
+predicted_accel_rate: 0.442180
+fair_comparison_rate (|lambda1|^2k): 0.656100
+alpha: 0.816039
+g_rate: 0.442180
+practical_threshold (k=2): 0.626615
+practical: True
+practical constant: real root of z^3 + z^2 + 2z - 1 = 0.392647; threshold is its k-th root
+k_used: 2
+measured_basic_rate[geomean m=30..60]: 0.810050
+measured_generalized_rate[lsqfit m=10..38]: 0.442383
+"""),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_pinned_report_text(tmp_path, name):
+    spectrum, expected = PINNED_REPORTS[name]
+    out = tmp_path / "o"
+    if spectrum is None:
+        argv = ["example33", "--out", str(out)]
+    else:
+        (tmp_path / "s.txt").write_text(spectrum)
+        argv = ["report", "--spectrum", str(tmp_path / "s.txt"), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert (out / "report.txt").read_text().split("\n", 1)[1] == expected
 
 
 class TestCommonFlags:

@@ -514,7 +514,17 @@ class TestDenseEig:
         a = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
         vals, vecs = dense_eigendecomposition(a)
         resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
-        assert np.all(resid <= 1e-8 * np.linalg.norm(vecs, axis=0))
+        assert np.all(resid <= 1e-8 * np.linalg.norm(a) * np.linalg.norm(vecs, axis=0))
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e6, 1e8])
+    def test_contract_is_relative_to_the_matrix_norm(self, scale):
+        # an absolute bound refused 10 of these 50 draws at 1e6 and all at 1e8
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            vals, _ = dense_eigendecomposition(scale * a)
+            assert np.allclose(np.sort_complex(vals / scale),
+                               np.sort_complex(np.linalg.eigvals(a)), atol=1e-8)
 
 
 class TestVectorValidation:

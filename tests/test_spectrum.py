@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gencheb.cheb_kernel import deltoid_contains
 from gencheb.errors import InapplicableSpectrum, NoConvergence
 from gencheb.genmat import NormalMatrixSpec, assemble_normal_system
 from gencheb.linalg import ComplexSparseMatrix
@@ -12,7 +13,9 @@ from gencheb.spectrum import (
     INAPPLICABLE,
     ROOT_OF_UNITY_FAMILY,
     UNIQUE_DOMINANT,
+    _PRACTICAL_CONSTANT,
     SpectrumInfo,
+    _stream_decay_rate,
     alpha_from_lambda1,
     asymptotic_rate_g,
     build_report,
@@ -388,7 +391,91 @@ class TestReport:
         assert any("practical" in line for line in lines)
 
 
+polar = st.tuples(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def spectra(draw):
+    """A unique dominant eigenvalue, a root-of-unity family of order 2-6, or a
+    dominant pair at an arbitrary angle, each with random smaller others."""
+    modulus = draw(st.floats(0.05, 0.99))
+    lam1 = modulus * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    kind = draw(st.sampled_from(["unique", "family", "pair"]))
+    if kind == "unique":
+        dominant = [lam1]
+    elif kind == "family":
+        order = draw(st.integers(2, 6))
+        dominant = list(lam1 * np.exp(2j * np.pi * np.arange(order) / order))
+    else:
+        dominant = [lam1, lam1 * np.exp(1j * draw(st.floats(0.01, 2 * math.pi - 0.01)))]
+    others = [0.999 * modulus * r * np.exp(1j * t)
+              for r, t in draw(st.lists(polar, max_size=6))]
+    values = tuple(complex(v) for v in dominant + others)
+    return SpectrumInfo(values, lambda1=max(values, key=abs), source="exact")
+
+
+def separated(roots, gap=1e-2):
+    return min(abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]) >= gap
+
+
+class TestSinglePass:
+    @given(spectra())
+    def test_report_reads_the_public_selectors(self, info):
+        report = build_report(info)
+        assert report.classification == classify_dominant(info)
+        try:
+            assert report.k_bound == select_k_bound(info)
+        except InapplicableSpectrum:
+            assert report.k_bound is None
+
+    @given(spectra(), st.integers(1, 6))
+    def test_membership_on_an_array_is_the_scalar_test(self, info, k):
+        powers = (np.asarray(info.eigenvalues) / info.lambda1) ** k
+        assert deltoid_contains(powers).tolist() == [
+            deltoid_contains(complex(z)) for z in powers]
+
+    @given(polar, st.floats(0.05, 3.0))
+    def test_mu_max_is_the_largest_companion_root(self, lam, alpha):
+        lam = lam[0] * np.exp(1j * lam[1])
+        q = math.exp(-alpha)
+        a, b, c = 1 + q + q * q, -(q + q * q + q**3), q**3
+        roots = np.linalg.eigvals(np.array(
+            [[0, 0, c], [1, 0, b * np.conj(lam)], [0, 1, a * lam]], dtype=complex))
+        if separated(roots):
+            assert mu_max(lam, alpha) == pytest.approx(max(abs(roots)), rel=1e-9)
+
+    @given(st.floats(0.01, 0.99), st.floats(-math.pi, math.pi))
+    def test_stream_decay_is_the_largest_companion_root(self, modulus, arg):
+        w = 1.0 / (modulus * np.exp(1j * arg))
+        roots = np.linalg.eigvals(np.array(
+            [[0, 0, 1], [1, 0, -3 * np.conj(w)], [0, 1, 3 * w]], dtype=complex))
+        if separated(roots):
+            assert _stream_decay_rate(1.0 / w) == pytest.approx(
+                1.0 / max(abs(roots)), rel=1e-9)
+
+    def test_practical_constant_is_the_cubic_root(self):
+        c = _PRACTICAL_CONSTANT
+        assert abs(c**3 + c * c + 2.0 * c - 1.0) < 1e-15
+        assert feasibility_threshold(1) == c
+
+    def test_estimated_spectrum_uses_the_same_dominance_tolerance(self):
+        pair = (0.9, 0.8995)
+        estimated = build_report(SpectrumInfo(pair, lambda1=0.9, source="estimated"))
+        exact = build_report(SpectrumInfo(pair, lambda1=0.9, source="exact"))
+        assert estimated.classification == exact.classification
+        assert estimated.k_bound == exact.k_bound == 1977
+
+
 class TestInfoValidation:
+    @pytest.mark.parametrize("values, lam1", [
+        ((0.9, math.nan), 0.9), ((math.nan, 0.9), 0.9), ((0.5, math.inf), 0.5),
+        ((0.5,), complex(0.5, math.nan)), ((math.nan,), math.nan),
+        ((complex(0.0, -math.inf),), complex(0.0, -math.inf)),
+    ])
+    def test_non_finite_values_refused(self, values, lam1):
+        with pytest.raises(ValueError, match="must be finite"):
+            SpectrumInfo(values, lambda1=lam1, source="user_supplied")
+
     def test_lambda1_must_dominate(self):
         with pytest.raises(ValueError):
             SpectrumInfo((0.9, 0.5), lambda1=0.5, source="exact")
