@@ -4,8 +4,8 @@ Subcommands build or load one iteration system, classify its spectrum,
 pick the power-transform order k, run the requested schemes, and write a
 plot-ready trace.csv plus a plain-text report.txt into the output
 directory.  Line 1 of every output file records the subcommand and the
-flags it parsed.  One experiment per process; exit codes are part of the
-contract:
+flags it parsed, non-ASCII characters escaped as \\xNN.  One experiment per
+process; exit codes, 1 and 3-5 as listed in `_EXIT_CODES`, are the contract:
 
     0  success
     2  usage error (argparse)
@@ -19,6 +19,7 @@ contract:
     5  unreadable input / IO failure, or custom input files that disagree
        in shape (a non-square --matrix, a --tilde unlike it, or an --rhs
        or --tilde-rhs of the wrong length); the message names the file
+    1  any other gencheb error
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _metadata(args: argparse.Namespace) -> str:
 def _write_csv(args: argparse.Namespace, name: str, header: list[str], rows) -> str:
     """Write <out>/<name>: a `# metadata` line, the header, then the rows."""
     path = os.path.join(args.out, name)
-    with open(path, "w", newline="", encoding="ascii") as fh:
+    with open(path, "w", newline="", encoding="ascii", errors="backslashreplace") as fh:
         fh.write(f"# {_metadata(args)}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -109,10 +110,8 @@ def _trace_rows(traces: list[ConvergenceTrace]):
 
 def _write_report(args: argparse.Namespace, lines: list[str]) -> str:
     path = os.path.join(args.out, "report.txt")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_metadata(args) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+    with open(path, "w", encoding="ascii", errors="backslashreplace") as fh:
+        fh.writelines(f"{line}\n" for line in [_metadata(args), *lines])
     return path
 
 
@@ -152,19 +151,6 @@ def _spectrum_info(args: argparse.Namespace) -> SpectrumInfo | None:
     return None
 
 
-def _k_used(args: argparse.Namespace, report) -> int:
-    """The order given by --k, or the report's choice for --k auto."""
-    return report.k_selected if args.k == "auto" else args.k
-
-
-def _refuse(args: argparse.Namespace, report, lines: list[str]) -> int:
-    """Write report.txt for a report with no selected k; exit code 3."""
-    _write_report(args, lines)
-    print(f"{args.subcommand}: no k selected ({report.classification}, "
-          f"--k-max {args.k_max}); report written", file=sys.stderr)
-    return EXIT_INAPPLICABLE
-
-
 def _run_schemes(
     args: argparse.Namespace,
     base_system: IterationSystem,
@@ -197,6 +183,10 @@ def _run_schemes(
     return traces, lines, code
 
 
+_ESTIMATORS = {"geomean": ConvergenceTrace.geometric_mean_ratio,
+               "lsqfit": ConvergenceTrace.fitted_rate}
+
+
 def _measured_lines(traces: list[ConvergenceTrace], windows: dict) -> list[str]:
     lines = []
     for trace in traces:
@@ -207,27 +197,33 @@ def _measured_lines(traces: list[ConvergenceTrace], windows: dict) -> list[str]:
         last = min(last, trace.steps[-1])
         if last <= first:
             continue
-        if estimator == "geomean":
-            value = trace.geometric_mean_ratio(first, last)
-        else:
-            value = trace.fitted_rate(first, last)
-        lines.append(
-            f"measured_{trace.scheme}_rate[{estimator} m={first}..{last}]: {value:.6f}"
-        )
+        value = _ESTIMATORS[estimator](trace, first, last)
+        lines.append(f"measured_{trace.scheme}_rate[{estimator} m={first}..{last}]: "
+                     f"{value:.6f}")
     return lines
 
 
-def _run_planted(args, info, system, x, extra_lines, windows) -> int:
-    """Report, scheme runs, trace and rate lines for a built-in system whose
-    spectrum and solution x are known."""
+def _experiment(args: argparse.Namespace, info: SpectrumInfo, system: IterationSystem,
+                lines: list[str], x=None, tol: float | None = None,
+                windows: dict | None = None) -> int:
+    """The experiment of example33, normal-sparse and custom: report on `info`
+    (no k: report.txt and exit 3), run the schemes on `system` at --k or the
+    selected k, write trace.csv, and write report.txt as the report, `k_used`,
+    `lines`, the stop lines and the rates measured over `windows`."""
     report = build_report(info, k_max=args.k_max)
     if report.k_selected is None:
-        return _refuse(args, report, report.lines() + extra_lines)
-    k = _k_used(args, report)
-    traces, stops, code = _run_schemes(args, system, k, x)
+        _write_report(args, report.lines() + lines)
+        print(f"{args.subcommand}: no k selected ({report.classification}, "
+              f"--k-max {args.k_max}); report written", file=sys.stderr)
+        return EXIT_INAPPLICABLE
+    if "generalized" in args.schemes and system.M_tilde is None:
+        raise UnreadableMatrix("generalized scheme needs --tilde (or --assume-normal "
+                               "for a normal matrix)")
+    k = report.k_selected if args.k == "auto" else args.k
+    traces, stops, code = _run_schemes(args, system, k, x, tol)
     _write_csv(args, "trace.csv", TRACE_HEADER, _trace_rows(traces))
-    lines = report.lines() + [f"k_used: {k}"] + extra_lines + stops
-    path = _write_report(args, lines + _measured_lines(traces, windows))
+    path = _write_report(args, [*report.lines(), f"k_used: {k}", *lines, *stops,
+                                *_measured_lines(traces, windows or {})])
     print(f"{args.subcommand}: wrote {path}")
     return code
 
@@ -235,7 +231,7 @@ def _run_planted(args, info, system, x, extra_lines, windows) -> int:
 def run_example33(args: argparse.Namespace) -> int:
     fixture = example33_fixture()
     info = SpectrumInfo(fixture.eigenvalues, lambda1=0.9, source="exact")
-    return _run_planted(args, info, fixture.system, fixture.x, [], {
+    return _experiment(args, info, fixture.system, [], x=fixture.x, windows={
         "basic": (*EX33_BASIC_WINDOW, "geomean"),
         "generalized": (*EX33_ACCEL_WINDOW, "lsqfit"),
     })
@@ -249,7 +245,8 @@ def run_normal_sparse(args: argparse.Namespace) -> int:
     gen = assemble_normal_system(spec)
     write_generated_system(gen, spec, args.out)
     info = SpectrumInfo(tuple(gen.planted), lambda1=spec.lambda1, source="exact")
-    return _run_planted(args, info, gen.system, gen.x, [f"nnz: {gen.system.M.nnz}"], {
+    lines = [f"nnz: {gen.system.M.nnz}"]
+    return _experiment(args, info, gen.system, lines, x=gen.x, windows={
         "basic": (*NORMAL_SPARSE_WINDOW, "geomean"),
         "generalized": (*NORMAL_SPARSE_WINDOW, "geomean"),
     })
@@ -301,18 +298,19 @@ def run_custom(args: argparse.Namespace) -> int:
         raise UnreadableMatrix(f"{args.matrix} has shape {matrix.shape}, "
                                "expected a square matrix")
     info = _custom_spectrum(args, matrix)
-    report = build_report(info, k_max=args.k_max)
-    lines = list(report.lines())
 
-    default_convention = args.rhs is None
-    x_ref = np.ones(n, dtype=complex) if default_convention else None
-    g = (
-        x_ref - matrix.matvec(x_ref)
-        if default_convention
-        else _read_shaped(args.rhs, (n,))
-    )
+    def rhs(path, m):
+        """The vector in `path`, else (I - m) ones unless --rhs was given."""
+        if path is not None:
+            return _read_shaped(path, (n,))
+        if args.rhs is None:
+            ones = np.ones(n, dtype=complex)
+            return ones - m.matvec(ones)
+        raise UnreadableMatrix("--tilde or --assume-normal with --rhs also needs "
+                               "--tilde-rhs (reference solution unknown)")
 
-    m_tilde = g_tilde = None
+    g = rhs(args.rhs, matrix)
+    m_tilde, lines = None, []
     if args.tilde:
         m_tilde = _read_shaped(args.tilde, matrix.shape)
     elif args.assume_normal:
@@ -320,34 +318,12 @@ def run_custom(args: argparse.Namespace) -> int:
         rel, products = _commutator_check(matrix, m_tilde, args.seed)
         lines.append(f"commutator_check: {rel:.3e} (randomized, {products} products)")
         if rel > 1e-6:
-            print(
-                f"warning: --assume-normal but relative commutator norm is "
-                f"{rel:.3e}", file=sys.stderr,
-            )
-    if m_tilde is not None:
-        if args.tilde_rhs:
-            g_tilde = _read_shaped(args.tilde_rhs, (n,))
-        elif default_convention:
-            g_tilde = x_ref - m_tilde.matvec(x_ref)
-        else:
-            raise UnreadableMatrix("--tilde or --assume-normal with --rhs also needs "
-                                   "--tilde-rhs (reference solution unknown)")
-
-    if report.k_selected is None:
-        return _refuse(args, report, lines)
-
-    k = _k_used(args, report)
-    if "generalized" in args.schemes and m_tilde is None:
-        raise UnreadableMatrix(
-            "generalized scheme needs --tilde (or --assume-normal for a normal matrix)"
-        )
-    system = IterationSystem(
-        M=matrix, g=g, M_tilde=m_tilde, g_tilde=g_tilde, lambda1=info.lambda1,
-    )
-    traces, stops, code = _run_schemes(args, system, k, tol=args.tol)
-    _write_csv(args, "trace.csv", TRACE_HEADER, _trace_rows(traces))
-    _write_report(args, lines + stops + [f"k_used: {k}"])
-    return code
+            print(f"warning: --assume-normal but relative commutator norm is {rel:.3e}",
+                  file=sys.stderr)
+    g_tilde = None if m_tilde is None else rhs(args.tilde_rhs, m_tilde)
+    system = IterationSystem(M=matrix, g=g, M_tilde=m_tilde, g_tilde=g_tilde,
+                             lambda1=info.lambda1)
+    return _experiment(args, info, system, lines, tol=args.tol)
 
 
 def _inside_flags(zs) -> list[np.ndarray]:
@@ -511,6 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code of an error escaping a runner; the first matching entry wins.
+_EXIT_CODES = (
+    ((UnreadableMatrix, OSError), EXIT_IO),
+    ((NotConverged, NoConvergence), EXIT_NOT_CONVERGED),
+    (InapplicableSpectrum, EXIT_INAPPLICABLE),
+    (GenChebError, 1),
+)
+
 _RUNNERS = {
     "example33": run_example33,
     "normal-sparse": run_normal_sparse,
@@ -539,18 +523,9 @@ def main(argv=None) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         code = _RUNNERS[args.subcommand](args)
-    except (UnreadableMatrix, OSError) as exc:
+    except (GenChebError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (NotConverged, NoConvergence) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    except InapplicableSpectrum as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    except GenChebError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
     elapsed = time.perf_counter() - start
     print(f"done in {elapsed:.2f}s (exit {code})")
     return code

@@ -2,10 +2,12 @@ import csv
 import dataclasses
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
 
+from gencheb import cli
 from gencheb.cli import (
     EXIT_INAPPLICABLE,
     EXIT_IO,
@@ -15,7 +17,14 @@ from gencheb.cli import (
     main,
     read_spectrum_file,
 )
-from gencheb.errors import UnreadableMatrix
+from gencheb.errors import (
+    Divergence,
+    GenChebError,
+    InapplicableSpectrum,
+    NoConvergence,
+    NotConverged,
+    UnreadableMatrix,
+)
 from gencheb.genmat import NormalMatrixSpec, assemble_normal_system, example33_fixture
 from gencheb.linalg import (
     ComplexSparseMatrix,
@@ -138,6 +147,11 @@ class TestNormalSparseCommand:
                      "system.meta", "trace.csv", "report.txt"):
             assert (out / name).exists()
         assert "nnz=" in (out / "system.meta").read_text()
+
+
+#: `custom` on the 4x4 example33 files of `TestCustomCommand._write_inputs`.
+CUSTOM_TILDE = ["custom", "--matrix", "M.mtx", "--tilde", "Mt.mtx",
+                "--spectrum", "spectrum.txt"]
 
 
 class TestCustomCommand:
@@ -628,10 +642,17 @@ class TestNonFiniteSpectrum:
         assert not out.exists()
 
 
-#: report.txt from line 2 on, as printed before dominance, membership and the
-#: rate cubics were each reduced to one code path; the reports must not move.
+#: report.txt from line 2 on, with the exit code, of a command line run on the
+#: files of `TestCustomCommand._write_inputs` (plus `s.txt` holding the given
+#: spectrum, if any).  The `report` and `example33` texts are as printed
+#: before dominance, membership and the rate cubics were each reduced to one
+#: code path; the `custom` texts have the layout example33 and normal-sparse
+#: share: the report, `k_used`, then one stop line per scheme.  Only row
+#: products of the 4x4 files run, so no BLAS bits enter.  The reports must
+#: not move.
 PINNED_REPORTS = {
-    "complex_lambda1": ("0.4 0.7\n0.3 -0.2\n-0.5 0.1\n0.2 0.4\n", """\
+    "complex_lambda1": (["report", "--spectrum", "s.txt"],
+                        "0.4 0.7\n0.3 -0.2\n-0.5 0.1\n0.2 0.4\n", EXIT_OK, """\
 classification: unique_dominant
 lambda1: (0.4+0.7j)
 spectrum source: user_supplied
@@ -647,7 +668,9 @@ practical_threshold (k=2): 0.626615
 practical: True
 practical constant: real root of z^3 + z^2 + 2z - 1 = 0.392647; threshold is its k-th root
 """),
-    "root_of_unity_family": ("0.8 0\n-0.8 0\n0 0.8\n0 -0.8\n0.3 0.2\n-0.5 0.1\n", """\
+    "root_of_unity_family": (["report", "--spectrum", "s.txt"],
+                             "0.8 0\n-0.8 0\n0 0.8\n0 -0.8\n0.3 0.2\n-0.5 0.1\n", EXIT_OK,
+                             """\
 classification: root_of_unity_family(k0=4)
 lambda1: (0.8+0j)
 spectrum source: user_supplied
@@ -663,7 +686,7 @@ practical_threshold (k=4): 0.791590
 practical: True
 practical constant: real root of z^3 + z^2 + 2z - 1 = 0.392647; threshold is its k-th root
 """),
-    "example33": (None, """\
+    "example33": (["example33"], None, EXIT_OK, """\
 classification: unique_dominant
 lambda1: (0.9+0j)
 spectrum source: exact
@@ -682,20 +705,103 @@ k_used: 2
 measured_basic_rate[geomean m=30..60]: 0.810050
 measured_generalized_rate[lsqfit m=10..38]: 0.442383
 """),
+    "custom_tilde": (CUSTOM_TILDE, None, EXIT_OK, """\
+classification: unique_dominant
+lambda1: (0.9+0j)
+spectrum source: user_supplied
+k_bound: 10
+k_geometric: 2
+k_selected: 2
+predicted_basic_rate (|lambda1|^k): 0.810000
+predicted_accel_rate: 0.442180
+fair_comparison_rate (|lambda1|^2k): 0.656100
+alpha: 0.816039
+g_rate: 0.442180
+practical_threshold (k=2): 0.626615
+practical: True
+practical constant: real root of z^3 + z^2 + 2z - 1 = 0.392647; threshold is its k-th root
+k_used: 2
+basic: converged in 101 steps (202 matvecs)
+generalized: converged in 30 steps (118 matvecs)
+"""),
+    "custom_tilde_refused": ([*CUSTOM_TILDE, "--k-max", "1"], None, EXIT_INAPPLICABLE, """\
+classification: unique_dominant
+lambda1: (0.9+0j)
+spectrum source: user_supplied
+k_bound: 10
+k_geometric: None
+k_selected: None
+k_bound above k_max; no rates predicted
+practical: False
+"""),
 }
+
+
+def input_paths(tmp_path, argv):
+    """argv with each input file name (`*.mtx`, `*.txt`) made a path in tmp_path."""
+    return [str(tmp_path / a) if a.endswith((".mtx", ".txt")) else a for a in argv]
 
 
 @pytest.mark.parametrize("name", PINNED_REPORTS)
 def test_pinned_report_text(tmp_path, name):
-    spectrum, expected = PINNED_REPORTS[name]
-    out = tmp_path / "o"
-    if spectrum is None:
-        argv = ["example33", "--out", str(out)]
-    else:
+    argv, spectrum, code, expected = PINNED_REPORTS[name]
+    TestCustomCommand()._write_inputs(tmp_path)
+    if spectrum is not None:
         (tmp_path / "s.txt").write_text(spectrum)
-        argv = ["report", "--spectrum", str(tmp_path / "s.txt"), "--out", str(out)]
-    assert main(argv) == EXIT_OK
+    out = tmp_path / "o"
+    assert main([*input_paths(tmp_path, argv), "--out", str(out)]) == code
     assert (out / "report.txt").read_text().split("\n", 1)[1] == expected
+
+
+class TestNonAsciiPaths:
+    """Line 1 escapes non-ASCII characters as \\xNN, so every output file stays
+    ASCII and the rest of it equals that of a run on ASCII paths."""
+
+    @pytest.mark.parametrize("argv, renamed", [
+        (["example33", "--steps", "5"], "--out"),
+        (["normal-sparse", "--n", "50", "--block", "10", "--steps", "5"], "--out"),
+        (CUSTOM_TILDE, "--out"),
+        (CUSTOM_TILDE, "--matrix"),
+        (["deltoid-sample", "--resolution", "5", "--boundary-samples", "7",
+          "--spectrum", "spectrum.txt"], "--out"),
+        (["report", "--lambda1", "0.9"], "--out"),
+    ], ids=lambda arg: arg[0] if isinstance(arg, list) else arg.lstrip("-"))
+    def test_output_matches_an_ascii_path_run(self, tmp_path, argv, renamed):
+        mpath, _tpath, _spath = TestCustomCommand()._write_inputs(tmp_path)
+        shutil.copy(mpath, tmp_path / "M\u00e9.mtx")
+
+        def outputs(out, matrix):
+            argv_here = [matrix if a == "M.mtx" else a for a in argv]
+            assert main([*input_paths(tmp_path, argv_here), "--out", str(out)]) == EXIT_OK
+            return {p.name: p.read_bytes().split(b"\n", 1) for p in out.iterdir()}
+
+        plain = outputs(tmp_path / "o", "M.mtx")
+        escaped = outputs(tmp_path / ("\u00fc" if renamed == "--out" else "p"),
+                          "M\u00e9.mtx" if renamed == "--matrix" else "M.mtx")
+        assert escaped.keys() == plain.keys()
+        for name, (first, rest) in escaped.items():
+            first.decode("ascii")
+            if name.endswith((".csv", ".txt")):
+                assert (b"\\xfc" if renamed == "--out" else b"M\\xe9.mtx") in first
+            assert rest == plain[name][1], name
+
+
+@pytest.mark.parametrize("error, code", [
+    (UnreadableMatrix("bad file"), EXIT_IO),
+    (OSError("disk full"), EXIT_IO),
+    (NotConverged("short"), EXIT_NOT_CONVERGED),
+    (Divergence("blew up"), EXIT_NOT_CONVERGED),
+    (NoConvergence("stalled"), EXIT_NOT_CONVERGED),
+    (InapplicableSpectrum("no k"), EXIT_INAPPLICABLE),
+    (GenChebError("other"), 1),
+], ids=lambda arg: type(arg).__name__ if isinstance(arg, Exception) else str(arg))
+def test_exit_code_of_each_error(tmp_path, capsys, monkeypatch, error, code):
+    def raise_error(args):
+        raise error
+
+    monkeypatch.setitem(cli._RUNNERS, "report", raise_error)
+    assert main(["report", "--lambda1", "0.9", "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 class TestCommonFlags:
