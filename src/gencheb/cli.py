@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 import time
@@ -118,9 +119,14 @@ def _write_report(args: argparse.Namespace, lines: list[str]) -> str:
 def read_spectrum_file(path: str) -> list[complex]:
     """Eigenvalue list: one finite `re im` pair per line; # and % start comments."""
     try:
-        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+        # one comment character keeps loadtxt on its C path; two add a
+        # Python step per line.  No number holds either character.
+        with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty: refused below
-            data = np.loadtxt(fh, dtype=float, comments=("#", "%"), ndmin=2)
+            data = np.loadtxt(io.StringIO(text.replace("%", "#")), dtype=float,
+                              comments="#", ndmin=2)
     except OSError as exc:
         raise UnreadableMatrix(f"cannot read spectrum file {path}: {exc}") from exc
     except ValueError as exc:
