@@ -91,8 +91,8 @@ class ComplexSparseMatrix:
     """
 
     __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values",
-                 "_runs", "_zero_fill", "_rest_values", "_rest_cols", "_starts",
-                 "_rest_rows")
+                 "_runs", "_large_panels", "_zero_fill", "_rest_values", "_rest_cols",
+                 "_starts", "_rest_rows")
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
         self.n_rows = int(n_rows)
@@ -113,6 +113,8 @@ class ComplexSparseMatrix:
             self._runs.append((op, r0, r1, c0, c1,
                                block.reshape(r1 - r0, -1) if op is np.dot else block))
             rest[r0:r1] = False
+        self._large_panels = any(op is np.dot and block.size >= _SPLIT_MIN_ENTRIES
+                                 for op, *_, block in self._runs)
         # the other stored rows are summed by reduceat from their starts; the
         # sums are scattered unless they are all the rows
         self._rest_rows = np.flatnonzero(rest) if self._runs or self._zero_fill else None
@@ -225,18 +227,15 @@ class ComplexSparseMatrix:
         if self._rest_rows is None:
             return self._rest_sums(v)
         out = (np.zeros if self._zero_fill else np.empty)(self.n_rows, dtype=complex)
-        lane, offered = _lane, []
-        for op, r0, r1, c0, c1, block in self._runs:
-            x = v[c0:c1]
-            h = lane.rows(block) if op is np.dot else 0
-            if h:
-                offered.append((lane.offer(block[:h], x), block[:h], x, out[r0:r0 + h]))
-                block, r0 = block[h:], r0 + h
-            op(block, x, out=out[r0:r1])
+        runs, offered = self._runs, ()
+        if self._large_panels and _TWO_LANES:
+            runs, offered = _lane.split(runs, v, out)
+        for op, r0, r1, c0, c1, block in runs:
+            op(block, v[c0:c1], out=out[r0:r1])
         if self._rest_rows.size:
             out[self._rest_rows] = self._rest_sums(v)
         for job in offered:
-            lane.finish(*job)
+            _lane.finish(*job)
         return out
 
     def _rest_sums(self, v: np.ndarray) -> np.ndarray:
@@ -307,12 +306,22 @@ class _Lane:
         self.skip = 0  # panels to keep on one lane
         self.penalty = 0  # the skip set by the last miss in a row
 
+    def split(self, runs: list, v: np.ndarray, out: np.ndarray) -> tuple[list, list]:
+        """Offer the first rows of each large panel of `runs` to the lane.
+        Return the runs left to the caller and the offered (job, block, x, y)."""
+        left, offered = [], []
+        for op, r0, r1, c0, c1, block in runs:
+            if op is np.dot and block.size >= _SPLIT_MIN_ENTRIES and (h := self.rows(block)):
+                x = v[c0:c1]
+                offered.append((self.offer(block[:h], x), block[:h], x, out[r0:r0 + h]))
+                block, r0 = block[h:], r0 + h
+            left.append((op, r0, r1, c0, c1, block))
+        return left, offered
+
     def rows(self, panel: np.ndarray) -> int:
-        """Rows of the panel's first block, to offer to the lane: 7/16 of the
-        panel, so that the calling thread, which starts first, is done no
+        """Rows of a large panel's first block, to offer to the lane: 7/16 of
+        the panel, so that the calling thread, which starts first, is done no
         earlier, as a multiple of _SPLIT_ROWS; 0 keeps the panel one gemv."""
-        if not _TWO_LANES or panel.size < _SPLIT_MIN_ENTRIES:
-            return 0
         with self.lock:
             if self.skip:
                 self.skip -= 1

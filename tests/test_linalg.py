@@ -481,12 +481,24 @@ class TestLane:
 
     @pytest.mark.parametrize("rows, width, first", [
         (1000, 1000, 432), (1233, 131, 536), (515, 517, 224), (19, 8999, 8),
-        (18, 9999, 0), (399, 400, 0),
+        (18, 9999, 0),
     ])
     def test_lane_rows(self, lane, rows, width, first):
         # a multiple of 8 rows, 7/16 of the panel, and 8 rows at least
         assert lane.rows(np.empty((rows, width))) == first
-        assert rows * width >= _SPLIT_MIN_ENTRIES or first == 0
+
+    def test_panels_below_the_floor_stay_on_one_lane(self, monkeypatch, lane):
+        def offer(block, x):
+            raise AssertionError("offered a panel below the floor")
+
+        monkeypatch.setattr(lane, "offer", offer)
+        rng = np.random.default_rng(13)
+        for rows, width in ((399, 400), (2, 70_000)):
+            assert rows * width < _SPLIT_MIN_ENTRIES
+            dense = rng.standard_normal((rows, width)) + 1j
+            a = ComplexSparseMatrix.from_dense(dense)
+            v = np.ones(width, dtype=complex)
+            assert np.array_equal(a.matvec(v), np.dot(dense, v))
 
     @pytest.mark.parametrize("state", ["not started", "started", "ready"])
     def test_caller_finishes_the_lane_block_in_every_state(self, monkeypatch, lane, state):
