@@ -4,6 +4,11 @@ The random generator plants a prescribed dominant eigenvalue and scatters
 the rest uniformly in a smaller disc, then conjugates the diagonal by a
 permuted embedded random unitary.  The result is normal by construction,
 so the companion matrix is just the conjugate transpose.
+
+Memory: assembly peaks in the QR of the b x b Gaussian block, where it,
+numpy's copy of it, Q and R are alive (about four blocks of 16 b^2 bytes).
+The unitary block is freed before any CSR array exists and the dense
+block before M* is built; no helper writes into an array its caller holds.
 """
 
 from __future__ import annotations
@@ -78,27 +83,37 @@ def _random_unitary_block(block_size: int, seed: int) -> np.ndarray:
     ) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    q *= diag / np.abs(diag)
+    return q
 
 
-def _conjugated_diagonal(
-    diag: np.ndarray, block: np.ndarray, n: int
+def _conjugated_block(diag: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Dense U0* diag(d[:b]) U0 for the b x b block U0 (b may be 0)."""
+    return block.conj().T @ (diag[:block.shape[0], None] * block)
+
+
+def _block_and_tail(
+    dense_block: np.ndarray, diag: np.ndarray, n: int
 ) -> ComplexSparseMatrix:
-    """CSR form of U0ext* diag(d) U0ext for an embedded block U0ext (b x b,
-    b may be 0): the kept entries of the dense leading block row by row,
-    then the diagonal tail."""
-    b = block.shape[0]
-    dense_block = block.conj().T @ (diag[:b, None] * block)
+    """CSR form of the n x n matrix with dense_block (b x b) at the top left
+    and diag[b:] on the rest of the diagonal: the kept entries of the block
+    row by row, then the tail.  Each CSR array is written once."""
+    b = dense_block.shape[0]
     keep = np.abs(dense_block) > SPARSITY_DROP_TOL
     tail = b + np.flatnonzero(np.abs(diag[b:]) > SPARSITY_DROP_TOL)
     counts = np.zeros(n, dtype=np.int64)
     counts[:b] = keep.sum(axis=1)
     counts[tail] = 1
-    return ComplexSparseMatrix(
-        n, n, np.concatenate(([0], np.cumsum(counts))),
-        np.concatenate([np.nonzero(keep)[1], tail]),
-        np.concatenate([dense_block[keep], diag[tail]]),
-    )
+    flat = np.flatnonzero(keep)
+    head = flat.size
+    cols = np.empty(head + tail.size, dtype=np.int64)
+    values = np.empty(head + tail.size, dtype=complex)
+    # mode="clip": in the default mode np.take fills a copy of `out` first
+    np.take(dense_block, flat, out=values[:head], mode="clip")
+    np.remainder(flat, b, out=cols[:head])
+    cols[head:], values[head:] = tail, diag[tail]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return ComplexSparseMatrix(n, n, offsets, cols, values)
 
 
 @dataclass(frozen=True)
@@ -120,11 +135,14 @@ def assemble_normal_system(spec: NormalMatrixSpec) -> GeneratedSystem:
     created from the all-ones reference solution.
     """
     d = random_spectrum(spec)
-    block = _random_unitary_block(spec.block_size, spec.seed + 1)
     perm = np.random.default_rng(spec.seed + 2).permutation(spec.n)
     # U[i, :] = U0ext[perm[i], :]  =>  M = U0ext* diag(d[argsort(perm)]) U0ext
     d_eff = d[np.argsort(perm)]
-    m = _conjugated_diagonal(d_eff, block, spec.n)
+    # no name holds the unitary or the dense block: each is freed when the
+    # helper that reads it last returns, before the next one allocates
+    m = _block_and_tail(
+        _conjugated_block(d_eff, _random_unitary_block(spec.block_size, spec.seed + 1)),
+        d_eff, spec.n)
     m_tilde = m.conj_transpose()
     x = np.ones(spec.n, dtype=complex)
     g = x - m.matvec(x)

@@ -252,9 +252,11 @@ class ComplexSparseMatrix:
         """Return A*: the entries in column order, conjugated."""
         order = _column_order(self)
         counts = np.bincount(self.col_indices, minlength=self.n_cols)
+        rows, values = _entry_rows(self)[order], self.values[order]
+        del order
         return ComplexSparseMatrix(
             self.n_cols, self.n_rows, np.concatenate(([0], np.cumsum(counts))),
-            _entry_rows(self)[order], np.conj(self.values[order]),
+            rows, np.conj(values, out=values),
         )
 
 

@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gencheb import genmat
 from gencheb.genmat import (
     SPARSITY_DROP_TOL,
     NormalMatrixSpec,
-    _conjugated_diagonal,
+    _block_and_tail,
+    _conjugated_block,
     _random_unitary_block,
     assemble_normal_system,
     example33_fixture,
@@ -75,8 +77,13 @@ class TestEmbeddedUnitary:
         assert np.abs(u.conj().T @ u - np.eye(30)).max() <= 1e-12
 
 
+def _conjugated_diagonal(diag, block, n):
+    """CSR form of U0ext* diag(d) U0ext, the way the assembly builds it."""
+    return _block_and_tail(_conjugated_block(diag, block), diag, n)
+
+
 def _triplet_conjugated_diagonal(diag, block, n):
-    """The triplet construction `_conjugated_diagonal` replaced, kept as its
+    """The triplet construction the CSR assembly replaced, kept as its
     reference: the kept block entries and the diagonal tail as COO triplets,
     sorted by `from_triplets`."""
     if block.shape[0] == 0:
@@ -114,7 +121,76 @@ class TestConjugatedDiagonal:
         assert np.array_equal(got.values.view(np.uint64), ref.values.view(np.uint64))
 
 
+def _reference_assembly(spec, block=None):
+    """The assembly before each CSR array was written once, kept as the
+    reference of `assemble_normal_system`: the unitary's phases applied out
+    of place, the CSR arrays from np.nonzero and concatenate, and M* from a
+    conjugated copy of the gathered values.  Returns M, M*, g and g~."""
+    n, b = spec.n, spec.block_size
+    if block is None:
+        rng = np.random.default_rng(spec.seed + 1)
+        z = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
+        q, r = np.linalg.qr(z / np.sqrt(2.0))
+        phases = np.diagonal(r)
+        block = q * (phases / np.abs(phases))
+    perm = np.random.default_rng(spec.seed + 2).permutation(n)
+    diag = random_spectrum(spec)[np.argsort(perm)]
+    dense_block = block.conj().T @ (diag[:b, None] * block)
+    keep = np.abs(dense_block) > SPARSITY_DROP_TOL
+    tail = b + np.flatnonzero(np.abs(diag[b:]) > SPARSITY_DROP_TOL)
+    counts = np.zeros(n, dtype=np.int64)
+    counts[:b] = keep.sum(axis=1)
+    counts[tail] = 1
+    m = ComplexSparseMatrix(
+        n, n, np.concatenate(([0], np.cumsum(counts))),
+        np.concatenate([np.nonzero(keep)[1], tail]),
+        np.concatenate([dense_block[keep], diag[tail]]),
+    )
+    order = np.argsort(m.col_indices, kind="stable")
+    rows = np.repeat(np.arange(n), np.diff(m.row_offsets))
+    counts = np.bincount(m.col_indices, minlength=n)
+    m_tilde = ComplexSparseMatrix(
+        n, n, np.concatenate(([0], np.cumsum(counts))), rows[order],
+        np.conj(m.values[order]),
+    )
+    x = np.ones(n, dtype=complex)
+    return m, m_tilde, x - m.matvec(x), x - m_tilde.matvec(x)
+
+
+def _assert_same_bits(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
 class TestAssemble:
+    @staticmethod
+    def _assert_equals_the_reference(spec, block=None):
+        system = assemble_normal_system(spec).system
+        m, m_tilde, g, g_tilde = _reference_assembly(spec, block)
+        for got, ref in ((system.M, m), (system.M_tilde, m_tilde)):
+            assert got.shape == ref.shape
+            for name in ("row_offsets", "col_indices", "values"):
+                _assert_same_bits(getattr(got, name), getattr(ref, name))
+        _assert_same_bits(system.g, g)
+        _assert_same_bits(system.g_tilde, g_tilde)
+        return system
+
+    @pytest.mark.parametrize("n, b", [(1, 0), (30, 6), (300, 70), (2000, 100)])
+    def test_bits_equal_the_reference_assembly(self, n, b):
+        self._assert_equals_the_reference(NormalMatrixSpec(n=n, block_size=b, seed=17))
+
+    def test_bits_equal_the_reference_with_exact_zeros(self, monkeypatch):
+        # a unitary block with exact zeros, a random 5 x 5 unitary beside an
+        # anti-diagonal of i, so the conjugated block drops whole regions
+        block = np.zeros((12, 12), dtype=complex)
+        block[:5, :5] = _random_unitary_block(5, seed=8)
+        block[5:, 5:] = 1j * np.eye(7)[::-1]
+        monkeypatch.setattr(genmat, "_random_unitary_block",
+                            lambda size, seed: block.copy())
+        spec = NormalMatrixSpec(n=30, block_size=12, seed=17)
+        system = self._assert_equals_the_reference(spec, block)
+        assert system.M.nnz == 5 * 5 + 7 + 18
+
     def test_default_spec_nnz(self):
         gen = assemble_normal_system(NormalMatrixSpec(n=1000, block_size=100, seed=42))
         assert 8000 <= gen.system.M.nnz <= 13000
@@ -222,6 +298,37 @@ class TestWriteSystem:
             tracemalloc.stop()
         assert gen.system.M.nnz == 11900
         assert peak < 180 * gen.system.M.nnz
+
+
+class TestAssemblyMemory:
+    def test_peak_in_unitary_blocks(self):
+        # traced peak of one assembly in blocks of 16 b^2 bytes, numpy 2.4:
+        # 4.24, set by the QR; 4.61 when a local name keeps the unitary block
+        # alive to the end; 5.77 when, besides, the CSR arrays and M*'s values
+        # were built through copies
+        spec = NormalMatrixSpec(n=6000, block_size=600, seed=1)
+        tracemalloc.start()
+        try:
+            gen = assemble_normal_system(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen.system.M.nnz == 600 * 600 + 5400
+        assert peak < 4.5 * 16 * spec.block_size ** 2
+
+    def test_helpers_leave_their_inputs_unchanged(self):
+        rng = np.random.default_rng(5)
+        diag = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        diag[::4] = 1e-16
+        block = _random_unitary_block(9, seed=6)
+        before = [diag.copy(), block.copy()]
+        dense = _conjugated_block(diag, block)
+        before.append(dense.copy())
+        m = _block_and_tail(dense, diag, 40)
+        before.append(m.values.copy())
+        m.conj_transpose()
+        for old, now in zip(before, (diag, block, dense, m.values)):
+            _assert_same_bits(now, old)
 
 
 class TestExample33:
