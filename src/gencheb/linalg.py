@@ -253,7 +253,7 @@ class ComplexSparseMatrix:
         order = _column_order(self)
         counts = np.bincount(self.col_indices, minlength=self.n_cols)
         rows, values = _entry_rows(self)[order], self.values[order]
-        del order
+        del order  # not alive beside the constructor's temporaries
         return ComplexSparseMatrix(
             self.n_cols, self.n_rows, np.concatenate(([0], np.cumsum(counts))),
             rows, np.conj(values, out=values),
