@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .cheb_kernel import (
     ChebCoefficientStream,
-    ClassicalChebRatioStream,
     deltoid_contains,
     eval_f,
     membership_defect,

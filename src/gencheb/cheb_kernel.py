@@ -8,10 +8,9 @@ with seeds f_0 = 1, f_1 = x, f_2 = 3x^2 - 2*conj(x), and the functional
 equation f_m(phi1(t)) = phi1(m*t) for the generalized cosine phi1.  Their
 invariant region is the deltoid bounded by the Steiner hypocycloid with
 cusps at the cube roots of unity (the analogue of [-1, 1] for the
-classical Chebyshev polynomials, which are also provided here in ratio
-form).  Ratio streams keep a renormalized three-value window so solver
-coefficients never overflow even though f_m(w) grows geometrically for
-|w| > 1.
+classical Chebyshev polynomials).  The coefficient stream keeps a
+renormalized three-value window so solver coefficients never overflow
+even though f_m(w) grows geometrically for |w| > 1.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ def eval_f(m: int, x: complex) -> complex:
     """Evaluate f_m at x, with the second variable fixed to conj(x).
 
     Raw recurrence evaluation; values grow geometrically for |x| > 1, so
-    solver code must use the ratio streams instead.
+    solver code must use the coefficient stream instead.
     """
     if m < 0:
         raise ValueError(f"degree must be non-negative, got {m}")
@@ -132,38 +131,4 @@ class ChebCoefficientStream:
         self.window = np.array([f_prev2, f_prev1, f_m]) / scale
         self.m += 1
         return c1, c2, c3
-
-
-class ClassicalChebRatioStream:
-    """Classical Chebyshev ratio pairs, same renormalized-window technique.
-
-    Step m (starting at m = 2) emits
-
-        (2 C_{m-1}(t) / (rho C_m(t)),  C_{m-2}(t) / C_m(t)),   t = 1/rho,
-
-    with the pair difference identically 1 by the C_m recurrence.
-    """
-
-    def __init__(self, rho: float):
-        rho = float(rho)
-        if not 0.0 < rho < 1.0:
-            raise ValueError(f"spectral radius must lie in (0, 1), got {rho}")
-        self.rho = rho
-        self.t = 1.0 / rho
-        self.window = np.array([1.0, self.t])  # (C_{m-2}, C_{m-1})
-        self.m = 2
-
-    def step(self) -> tuple[float, float]:
-        c_prev2, c_prev1 = self.window
-        c_m = 2 * self.t * c_prev1 - c_prev2
-        scale = max(abs(c_m), abs(c_prev1))
-        if not np.isfinite(scale) or abs(c_m) <= _UNDERFLOW * scale:
-            raise DegenerateCoefficient(
-                f"C_m(1/rho) vanished at m={self.m} for rho={self.rho}"
-            )
-        first = 2 * c_prev1 / (self.rho * c_m)
-        second = c_prev2 / c_m
-        self.window = np.array([c_prev1, c_m]) / scale
-        self.m += 1
-        return first, second
 

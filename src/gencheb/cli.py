@@ -11,8 +11,9 @@ process; exit codes, 1 and 3-5 as listed in `_EXIT_CODES`, are the contract:
     2  usage error (argparse)
     3  no power-transform order k: the spectrum is inapplicable to the
        acceleration, no k up to --k-max serves it, or its dominant
-       eigenvalue is zero or not inside the unit disc (report.txt still
-       written, except for that last case)
+       eigenvalue is zero, not inside the unit disc, or has a k-th power
+       below the smallest normal double (report.txt still written, except
+       for those last cases)
     4  a requested run did not converge: it reached the step cap short of
        the tolerance, or the divergence guard stopped it (trace still
        written, and report.txt names the step)
@@ -200,7 +201,11 @@ def _measured_lines(traces: list[ConvergenceTrace], windows: dict) -> list[str]:
         if window is None or not trace.steps:
             continue
         first, last, estimator = window
-        last = min(last, trace.steps[-1])
+        # the window ends at the trace's end, or before a value that is not
+        # positive (an exact 0 has no logarithm)
+        steps, values = trace.series()
+        last = min([last, steps[-1],
+                    *(m - 1 for m, v in zip(steps, values) if m >= first and not v > 0)])
         if last <= first:
             continue
         value = _ESTIMATORS[estimator](trace, first, last)
@@ -469,18 +474,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("custom", "run a user-supplied Matrix Market system",
                    "--steps", "--tol", "--schemes", "--k", "--k-max", "--seed")
+    # alternatives share a group, added in parser order (line 1 of outputs)
+    spectrum, companion = p.add_mutually_exclusive_group(), p.add_mutually_exclusive_group()
     p.add_argument("--matrix", required=True)
     p.add_argument("--rhs", help="right-hand side vector (.mtx); defaults to "
                    "(I - M) * ones")
-    p.add_argument("--tilde", help="companion matrix file")
+    companion.add_argument("--tilde", help="companion matrix file")
     p.add_argument("--tilde-rhs", help="companion right-hand side (.mtx)")
-    p.add_argument("--spectrum", help="full eigenvalue list file")
-    p.add_argument("--lambda1", type=_finite_complex, default=None,
-                   help="dominant eigenvalue, e.g. 0.9 or 0.4+0.7j")
-    p.add_argument("--estimate", action="store_true",
-                   help="estimate lambda1 by power iteration")
-    p.add_argument("--assume-normal", action="store_true",
-                   help="use M* as the companion matrix")
+    spectrum.add_argument("--spectrum", help="full eigenvalue list file")
+    spectrum.add_argument("--lambda1", type=_finite_complex, default=None,
+                          help="dominant eigenvalue, e.g. 0.9 or 0.4+0.7j")
+    spectrum.add_argument("--estimate", action="store_true",
+                          help="estimate lambda1 by power iteration")
+    companion.add_argument("--assume-normal", action="store_true",
+                           help="use M* as the companion matrix")
 
     p = subcommand("deltoid-sample", "write membership grids and the boundary curve")
     p.add_argument("--resolution", type=_count(0), default=201)
@@ -488,8 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum", help="also write eigen-quotient positions")
 
     p = subcommand("report", "spectrum report without running solvers", "--k-max")
-    p.add_argument("--spectrum")
-    p.add_argument("--lambda1", type=_finite_complex, default=None)
+    spectrum = p.add_mutually_exclusive_group()
+    spectrum.add_argument("--spectrum")
+    spectrum.add_argument("--lambda1", type=_finite_complex, default=None)
     return parser
 
 
@@ -522,6 +530,9 @@ def main(argv=None) -> int:
         if not 0 < args.inner_radius < args.lambda1:
             parser.error(f"argument --inner-radius: must lie in (0, --lambda1 = "
                          f"{args.lambda1}), got {args.inner_radius}")
+    if (args.subcommand == "custom" and args.tilde_rhs is not None
+            and args.tilde is None and not args.assume_normal):
+        parser.error("argument --tilde-rhs: needs --tilde or --assume-normal")
     if args.out is None:
         args.out = os.path.join(os.environ.get(ENV_OUTDIR, "."),
                                 f"gencheb-{args.subcommand}")

@@ -53,8 +53,9 @@ class Divergence(NotConverged):
 class InapplicableSpectrum(GenChebError, ValueError):
     """No power-transform order k makes the acceleration apply.
 
-    The dominant eigenvalue is zero or not inside the unit disc, or the
-    dominant set is not a root-of-unity family.
+    The dominant eigenvalue is zero or not inside the unit disc, its power
+    at the selected k is below the smallest normal double, or the dominant
+    set is not a root-of-unity family.
     """
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cheb_kernel import ChebCoefficientStream, ClassicalChebRatioStream
+from .cheb_kernel import ChebCoefficientStream
 from .errors import (
     DimensionMismatch,
     Divergence,
@@ -115,13 +115,15 @@ class ConvergenceTrace:
     def total_matvecs(self) -> int:
         return sum(self.matvecs)
 
-    def _series(self) -> tuple[list[int], list[float]]:
+    def series(self) -> tuple[list[int], list[float]]:
+        """The steps and their error norms, or their residuals when no
+        reference solution was supplied: the values the rates are taken of."""
         if self.err_norms and self.err_norms[0] is not None:
             return self.steps, self.err_norms
         return self.steps, self.residuals
 
     def _value_at(self, m: int) -> float:
-        steps, vals = self._series()
+        steps, vals = self.series()
         try:
             return vals[steps.index(m)]
         except ValueError:
@@ -139,7 +141,7 @@ class ConvergenceTrace:
         Robust to the quasi-periodic oscillation of accelerated error norms,
         unlike endpoint-sensitive consecutive ratios.
         """
-        steps, vals = self._series()
+        steps, vals = self.series()
         ms = [m for m in steps if first <= m <= last]
         if len(ms) < 2:
             raise ValueError("window contains fewer than two recorded steps")
@@ -171,22 +173,28 @@ class _BasicStepper:
 
 
 class _ClassicalStepper(_BasicStepper):
-    """Two-term weighted recurrence driven by the classical ratio stream.
+    """Classical Chebyshev acceleration with Golub and Varga's weights.
 
-    The spectral radius bound rho is |lambda1|; the caller is responsible
-    for the real-spectrum assumption.
+    From step 2, y_m = y_{m-2} + w_m (M y_{m-1} + g - y_{m-2}) with
+    w_m = 1 / (1 - rho^2 w_{m-1} / 4) and w_1 = 2, so that w_m =
+    2 C_{m-1}(1/rho) / (rho C_m(1/rho)).  The spectral radius bound rho is
+    |lambda1|; the caller is responsible for the real-spectrum assumption.
     """
 
     def __init__(self, sys: IterationSystem, x0: np.ndarray):
         if sys.lambda1 is None:
             raise MissingLambda1("classical scheme needs lambda1 to set rho")
+        rho = abs(complex(sys.lambda1))
+        if not 0.0 < rho < 1.0:
+            raise ValueError(f"spectral radius must lie in (0, 1), got {rho}")
         super().__init__(sys, x0)
-        self.stream = ClassicalChebRatioStream(abs(complex(sys.lambda1)))
+        self.quarter_rho2 = rho * rho / 4.0
+        self.weight = 2.0
 
     def _combine(self, basic):
         if self.m > 1:
-            w1, w2 = self.stream.step()
-            basic = w1 * basic - w2 * self.prev
+            self.weight = 1.0 / (1.0 - self.quarter_rho2 * self.weight)
+            basic = self.prev + self.weight * (basic - self.prev)
         return basic, self.sys.M.matvec_cost
 
 
@@ -210,8 +218,7 @@ class _GeneralizedStepper(_BasicStepper):
         if sys.lambda1 is None:
             raise MissingLambda1("generalized scheme needs lambda1 on the system")
         super().__init__(sys, x0)
-        self.lam1 = complex(sys.lambda1)
-        self.stream = ChebCoefficientStream(self.lam1)
+        self.stream = ChebCoefficientStream(sys.lambda1)
         self.prev2 = None  # the iterate before `prev`
 
     def _combine(self, forward):
@@ -220,9 +227,9 @@ class _GeneralizedStepper(_BasicStepper):
             return forward, sys.M.matvec_cost
         tilde = sys.M_tilde.matvec(self.prev) + sys.g_tilde
         if self.m == 2:
-            w = 1.0 / self.lam1
-            f2 = 3 * w * w - 2 * w.conjugate()
-            new = (3 * forward / self.lam1**2 - 2 * tilde / self.lam1.conjugate()) / f2
+            # the stream has not stepped yet: its window ends with f2(1/lambda1)
+            lam1, f2 = self.stream.lambda1, self.stream.window[2]
+            new = (3 * forward / lam1**2 - 2 * tilde / lam1.conjugate()) / f2
         else:
             c1, c2, c3 = self.stream.step()
             new = c1 * forward - c2 * tilde + c3 * self.prev2

@@ -166,13 +166,13 @@ def alpha_from_lambda1(lambda1: float) -> float:
     """Positive alpha with 1/lambda1 = (e^alpha + e^-alpha + 1) / 3.
 
     Defined for real lambda1 in (0, 1); alpha is the log of the larger
-    root of t^2 - (3/lambda1 - 1) t + 1.
+    root t of t^2 - 2h t + 1, h = (3/lambda1 - 1)/2.
     """
     lam = float(lambda1)
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda1 must lie in (0, 1), got {lambda1}")
-    b = 3.0 / lam - 1.0
-    t = (b + math.sqrt(b * b - 4.0)) / 2.0
+    h = (3.0 / lam - 1.0) / 2.0
+    t = h + math.sqrt(h - 1.0) * math.sqrt(h + 1.0)  # no h * h to overflow
     alpha = math.log(t)
     round_trip = (math.exp(alpha) + math.exp(-alpha) + 1.0) / 3.0
     if abs(round_trip - 1.0 / lam) > 1e-12 * max(1.0, 1.0 / lam):
@@ -345,7 +345,8 @@ def build_report(
     spectrum is known, the geometric k (the |z| <= 1/3 disc lies inside
     the deltoid, so the bound's k passes the geometric test too).  An
     inapplicable spectrum, or a selected k above k_max, yields a report
-    with no k_selected and no rates rather than an exception.
+    with no k_selected and no rates rather than an exception; a lambda1^k
+    below the smallest normal double raises InapplicableSpectrum.
     """
     cls, k_bound = _dominance(info)
     if k_bound is None:
@@ -355,6 +356,10 @@ def build_report(
     if k_selected > k_max:
         return SpectrumReport(cls, info.lambda1, info.source, k_bound=k_bound)
     lam_k = complex(info.lambda1) ** k_selected
+    if abs(lam_k) < np.finfo(float).tiny:
+        raise InapplicableSpectrum(
+            f"lambda1^k = {lam_k} at k = {k_selected} is below the smallest normal "
+            "double; no rate can be predicted from it")
     basic = abs(info.lambda1) ** k_selected
     fair = basic * basic
     if abs(lam_k.imag) <= 1e-12 * abs(lam_k) and lam_k.real > 0.0:

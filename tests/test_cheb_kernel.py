@@ -3,7 +3,6 @@ import pytest
 
 from gencheb.cheb_kernel import (
     ChebCoefficientStream,
-    ClassicalChebRatioStream,
     deltoid_contains,
     eval_f,
     membership_defect,
@@ -192,33 +191,3 @@ class TestCoefficientStream:
         with pytest.raises(ValueError):
             ChebCoefficientStream(lam)
 
-
-class TestClassicalStream:
-    def test_first_pair_against_direct_evaluation(self):
-        rho = 0.9
-        c0, c1, c2 = 1.0, 1.0 / rho, 2.0 / rho**2 - 1.0
-        expect = (2 * c1 / (rho * c2), c0 / c2)
-        got = ClassicalChebRatioStream(rho).step()
-        assert got[0] == pytest.approx(expect[0], abs=1e-13)
-        assert got[1] == pytest.approx(expect[1], abs=1e-13)
-        # frozen decimals from the direct evaluation above
-        assert got[0] == pytest.approx(1.680672268907563, abs=1e-12)
-        assert got[1] == pytest.approx(0.680672268907563, abs=1e-12)
-
-    @pytest.mark.parametrize("rho", [0.3, 0.9, 0.99])
-    def test_pair_difference_is_one(self, rho):
-        stream = ClassicalChebRatioStream(rho)
-        for _ in range(2, 301):
-            first, second = stream.step()
-            assert abs(first - second - 1.0) <= 1e-12
-
-    def test_tiny_rho_stays_finite(self):
-        stream = ClassicalChebRatioStream(0.01)
-        for _ in range(2, 501):
-            first, second = stream.step()
-            assert np.isfinite(first) and np.isfinite(second)
-
-    @pytest.mark.parametrize("rho", [0.0, 1.0, -0.5, 2.0])
-    def test_invalid_rho_rejected(self, rho):
-        with pytest.raises(ValueError):
-            ClassicalChebRatioStream(rho)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import math
 import os
 import re
 import shutil
@@ -147,6 +148,26 @@ class TestNormalSparseCommand:
                      "system.meta", "trace.csv", "report.txt"):
             assert (out / name).exists()
         assert "nnz=" in (out / "system.meta").read_text()
+
+    @pytest.mark.parametrize("k, first_zero, lines", [
+        # both errors are exactly 0 before step 10 at k = 64: no line is left
+        ("64", 6, []),
+        # at k = 20 the basic window ends before its first 0
+        ("20", 18, ["measured_basic_rate[geomean m=10..17]",
+                    "measured_generalized_rate[geomean m=10..20]"]),
+    ])
+    def test_rate_window_stops_before_an_exact_zero(self, tmp_path, k, first_zero,
+                                                     lines):
+        out = tmp_path / "ns"
+        code = main(["normal-sparse", "--n", "1", "--block", "0", "--k", k,
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        _meta, rows = read_trace(out / "trace.csv")
+        assert min(int(r["m"]) for r in rows
+                   if r["scheme"] == "basic" and float(r["err_norm"]) == 0) == first_zero
+        report = (out / "report.txt").read_text()
+        assert [line.split(":")[0] for line in report.splitlines()
+                if line.startswith("measured_")] == lines
 
 
 #: `custom` on the 4x4 example33 files of `TestCustomCommand._write_inputs`.
@@ -396,6 +417,26 @@ class TestCustomCommand:
         report = (out / "report.txt").read_text()
         assert report_value(report, "spectrum source") == "estimated"
 
+    @pytest.mark.parametrize("flags", [
+        ["--lambda1", "0.9", "--estimate"],
+        ["--spectrum", "spectrum.txt", "--lambda1", "0.9"],
+        ["--spectrum", "spectrum.txt", "--estimate"],
+        ["--spectrum", "spectrum.txt", "--tilde", "Mt.mtx", "--assume-normal"],
+        ["--spectrum", "spectrum.txt", "--tilde-rhs", "gt.mtx"],
+    ], ids=["lambda1+estimate", "spectrum+lambda1", "spectrum+estimate",
+            "tilde+assume-normal", "tilde-rhs-alone"])
+    def test_conflicting_flags_are_a_usage_error(self, tmp_path, capsys, flags):
+        self._write_inputs(tmp_path)
+        write_vector_market(np.full(4, 0.1 + 0j), tmp_path / "gt.mtx")
+        out = tmp_path / "o"
+        argv = ["custom", "--matrix", "M.mtx", *flags, "--schemes", "basic",
+                "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([str(tmp_path / a) if a.endswith((".mtx", ".txt")) else a for a in argv])
+        assert exc.value.code == 2
+        assert "error: argument --" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRoundTripThroughFiles:
     @staticmethod
@@ -613,6 +654,39 @@ class TestReportCommand:
 
     def test_needs_input(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "o")]) == EXIT_IO
+
+    def test_spectrum_and_lambda1_conflict(self, tmp_path, capsys):
+        spath = write_spectrum(tmp_path / "s.txt", (0.9, 0.5))
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--spectrum", str(spath), "--lambda1", "0.3",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    #: The quotient 0.9999 e^{2 pi i/192} selects k = 64.
+    TINY_QUOTIENT = 0.9999 * np.exp(2j * np.pi / 192)
+
+    def test_tiny_lambda1_power_has_finite_rates(self, tmp_path):
+        # lambda1^64 = 3.4e-162: (3/lambda1^64 - 1)^2 overflows, alpha does not
+        spath = write_spectrum(tmp_path / "s.txt", (0.003, 0.003 * self.TINY_QUOTIENT))
+        out = tmp_path / "o"
+        assert main(["report", "--spectrum", str(spath), "--out", str(out)]) == EXIT_OK
+        report = (out / "report.txt").read_text()
+        assert report_value(report, "k_selected") == "64"
+        alpha = float(report_value(report, "alpha"))
+        assert alpha == pytest.approx(math.log(3 / 0.003**64), abs=1e-6)
+
+    def test_lambda1_power_below_the_normal_range_refused(self, tmp_path, capsys):
+        # lambda1^64 = 1e-384 underflows to 0
+        spath = write_spectrum(tmp_path / "s.txt", (1e-6, 1e-6 * self.TINY_QUOTIENT))
+        out = tmp_path / "o"
+        code = main(["report", "--spectrum", str(spath), "--out", str(out)])
+        assert code == EXIT_INAPPLICABLE
+        err = capsys.readouterr().err
+        assert "error: lambda1^k" in err and "smallest normal double" in err
+        assert "Traceback" not in err
 
 
 class TestNonFiniteSpectrum:

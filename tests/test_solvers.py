@@ -1,7 +1,10 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gencheb.errors import (
     Divergence,
@@ -167,6 +170,39 @@ class TestClassical:
         sys_, _ = dense_system(np.eye(2) * 0.5)
         with pytest.raises(MissingLambda1):
             run(sys_, "classical", steps=5)
+
+    @staticmethod
+    def scalar_system(rho):
+        """M = rho, g = 1 - rho: the fixed point is 1."""
+        return IterationSystem(M=ComplexSparseMatrix.from_dense([[rho]]),
+                               g=np.array([1.0 - rho + 0j]), lambda1=rho)
+
+    @settings(max_examples=40)
+    @given(st.floats(0.05, 0.999))
+    @example(0.05)
+    @example(0.999)
+    def test_scalar_iterates_against_exact_chebyshev_values(self, rho):
+        # from x0 = 0 the error after m steps is 1/C_m(1/rho); C_m in exact
+        # rational arithmetic from the three-term recurrence
+        iterates = run_iterates(self.scalar_system(rho), "classical", 40)
+        t = 1 / Fraction(rho)
+        c_prev, c_cur = Fraction(1), t
+        for m in range(2, 41):
+            c_prev, c_cur = c_cur, 2 * t * c_cur - c_prev
+            assert abs(iterates[m][0] - (1.0 - float(1 / c_cur))) <= 1e-12
+
+    @pytest.mark.parametrize("lambda1", [0.0, 1.0, -1.0, 1.5, 1j, 0.8 + 0.8j])
+    def test_rho_outside_the_unit_interval_refused(self, lambda1):
+        sys_ = self.scalar_system(0.5)
+        sys_.lambda1 = lambda1
+        with pytest.raises(ValueError, match="spectral radius"):
+            run(sys_, "classical", steps=5)
+
+    def test_tiny_rho_runs_500_finite_steps(self):
+        # C_m(100) overflows near m = 134; the weights themselves stay near 1
+        y, trace = run(self.scalar_system(0.01), "classical", steps=500)
+        assert len(trace.steps) == 500
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(trace.residuals))
 
 
 class TestGeneralized:
