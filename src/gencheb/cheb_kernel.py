@@ -15,6 +15,8 @@ even though f_m(w) grows geometrically for |w| > 1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateCoefficient
@@ -111,8 +113,8 @@ class ChebCoefficientStream:
         self.lambda1 = lambda1
         self.w = 1.0 / lambda1
         w, wb = self.w, self.w.conjugate()
-        # window holds values proportional to (f_{m-3}, f_{m-2}, f_{m-1})(w)
-        self.window = np.array([1.0 + 0j, w, 3 * w * w - 2 * wb])
+        # numpy complex scalars proportional to (f_{m-3}, f_{m-2}, f_{m-1})(w)
+        self.window = tuple(np.array([1.0 + 0j, w, 3 * w * w - 2 * wb]))
         self.m = 3
 
     def step(self) -> tuple[complex, complex, complex]:
@@ -121,14 +123,14 @@ class ChebCoefficientStream:
         f_prev3, f_prev2, f_prev1 = self.window
         f_m = 3 * w * f_prev1 - 3 * wb * f_prev2 + f_prev3
         scale = max(abs(f_m), abs(f_prev1), abs(f_prev2))
-        if not np.isfinite(scale) or abs(f_m) <= _UNDERFLOW * scale:
+        if not math.isfinite(scale) or abs(f_m) <= _UNDERFLOW * scale:
             raise DegenerateCoefficient(
                 f"f_m(1/lambda1) vanished at m={self.m} for lambda1={self.lambda1}"
             )
         c1 = 3 * f_prev1 / (self.lambda1 * f_m)
         c2 = 3 * f_prev2 / (self.lambda1.conjugate() * f_m)
         c3 = f_prev3 / f_m
-        self.window = np.array([f_prev2, f_prev1, f_m]) / scale
+        self.window = (f_prev2 / scale, f_prev1 / scale, f_m / scale)
         self.m += 1
         return c1, c2, c3
 

@@ -65,6 +65,8 @@ def as_vector(values, n: int | None = None, name: str = "vector") -> np.ndarray:
 # bits; 4 x 4 is 16 entries.
 _PANEL_MIN_ENTRIES = 1024
 _DIAGONAL_MIN_ROWS = 128
+# A panel's call: the gemv of np.dot without its __array_function__ dispatch.
+_DOT = np.ndarray.dot
 
 # Panels of at least this many entries (2.4 MiB of complex128) are split
 # between two lanes.  Offering a block to the lane costs the calling thread
@@ -103,18 +105,18 @@ class ComplexSparseMatrix:
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=complex)
         counts = self._validate()
-        # dense panels and diagonal runs: one numpy call each, on a view of
-        # values and into a slice of the product
+        # dense panels and diagonal runs, as (call, block, columns, rows): one
+        # numpy call each, on a view of values and into a slice of the product
         rest = counts > 0
         self._zero_fill = not rest.all()  # no call writes an empty row
         self._runs = []
         for op, r0, r1, c0, c1 in _row_runs(self.row_offsets, self.col_indices, counts):
             block = self.values[self.row_offsets[r0]:self.row_offsets[r1]]
-            self._runs.append((op, r0, r1, c0, c1,
-                               block.reshape(r1 - r0, -1) if op is np.dot else block))
+            self._runs.append((op, block.reshape(r1 - r0, -1) if op is _DOT else block,
+                               slice(c0, c1), slice(r0, r1)))
             rest[r0:r1] = False
-        self._large_panels = any(op is np.dot and block.size >= _SPLIT_MIN_ENTRIES
-                                 for op, *_, block in self._runs)
+        self._large_panels = any(op is _DOT and block.size >= _SPLIT_MIN_ENTRIES
+                                 for op, block, *_ in self._runs)
         # the other stored rows are summed by reduceat from their starts; the
         # sums are scattered unless they are all the rows
         self._rest_rows = np.flatnonzero(rest) if self._runs or self._zero_fill else None
@@ -214,8 +216,8 @@ class ComplexSparseMatrix:
     # -- operations ---------------------------------------------------------
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Sparse product A @ v: `np.dot(panel, v[c0:c1])` per dense panel
-        and `np.multiply(d, v[c0:c1])` per diagonal run, into slices of the
+        """Sparse product A @ v: `panel.dot(v[c0:c1])` per dense panel and
+        `np.multiply(d, v[c0:c1])` per diagonal run, into slices of the
         product, and np.add.reduceat over `np.multiply(values, v[cols])` for
         the other rows.  A large panel's first rows go to the lane thread.
         Equal inputs give equal bits for a given numpy/BLAS build and CPU."""
@@ -230,8 +232,8 @@ class ComplexSparseMatrix:
         runs, offered = self._runs, ()
         if self._large_panels and _TWO_LANES:
             runs, offered = _lane.split(runs, v, out)
-        for op, r0, r1, c0, c1, block in runs:
-            op(block, v[c0:c1], out=out[r0:r1])
+        for op, block, cols, rows in runs:
+            op(block, v[cols], out=out[rows])
         if self._rest_rows.size:
             out[self._rest_rows] = self._rest_sums(v)
         for job in offered:
@@ -264,7 +266,7 @@ def _row_runs(row_offsets: np.ndarray, col_indices: np.ndarray,
               counts: np.ndarray) -> list:
     """Dense panels and diagonal runs (see the summation contract), as (op,
     r0, r1, c0, c1): rows r0..r1-1 store the (r1 - r0, c1 - c0) block at
-    column c0 (op np.dot), or one entry each on the diagonal from (r0, c0)
+    column c0 (op _DOT), or one entry each on the diagonal from (r0, c0)
     (op np.multiply).  A panel has two rows or more: numpy hands a one-row
     product to BLAS dot, whose threaded sum depends on the thread count."""
     n = counts.size
@@ -286,7 +288,7 @@ def _row_runs(row_offsets: np.ndarray, col_indices: np.ndarray,
     r0, r1 = edges[0::2], edges[1::2] + 1
     width = counts[r0]
     big = (r1 - r0) * width >= np.where(width > 1, _PANEL_MIN_ENTRIES, _DIAGONAL_MIN_ROWS)
-    return [(np.dot, a, b, c, c + w) if w > 1 else (np.multiply, a, b, c, c + b - a)
+    return [(_DOT, a, b, c, c + w) if w > 1 else (np.multiply, a, b, c, c + b - a)
             for a, b, c, w in np.array((r0, r1, first[r0], width))[:, big].T.tolist()]
 
 
@@ -312,12 +314,12 @@ class _Lane:
         """Offer the first rows of each large panel of `runs` to the lane.
         Return the runs left to the caller and the offered (job, block, x, y)."""
         left, offered = [], []
-        for op, r0, r1, c0, c1, block in runs:
-            if op is np.dot and block.size >= _SPLIT_MIN_ENTRIES and (h := self.rows(block)):
-                x = v[c0:c1]
+        for op, block, cols, rows in runs:
+            if op is _DOT and block.size >= _SPLIT_MIN_ENTRIES and (h := self.rows(block)):
+                x, r0 = v[cols], rows.start
                 offered.append((self.offer(block[:h], x), block[:h], x, out[r0:r0 + h]))
-                block, r0 = block[h:], r0 + h
-            left.append((op, r0, r1, c0, c1, block))
+                block, rows = block[h:], slice(r0 + h, rows.stop)
+            left.append((op, block, cols, rows))
         return left, offered
 
     def rows(self, panel: np.ndarray) -> int:

@@ -72,8 +72,9 @@ class IterationSystem:
 
     def residual_norm(self, y: np.ndarray, my: np.ndarray | None = None) -> float:
         """Euclidean norm of (I - M) y - g; `my` is M y when already known."""
-        my = self.M.matvec(y) if my is None else my
-        return float(np.linalg.norm(y - my - self.g))
+        r = y - (self.M.matvec(y) if my is None else my) - self.g
+        # np.linalg.norm's own sum for a complex vector, without its wrapper
+        return math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
 
 
 @dataclass
@@ -154,11 +155,11 @@ class _BasicStepper:
     """The basic step y -> M y + g; subclasses recombine it with `prev`.
 
     `step(forward)` takes M y of the latest iterate y and reports the step's
-    full recurrence cost.
+    full recurrence cost, `cost`, read once per run.
     """
 
     def __init__(self, sys: IterationSystem, x0: np.ndarray):
-        self.sys = sys
+        self.sys, self.cost = sys, sys.M.matvec_cost
         self.y, self.prev = x0, None
         self.m = 0
 
@@ -169,7 +170,7 @@ class _BasicStepper:
         return new, cost
 
     def _combine(self, basic):
-        return basic, self.sys.M.matvec_cost
+        return basic, self.cost
 
 
 class _ClassicalStepper(_BasicStepper):
@@ -195,7 +196,7 @@ class _ClassicalStepper(_BasicStepper):
         if self.m > 1:
             self.weight = 1.0 / (1.0 - self.quarter_rho2 * self.weight)
             basic = self.prev + self.weight * (basic - self.prev)
-        return basic, self.sys.M.matvec_cost
+        return basic, self.cost
 
 
 class _GeneralizedStepper(_BasicStepper):
@@ -220,11 +221,12 @@ class _GeneralizedStepper(_BasicStepper):
         super().__init__(sys, x0)
         self.stream = ChebCoefficientStream(sys.lambda1)
         self.prev2 = None  # the iterate before `prev`
+        self.tilde_cost = self.cost + sys.M_tilde.matvec_cost  # from step 2
 
     def _combine(self, forward):
         sys = self.sys
         if self.m == 1:
-            return forward, sys.M.matvec_cost
+            return forward, self.cost
         tilde = sys.M_tilde.matvec(self.prev) + sys.g_tilde
         if self.m == 2:
             # the stream has not stepped yet: its window ends with f2(1/lambda1)
@@ -234,7 +236,7 @@ class _GeneralizedStepper(_BasicStepper):
             c1, c2, c3 = self.stream.step()
             new = c1 * forward - c2 * tilde + c3 * self.prev2
         self.prev2 = self.prev
-        return new, sys.M.matvec_cost + sys.M_tilde.matvec_cost
+        return new, self.tilde_cost
 
 
 _STEPPERS = {

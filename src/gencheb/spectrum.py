@@ -9,7 +9,7 @@ the accelerated scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,32 +35,40 @@ class SpectrumInfo:
 
     `eigenvalues` may be a partial list (set `partial=True` so k selection
     falls back to the modulus bound instead of trusting membership of an
-    incomplete quotient set).
+    incomplete quotient set).  It is stored as a tuple of complex, and
+    `array` holds the same values as a read-only complex array.
     """
 
     eigenvalues: tuple
     lambda1: complex
     source: str = "user_supplied"
     partial: bool = False
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source not in SOURCES:
             raise ValueError(f"unknown spectrum source {self.source!r}")
         lam1 = complex(self.lambda1)
-        evs = tuple(complex(v) for v in self.eigenvalues)
-        if not np.all(np.isfinite((lam1, *evs))):
+        evs = np.array(self.eigenvalues)
+        if evs.ndim != 1 or evs.dtype.kind not in "biufc":
+            raise TypeError("eigenvalues must be a flat sequence of numbers")
+        evs = evs.astype(complex, copy=False)
+        if not (np.isfinite(evs).all() and np.isfinite(lam1)):
             raise ValueError("lambda1 and the eigenvalues must be finite")
-        if lam1 == 0:
-            raise InapplicableSpectrum("dominant eigenvalue must be nonzero")
+        if abs(lam1) < np.finfo(float).tiny:  # zero, or its quotients would overflow
+            raise InapplicableSpectrum(f"dominant eigenvalue {lam1} is zero or below "
+                                       "the smallest normal double")
         if abs(lam1) >= 1.0:
             raise InapplicableSpectrum(f"spectral radius must be below one, got |{lam1}|")
-        if not evs:
+        if not evs.size:
             raise ValueError("eigenvalue list must not be empty")
-        slack = 1.0 + 1e-12
-        if any(abs(v) > abs(lam1) * slack for v in evs):
-            raise ValueError("lambda1 must have maximal modulus among eigenvalues")
-        object.__setattr__(self, "eigenvalues", evs)
+        with np.errstate(over="ignore"):  # a modulus above the largest double is inf
+            if np.hypot(evs.real, evs.imag).max() > abs(lam1) * (1.0 + 1e-12):
+                raise ValueError("lambda1 must have maximal modulus among eigenvalues")
+        evs.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", tuple(evs.tolist()))
         object.__setattr__(self, "lambda1", lam1)
+        object.__setattr__(self, "array", evs)
 
 
 @dataclass(frozen=True)
@@ -111,9 +119,10 @@ def _dominance(info: SpectrumInfo) -> tuple[Classification, int | None]:
     none) into the |z| <= 1/3 disc; None for an inapplicable dominant set.
     """
     bar = (1.0 - DOMINANCE_TOL) * abs(info.lambda1)
-    mods = list(map(abs, info.eigenvalues))
-    dominant = [v for v, r in zip(info.eigenvalues, mods) if r >= bar]
-    ratio = max((r for r in mods if r < bar), default=0.0) / abs(info.lambda1)
+    # abs(v) to the bit, as libm's hypot; np.abs can differ in the last place
+    mods = np.hypot(info.array.real, info.array.imag)
+    dominant = info.array[mods >= bar].tolist()
+    ratio = float(mods[mods < bar].max(initial=0.0)) / abs(info.lambda1)
     k0 = 1
     for i, a in enumerate(dominant):
         for b in dominant[i + 1:]:
@@ -153,7 +162,7 @@ def select_k_geometric(info: SpectrumInfo,
     the quotients happen to be well positioned.  None if k_max is not
     enough.
     """
-    quotients = np.asarray(info.eigenvalues, dtype=complex) / complex(info.lambda1)
+    quotients = info.array / info.lambda1
     powers = quotients.copy()
     for k in range(1, k_max + 1):
         if np.all(deltoid_contains(powers)):

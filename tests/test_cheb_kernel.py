@@ -178,11 +178,18 @@ class TestCoefficientStream:
         for _ in range(5):
             a.step()
             b.step()
-        b.window = b.window * 1e3
+        b.window = tuple(f * 1e3 for f in b.window)
         ca = a.step()
         cb = b.step()
         for x, y in zip(ca, cb):
             assert abs(x - y) <= 1e-13 * max(1.0, abs(x))
+
+    @pytest.mark.parametrize("lam1", [0.05, 0.3, 0.729, 0.9, 0.999, 0.5 + 0.4j, -0.7])
+    def test_scalar_window_gives_the_array_window_bits(self, lam1):
+        stream, reference = ChebCoefficientStream(lam1), _ArrayWindowStream(lam1)
+        for _ in range(300):
+            got, want = np.array(stream.step()), np.array(reference.step())
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, -2.0, 1j])
     def test_invalid_lambda_rejected(self, lam):
@@ -191,3 +198,25 @@ class TestCoefficientStream:
         with pytest.raises(ValueError):
             ChebCoefficientStream(lam)
 
+
+
+class _ArrayWindowStream:
+    """The coefficient stream with its window kept as a numpy array, divided
+    by its scale as one array each step: the reference for the bits."""
+
+    def __init__(self, lambda1):
+        self.lambda1 = complex(lambda1)
+        self.w = 1.0 / self.lambda1
+        w, wb = self.w, self.w.conjugate()
+        self.window = np.array([1.0 + 0j, w, 3 * w * w - 2 * wb])
+
+    def step(self):
+        w, wb = self.w, self.w.conjugate()
+        f_prev3, f_prev2, f_prev1 = self.window
+        f_m = 3 * w * f_prev1 - 3 * wb * f_prev2 + f_prev3
+        scale = max(abs(f_m), abs(f_prev1), abs(f_prev2))
+        c1 = 3 * f_prev1 / (self.lambda1 * f_m)
+        c2 = 3 * f_prev2 / (self.lambda1.conjugate() * f_m)
+        c3 = f_prev3 / f_m
+        self.window = np.array([f_prev2, f_prev1, f_m]) / scale
+        return c1, c2, c3

@@ -260,6 +260,17 @@ class TestCustomCommand:
         assert code == EXIT_INAPPLICABLE
         assert "error: spectral radius must be below one" in capsys.readouterr().err
 
+    def test_subnormal_dominant_eigenvalue_refused_before_any_quotient(self, tmp_path,
+                                                                       capsys):
+        mpath, _tpath, _spath = self._write_inputs(tmp_path)
+        (tmp_path / "s.txt").write_text("1e-320 0\n5e-321 0\n")
+        code = main(["custom", "--matrix", str(mpath), "--spectrum",
+                     str(tmp_path / "s.txt"), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INAPPLICABLE
+        err = capsys.readouterr().err
+        assert err == ("error: dominant eigenvalue (1e-320+0j) is zero or below the "
+                       "smallest normal double\n")
+
     def test_unreadable_matrix_exit_code(self, tmp_path):
         code = main([
             "custom", "--matrix", str(tmp_path / "missing.mtx"),
@@ -454,8 +465,9 @@ class TestRoundTripThroughFiles:
         # M_tilde as generated and as read back: no row is left to reduceat
         for m in (gen.system.M, read_matrix_market(gen_dir / "M.mtx"),
                   gen.system.M_tilde, read_matrix_market(gen_dir / "M_tilde.mtx")):
-            assert [r[:5] for r in m._runs] == [(np.dot, 0, block, 0, block),
-                                                 (np.multiply, block, n, block, n)]
+            assert [(r[0], r[2], r[3]) for r in m._runs] == [
+                (np.ndarray.dot, slice(0, block), slice(0, block)),
+                (np.multiply, slice(block, n), slice(block, n))]
             assert m._rest_rows.size == 0
         spath = tmp_path / "S.txt"
         spath.write_text("".join(
@@ -651,6 +663,16 @@ class TestReportCommand:
         code = main(["report", *flags, "--out", str(tmp_path / "o")])
         assert code == EXIT_INAPPLICABLE
         assert "error: spectral radius must be below one" in capsys.readouterr().err
+
+    def test_subnormal_dominant_eigenvalue_refused_before_any_quotient(self, tmp_path,
+                                                                       capsys):
+        (tmp_path / "s.txt").write_text("1e-320 0\n")
+        code = main(["report", "--spectrum", str(tmp_path / "s.txt"),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_INAPPLICABLE
+        assert capsys.readouterr().err == (
+            "error: dominant eigenvalue (1e-320+0j) is zero or below the smallest "
+            "normal double\n")
 
     def test_needs_input(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "o")]) == EXIT_IO

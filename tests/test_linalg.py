@@ -142,9 +142,10 @@ def _kernel_plan(a):
     exactly one of them and that each run multiplies a view of values."""
     panels, diagonals = [], []
     owners = np.zeros(a.n_rows, dtype=int)
-    for op, r0, r1, c0, c1, block in a._runs:
+    for op, block, cols, rows in a._runs:
+        (r0, r1), (c0, c1) = (rows.start, rows.stop), (cols.start, cols.stop)
         assert np.shares_memory(block, a.values)
-        if op is np.dot:
+        if op is np.ndarray.dot:
             panels.append((r0, r1, c0, c1))
             assert block.shape == (r1 - r0, c1 - c0)
         else:
@@ -533,7 +534,7 @@ class TestLane:
             assert np.array_equal(a.matvec(v), one_lane)
             skips.append(lane.skip)
             while lane.skip:
-                assert lane.rows(a._runs[0][5]) == 0
+                assert lane.rows(a._runs[0][1]) == 0
         assert skips == [1, 2, 4, 8, 16, 32, 64, 64, 64, 64, 64, 64]
         monkeypatch.setattr(lane, "offer", deliver)
         assert np.array_equal(a.matvec(v), one_lane)  # a block delivered

@@ -423,6 +423,22 @@ class TestSystemValidation:
             )
 
 
+@pytest.mark.parametrize("n", [1, 400])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_residual_norm_is_the_bits_of_np_linalg_norm(n, scale):
+    rng = np.random.default_rng(n)
+    draw = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    dense = draw(n, n) * (rng.random((n, n)) < 0.05) * 0.5 / n
+    sys_ = IterationSystem(M=ComplexSparseMatrix.from_dense(dense), g=draw(n) * scale)
+    for _ in range(20):
+        y = draw(n) * scale
+        my = sys_.M.matvec(y)
+        want = float(np.linalg.norm(y - my - sys_.g))
+        for got in (sys_.residual_norm(y), sys_.residual_norm(y, my)):
+            assert type(got) is float
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
 def _solve_trace(sys_, scheme):
     """Trace of a short `solve`, whether or not it reached the tolerance."""
     try:

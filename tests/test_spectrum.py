@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +10,19 @@ from gencheb.cheb_kernel import deltoid_contains
 from gencheb.errors import InapplicableSpectrum, NoConvergence
 from gencheb.genmat import NormalMatrixSpec, assemble_normal_system
 from gencheb.linalg import ComplexSparseMatrix
+from gencheb import spectrum
 from gencheb.spectrum import (
+    DEFAULT_ROU_MAX_ORDER,
+    DOMINANCE_TOL,
     INAPPLICABLE,
     ROOT_OF_UNITY_FAMILY,
     UNIQUE_DOMINANT,
     _PRACTICAL_CONSTANT,
+    Classification,
     SpectrumInfo,
+    _dominance,
+    _root_of_unity_order,
+    _smallest_k_for_ratio,
     _stream_decay_rate,
     alpha_from_lambda1,
     asymptotic_rate_g,
@@ -491,3 +499,152 @@ class TestInfoValidation:
     def test_source_names(self):
         with pytest.raises(ValueError):
             SpectrumInfo((0.5,), lambda1=0.5, source="guessed")
+
+
+# -- the per-eigenvalue code that SpectrumInfo, _dominance and
+#    select_k_geometric replaced by one array, kept as the reference for bits
+
+def _loop_info(eigenvalues, lambda1):
+    """(eigenvalues, lambda1) as SpectrumInfo stored them, or its refusal."""
+    lam1 = complex(lambda1)
+    evs = tuple(complex(v) for v in eigenvalues)
+    if not np.all(np.isfinite((lam1, *evs))):
+        raise ValueError("lambda1 and the eigenvalues must be finite")
+    if lam1 == 0:
+        raise InapplicableSpectrum("dominant eigenvalue must be nonzero")
+    if abs(lam1) >= 1.0:
+        raise InapplicableSpectrum(f"spectral radius must be below one, got |{lam1}|")
+    if not evs:
+        raise ValueError("eigenvalue list must not be empty")
+    if any(abs(v) > abs(lam1) * (1.0 + 1e-12) for v in evs):
+        raise ValueError("lambda1 must have maximal modulus among eigenvalues")
+    return evs, lam1
+
+
+def _loop_dominance(info):
+    bar = (1.0 - DOMINANCE_TOL) * abs(info.lambda1)
+    mods = list(map(abs, info.eigenvalues))
+    dominant = [v for v, r in zip(info.eigenvalues, mods) if r >= bar]
+    ratio = max((r for r in mods if r < bar), default=0.0) / abs(info.lambda1)
+    k0 = 1
+    for i, a in enumerate(dominant):
+        for b in dominant[i + 1:]:
+            order = _root_of_unity_order(a / b)
+            if order is None:
+                return Classification(INAPPLICABLE), None
+            k0 = math.lcm(k0, order)
+    kind = UNIQUE_DOMINANT if k0 == 1 else ROOT_OF_UNITY_FAMILY
+    return Classification(kind, k0), k0 * _smallest_k_for_ratio(ratio)
+
+
+def _loop_k_geometric(info, k_max=DEFAULT_ROU_MAX_ORDER):
+    quotients = np.asarray(info.eigenvalues, dtype=complex) / complex(info.lambda1)
+    powers = quotients.copy()
+    for k in range(1, k_max + 1):
+        if np.all(deltoid_contains(powers)):
+            return k
+        powers = powers * quotients
+    return None
+
+
+TINY = np.finfo(float).tiny
+
+
+def _bits(values):
+    return np.array(values, dtype=complex, ndmin=1).view(np.uint64).tolist()
+
+
+def _outcome(call, *args):
+    try:
+        return "value", call(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return "refused", type(exc)
+
+
+@st.composite
+def edge_spectra(draw):
+    """(eigenvalues, lambda1) on the edges of the validation and of the
+    dominance test: moduli at and one ulp around the 1e-12 slack and the
+    DOMINANCE_TOL bar, signed zeros, root-of-unity families, non-finite and
+    subnormal values, and single eigenvalues, in the number types callers pass."""
+    modulus = draw(st.one_of(st.floats(1e-3, 0.999), st.sampled_from(
+        [1e-320, 5e-324, 2.2250738585072014e-308, 0.9999999999999999, 1.0, 0.0])))
+    axis = draw(st.sampled_from([1, -1, 1j, -1j, None]))
+    lam1 = (complex(modulus * np.exp(1j * draw(st.floats(-math.pi, math.pi))))
+            if axis is None else complex(modulus * axis))
+    lam1 = complex(lam1.real, draw(st.sampled_from([lam1.imag, -lam1.imag])))
+    ulp = draw(st.integers(-1, 1))
+    angles = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        -math.pi, math.pi, 8)
+
+    def at(r):  # modulus r, or one ulp off, on an axis or at eight angles
+        r = float(np.nextafter(r, math.inf if ulp > 0 else 0.0)) if ulp else r
+        turn = draw(st.sampled_from([1, -1, 1j, -1j, None]))
+        return list(r * np.exp(1j * angles)) if turn is None else [r * turn]
+
+    pieces = draw(st.lists(st.sampled_from(
+        ["slack", "bar", "family", "zero", "nonfinite", "small"]), max_size=4))
+    values = [] if draw(st.booleans()) else [lam1]
+    for piece in pieces:
+        if piece == "slack":
+            values += at(abs(lam1) * (1.0 + 1e-12))
+        elif piece == "bar":
+            values += at((1.0 - DOMINANCE_TOL) * abs(lam1))
+        elif piece == "family":
+            order = draw(st.integers(2, 8))
+            values += list(lam1 * np.exp(2j * np.pi * np.arange(1, order) / order))
+        elif piece == "zero":
+            values.append(complex(draw(st.sampled_from([0.0, -0.0])),
+                                  draw(st.sampled_from([0.0, -0.0]))))
+        elif piece == "nonfinite":
+            values.append(complex(draw(st.sampled_from([math.nan, math.inf, -math.inf])),
+                                  draw(st.sampled_from([0.0, math.nan, -math.inf]))))
+        else:
+            values += at(abs(lam1) * draw(st.floats(0.0, 0.999)))
+    forms = [complex, np.complex128, lambda z: z.real, lambda z: np.float64(z.real)]
+    values = [draw(st.sampled_from(forms[:4 if v.imag == 0 else 2]))(complex(v))
+              for v in values]
+    return tuple(values), draw(st.sampled_from([lam1, np.complex128(lam1)]))
+
+
+class TestOneArrayGivesTheLoopBits:
+    @given(edge_spectra(), st.booleans())
+    @example(((1e-320 + 0j,), 1e-320 + 0j), False)
+    @example(((0.9, 0.9 * (1.0 + 1e-12)), 0.9 + 0j), False)
+    @example(((0.8, -0.8, 0.8j, -0.8j), 0.8 + 0j), False)
+    @example(((-0.0, complex(0.0, -0.0), 0.5), 0.5 + 0j), False)
+    def test_info_selectors_and_report(self, case, partial):
+        values, lam1 = case
+        want = _outcome(_loop_info, values, lam1)
+        got = _outcome(SpectrumInfo, values, lam1, "exact", partial)
+        if got == ("refused", InapplicableSpectrum) and abs(complex(lam1)) < TINY:
+            # a subnormal lambda1 is refused first; where the loop accepted
+            # it, its report raised or had no k, as every |lambda1^k| is
+            # below the smallest normal double
+            assert want[0] == "value" or issubclass(want[1], ValueError)
+            return
+        if want[0] == "refused":
+            assert got == want
+            return
+        info = got[1]
+        assert type(info.lambda1) is complex and _bits(info.lambda1) == _bits(want[1][1])
+        assert all(type(v) is complex for v in info.eigenvalues)
+        assert _bits(info.eigenvalues) == _bits(want[1][0])
+        assert _bits(info.array) == _bits(want[1][0]) and not info.array.flags.writeable
+        assert _dominance(info) == _loop_dominance(info)
+        for k_max in (1, 3, DEFAULT_ROU_MAX_ORDER):
+            assert select_k_geometric(info, k_max) == _loop_k_geometric(info, k_max)
+            report = _outcome(lambda: build_report(info, k_max).lines())
+            with mock.patch.object(spectrum, "_dominance", _loop_dominance), \
+                    mock.patch.object(spectrum, "select_k_geometric", _loop_k_geometric):
+                assert report == _outcome(lambda: build_report(info, k_max).lines())
+
+    @pytest.mark.parametrize("values", [
+        None, 0.5, [[0.5, 0.1]], [[0.5]], [None], [b"0.5"], ["half"], [object()],
+        [np.array([0.5])], [1.5e308 + 1.5e308j],
+    ])
+    def test_what_the_loop_refused_is_refused(self, values):
+        with pytest.raises((TypeError, ValueError, OverflowError)):
+            _loop_info(values, 0.5)
+        with pytest.raises((TypeError, ValueError)):  # and no numpy warning
+            SpectrumInfo(values, lambda1=0.5)
