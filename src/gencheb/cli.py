@@ -138,8 +138,10 @@ def read_spectrum_file(path: str) -> list[complex]:
         raise UnreadableMatrix(
             f"spectrum lines need two floats `re im`, got {data.shape[1]} in {path}"
         )
-    if not np.all(np.isfinite(data)):
-        raise UnreadableMatrix(f"spectrum file {path} holds a non-finite value")
+    with np.errstate(over="ignore"):  # 1.5e308 1.5e308 is finite, its modulus not
+        modulus = np.hypot(data[:, 0], data[:, 1])
+    if not np.isfinite(modulus).all():
+        raise UnreadableMatrix(f"spectrum file {path} holds a non-finite value or modulus")
     values = np.empty(data.shape[0], dtype=complex)
     values.real, values.imag = data[:, 0], data[:, 1]  # keeps the sign of -0.0
     return values.tolist()

@@ -9,21 +9,15 @@ per run of rows:
 - a dense panel, at least two consecutive rows that store one contiguous
   range of at least two columns, with at least _PANEL_MIN_ENTRIES (1024)
   entries, is one BLAS gemv, so its rows are summed in BLAS dot order;
-  when the process may run on two CPUs or more (its CPU affinity; there is
-  no option), a panel of at least _SPLIT_MIN_ENTRIES (160,000) entries is
-  two gemvs at once, its first 7/16 of rows, a multiple of 8, on a lane
-  thread and the rest on the calling thread, and BLAS groups each block's
-  rows as it groups one gemv's, so the bits are those of one gemv;
 - a diagonal run, at least _DIAGONAL_MIN_ROWS (128) consecutive one-entry
   rows, each a column right of the one above, is one elementwise multiply;
 - every other row is summed with np.add.reduceat over its products in
   column order, each product np.multiply(value, v[col]) with the stored
   value first, whatever the number of entries.
 So bits repeat run to run for a given numpy and BLAS build and CPU, and the
-tests check that they depend on neither the BLAS thread count nor the number
-of lanes.  A diagonal run gives the reduceat bits of its rows; panel rows
-differ from them by rounding only, so a matrix without panels gives exactly
-the reduceat bits.
+tests check that they do not depend on the BLAS thread count.  A diagonal
+run gives the reduceat bits of its rows; panel rows differ from them by
+rounding only, so a matrix without panels gives exactly the reduceat bits.
 
 Matrix Market exchange: `coordinate complex general`, entries `row col
 real imag` with integer 1-based indices and shortest round-trip floats, a
@@ -36,8 +30,6 @@ and blank lines may appear anywhere in the body.
 from __future__ import annotations
 
 import os
-import queue
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -68,20 +60,6 @@ _DIAGONAL_MIN_ROWS = 128
 # A panel's call: the gemv of np.dot without its __array_function__ dispatch.
 _DOT = np.ndarray.dot
 
-# Panels of at least this many entries (2.4 MiB of complex128) are split
-# between two lanes.  Offering a block to the lane costs the calling thread
-# 20-30 us: two lanes took 67 against 48 us at 300 x 300 and 93 against 77 us
-# at 362 x 362, and won from 400 x 400, 62 against 104 us, and 515 against
-# 858 us at 1000 x 1000 (x86_64 Xeon, 2 CPUs, OpenBLAS 0.3.31, one BLAS
-# thread).  Each block starts a multiple of _SPLIT_ROWS rows from the panel's
-# first row, so BLAS groups its rows as it groups one gemv's.
-_SPLIT_MIN_ENTRIES = 160_000
-_SPLIT_ROWS = 8
-try:
-    _TWO_LANES = len(os.sched_getaffinity(0)) > 1
-except AttributeError:  # no CPU affinity on this platform
-    _TWO_LANES = (os.cpu_count() or 1) > 1
-
 
 class ComplexSparseMatrix:
     """Compressed-sparse-row matrix of complex entries.
@@ -93,7 +71,7 @@ class ComplexSparseMatrix:
     """
 
     __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values",
-                 "_runs", "_large_panels", "_zero_fill", "_rest_values", "_rest_cols",
+                 "_runs", "_zero_fill", "_rest_values", "_rest_cols",
                  "_starts", "_rest_rows")
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
@@ -115,8 +93,6 @@ class ComplexSparseMatrix:
             self._runs.append((op, block.reshape(r1 - r0, -1) if op is _DOT else block,
                                slice(c0, c1), slice(r0, r1)))
             rest[r0:r1] = False
-        self._large_panels = any(op is _DOT and block.size >= _SPLIT_MIN_ENTRIES
-                                 for op, block, *_ in self._runs)
         # the other stored rows are summed by reduceat from their starts; the
         # sums are scattered unless they are all the rows
         self._rest_rows = np.flatnonzero(rest) if self._runs or self._zero_fill else None
@@ -219,8 +195,8 @@ class ComplexSparseMatrix:
         """Sparse product A @ v: `panel.dot(v[c0:c1])` per dense panel and
         `np.multiply(d, v[c0:c1])` per diagonal run, into slices of the
         product, and np.add.reduceat over `np.multiply(values, v[cols])` for
-        the other rows.  A large panel's first rows go to the lane thread.
-        Equal inputs give equal bits for a given numpy/BLAS build and CPU."""
+        the other rows, all on the calling thread.  Equal inputs give equal
+        bits for a given numpy/BLAS build and CPU."""
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.n_cols,):
             raise DimensionMismatch(
@@ -229,15 +205,10 @@ class ComplexSparseMatrix:
         if self._rest_rows is None:
             return self._rest_sums(v)
         out = (np.zeros if self._zero_fill else np.empty)(self.n_rows, dtype=complex)
-        runs, offered = self._runs, ()
-        if self._large_panels and _TWO_LANES:
-            runs, offered = _lane.split(runs, v, out)
-        for op, block, cols, rows in runs:
+        for op, block, cols, rows in self._runs:
             op(block, v[cols], out=out[rows])
         if self._rest_rows.size:
             out[self._rest_rows] = self._rest_sums(v)
-        for job in offered:
-            _lane.finish(*job)
         return out
 
     def _rest_sums(self, v: np.ndarray) -> np.ndarray:
@@ -290,114 +261,6 @@ def _row_runs(row_offsets: np.ndarray, col_indices: np.ndarray,
     big = (r1 - r0) * width >= np.where(width > 1, _PANEL_MIN_ENTRIES, _DIAGONAL_MIN_ROWS)
     return [(_DOT, a, b, c, c + w) if w > 1 else (np.multiply, a, b, c, c + b - a)
             for a, b, c, w in np.array((r0, r1, first[r0], width))[:, big].T.tolist()]
-
-
-class _Lane:
-    """The second lane: one daemon thread, started on first use, that
-    multiplies the row blocks offered to it, each into an array of its own.
-    Numpy only: the thread calls no gencheb function.
-
-    The caller never waits for the lane: when its own rows are done, it
-    copies the lane's rows if they are ready and multiplies them itself if
-    not, so every cross-thread wake-up stays off its path.  After a miss the
-    lane is offered no block for the next 1, 2, 4, ... 64 panels, doubling
-    per miss in a row, so that a lane that keeps waking late, on a host
-    whose CPUs are taken by others, does not compete with the caller."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.jobs = None  # the thread's queue, once it runs
-        self.skip = 0  # panels to keep on one lane
-        self.penalty = 0  # the skip set by the last miss in a row
-
-    def split(self, runs: list, v: np.ndarray, out: np.ndarray) -> tuple[list, list]:
-        """Offer the first rows of each large panel of `runs` to the lane.
-        Return the runs left to the caller and the offered (job, block, x, y)."""
-        left, offered = [], []
-        for op, block, cols, rows in runs:
-            if op is _DOT and block.size >= _SPLIT_MIN_ENTRIES and (h := self.rows(block)):
-                x, r0 = v[cols], rows.start
-                offered.append((self.offer(block[:h], x), block[:h], x, out[r0:r0 + h]))
-                block, rows = block[h:], slice(r0 + h, rows.stop)
-            left.append((op, block, cols, rows))
-        return left, offered
-
-    def rows(self, panel: np.ndarray) -> int:
-        """Rows of a large panel's first block, to offer to the lane: 7/16 of
-        the panel, so that the calling thread, which starts first, is done no
-        earlier, as a multiple of _SPLIT_ROWS; 0 keeps the panel one gemv."""
-        with self.lock:
-            if self.skip:
-                self.skip -= 1
-                return 0
-        return panel.shape[0] * 7 // (16 * _SPLIT_ROWS) * _SPLIT_ROWS
-
-    def offer(self, block: np.ndarray, x: np.ndarray) -> "_LaneJob":
-        job = _LaneJob(block, x)
-        with self.lock:
-            if self.jobs is None:
-                self.jobs = queue.SimpleQueue()
-                threading.Thread(target=self._serve, args=(self.jobs,),
-                                 name="gencheb-lane", daemon=True).start()
-            self.jobs.put(job)
-        return job
-
-    def finish(self, job: "_LaneJob", block: np.ndarray, x: np.ndarray,
-               y: np.ndarray) -> None:
-        """In the caller: write the block's product into y."""
-        taken = job.claim.acquire(blocking=False)  # the lane will skip it
-        if taken:
-            job.args = None
-        elif job.error is not None:
-            raise job.error
-        ready = job.rows is not None
-        with self.lock:
-            self.penalty = 0 if ready else min(2 * self.penalty or 1, 64)
-            self.skip = self.penalty
-        if ready:
-            y[...] = job.rows
-        else:
-            np.dot(block, x, out=y)
-
-    @staticmethod
-    def _serve(jobs: queue.SimpleQueue) -> None:
-        while True:
-            job = jobs.get()
-            if job.claim.acquire(blocking=False):  # else the caller took it
-                block, x = job.args
-                job.args = None
-                try:
-                    job.rows = np.dot(block, x)
-                except Exception as exc:  # raised again in the caller
-                    job.error = exc
-                del block, x
-            del job
-
-
-class _LaneJob:
-    """`np.dot(block, x)` offered to the lane; whoever claims it first, the
-    lane or the caller, multiplies it."""
-
-    __slots__ = ("args", "claim", "rows", "error")
-
-    def __init__(self, block: np.ndarray, x: np.ndarray):
-        self.args = (block, x)  # views of a matrix keep its values alive
-        self.claim = threading.Lock()
-        self.rows = None  # the lane's product, or
-        self.error = None  # the exception it raised
-
-
-_lane = _Lane()
-
-
-def _forget_lane() -> None:
-    """A forked child has no lane thread; it starts its own."""
-    global _lane
-    _lane = _Lane()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_lane)
 
 
 def _entry_rows(a: ComplexSparseMatrix) -> np.ndarray:

@@ -72,9 +72,13 @@ class IterationSystem:
 
     def residual_norm(self, y: np.ndarray, my: np.ndarray | None = None) -> float:
         """Euclidean norm of (I - M) y - g; `my` is M y when already known."""
-        r = y - (self.M.matvec(y) if my is None else my) - self.g
-        # np.linalg.norm's own sum for a complex vector, without its wrapper
-        return math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
+        return _norm(y - (self.M.matvec(y) if my is None else my) - self.g)
+
+
+def _norm(r: np.ndarray) -> float:
+    """Euclidean norm of a complex vector: np.linalg.norm's own sum, without
+    its wrapper."""
+    return math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
 
 
 @dataclass
@@ -293,8 +297,8 @@ def run(
     my = rsys.M.matvec(y)
     residual = trace.initial_residual = rsys.residual_norm(y, my)
     if ref is not None:
-        trace.initial_err = float(np.linalg.norm(ref - y))
-    g_norm = float(np.linalg.norm(rsys.g))
+        trace.initial_err = _norm(ref - y)
+    g_norm = _norm(rsys.g)
     target = -math.inf if tol is None else tol * g_norm
     guard = DIVERGENCE_GUARD * max(residual, g_norm)
     best, best_residual = y, residual
@@ -304,7 +308,7 @@ def run(
         y, cost = stepper.step(finish(my))
         my = rsys.M.matvec(y)
         residual = rsys.residual_norm(y, my)
-        err = None if ref is None else float(np.linalg.norm(ref - y))
+        err = None if ref is None else _norm(ref - y)
         trace.append(stepper.m, err, residual, cost)
         if residual < best_residual:
             best, best_residual = y, residual

@@ -726,6 +726,17 @@ class TestNonFiniteSpectrum:
         assert main([subcommand, *flags]) == EXIT_IO
         assert "nonfinite.txt holds a non-finite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["report", "deltoid-sample"])
+    def test_overflowing_modulus_refused(self, tmp_path, capsys, subcommand):
+        # both parts finite, |z| above the largest double: abs(z) would raise
+        spath = tmp_path / "overflow.txt"
+        spath.write_text("1.5e308 1.5e308\n0.5 0\n")
+        out = tmp_path / "o"
+        assert main([subcommand, "--spectrum", str(spath), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "overflow.txt holds a non-finite value or modulus" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["nan", "0.5+nanj", "inf", "-infj"])
     @pytest.mark.parametrize("subcommand", ["report", "custom"])
     def test_lambda1_flag_is_a_usage_error(self, tmp_path, capsys, subcommand, value):

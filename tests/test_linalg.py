@@ -1,11 +1,7 @@
-import gc
 import os
 import subprocess
 import sys
-import threading
-import time
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -14,13 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import gencheb
-from gencheb import linalg
 from gencheb.errors import DimensionMismatch, UnreadableMatrix
 from gencheb.genmat import example33_fixture
 from gencheb.linalg import (
     _DIAGONAL_MIN_ROWS,
     _PANEL_MIN_ENTRIES,
-    _SPLIT_MIN_ENTRIES,
     ComplexSparseMatrix,
     PoweredOperator,
     as_vector,
@@ -360,7 +354,9 @@ import numpy as np
 from gencheb.linalg import ComplexSparseMatrix
 rng = np.random.default_rng(5)
 digest = hashlib.sha256()
-for rows, w in ((400, 400), (40, 40), (2, 32768), (8000, 1), (1, 32768)):
+# panels up to a million entries, among them odd heights and widths
+for rows, w in ((400, 400), (40, 40), (2, 32768), (8000, 1), (1, 32768),
+                (1000, 1000), (1233, 131), (515, 517), (19, 8999), (18, 9999)):
     dense = rng.standard_normal((rows, w)) + 1j * rng.standard_normal((rows, w))
     v = rng.standard_normal(w) + 1j * rng.standard_normal(w)
     digest.update(ComplexSparseMatrix.from_dense(dense).matvec(v).tobytes())
@@ -368,6 +364,18 @@ n = 20000
 d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 digest.update(ComplexSparseMatrix(n, n, np.arange(n + 1), np.arange(n), d).matvec(v).tobytes())
+# two panels and a diagonal run in one matrix
+dense = np.zeros((804, 804), dtype=complex)
+for r0, r1 in ((0, 401), (401, 804)):
+    dense[r0:r1, r0:r1] = rng.standard_normal((r1 - r0,) * 2) + 1j
+rows, cols = np.nonzero(dense)
+tail = np.arange(804, 2804)
+d = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+a = ComplexSparseMatrix.from_triplets(2804, 2804, np.r_[rows, tail], np.r_[cols, tail],
+                                      np.r_[dense[rows, cols], d])
+assert [op.__name__ for op, *_ in a._runs] == ["dot", "dot", "multiply"]
+v = rng.standard_normal(2804) + 1j * rng.standard_normal(2804)
+digest.update(a.matvec(v).tobytes())
 print(digest.hexdigest())
 """
 
@@ -386,236 +394,27 @@ def test_panel_bits_do_not_depend_on_the_blas_thread_count():
     assert len(digests) == 1
 
 
-_LANE_MATRICES = """
+_NEW_THREADS = """
+import threading
 import numpy as np
 from gencheb.linalg import ComplexSparseMatrix
-
-
-def lane_matrices():
-    # whole panels above the split floor with odd heights and widths, the
-    # smallest split (19 rows: 8 + 11) and a panel too short to split; then
-    # two panels and a diagonal run in one matrix
-    rng = np.random.default_rng(5)
-    out = []
-    for rows, w in ((1233, 131), (515, 517), (19, 8999), (18, 9999)):
-        dense = rng.standard_normal((rows, w)) + 1j * rng.standard_normal((rows, w))
-        out.append(ComplexSparseMatrix.from_dense(dense))
-    dense = np.zeros((2804, 2804), dtype=complex)
-    for r0, r1 in ((0, 401), (401, 804)):
-        dense[r0:r1, r0:r1] = rng.standard_normal((r1 - r0,) * 2) + 1j
-    dense[804:, 804:] = np.diag(rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
-    out.append(ComplexSparseMatrix.from_dense(dense))
-    return out
-"""
-exec(_LANE_MATRICES)  # defined here and in the subprocess scripts below
-
-_LANE_DIGEST = _LANE_MATRICES + """
-import hashlib
-from gencheb import linalg
-digest = hashlib.sha256()
-rng = np.random.default_rng(6)
-for a in lane_matrices():
-    for _ in range(3):
-        v = rng.standard_normal(a.n_cols) + 1j * rng.standard_normal(a.n_cols)
-        digest.update(a.matvec(v).tobytes())
-print(linalg._TWO_LANES, digest.hexdigest())
+a = ComplexSparseMatrix.from_dense(np.ones((1000, 1000)) + 1j)
+assert [block.size for _, block, *_ in a._runs] == [1_000_000]
+before = set(threading.enumerate())
+for _ in range(3):
+    a.matvec(np.ones(1000, dtype=complex))
+print(sorted(t.name for t in set(threading.enumerate()) - before))
 """
 
-_PIN_ONE_CPU = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
 
-
-def _run_python(code, timeout=120):
+def test_a_product_starts_no_thread():
+    # in a fresh process: a thread a product started would be alive after it
     src = os.path.dirname(os.path.dirname(gencheb.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=timeout)
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
-                    or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
-def test_panel_bits_do_not_depend_on_the_lane_count():
-    # pinned to one CPU before gencheb is imported: one lane
-    outputs = [_run_python(pin + _LANE_DIGEST) for pin in (_PIN_ONE_CPU, "")]
-    for done in outputs:
-        assert done.returncode == 0, done.stderr
-    (one, d1), (two, d2) = (done.stdout.split() for done in outputs)
-    assert (one, two) == ("False", "True")
-    assert d1 == d2
-
-
-class TestLane:
-    @pytest.fixture(autouse=True)
-    def lane(self, monkeypatch):
-        """Two lanes, and a lane of its own per test: no skips carried in."""
-        monkeypatch.setattr(linalg, "_TWO_LANES", True)
-        monkeypatch.setattr(linalg, "_lane", linalg._Lane())
-        return linalg._lane
-
-    @staticmethod
-    def _cases(seed):
-        """(matrix, vector, one-lane product) for each lane matrix."""
-        rng = np.random.default_rng(seed)
-        cases = []
-        for a in lane_matrices():
-            v = rng.standard_normal(a.n_cols) + 1j * rng.standard_normal(a.n_cols)
-            linalg._TWO_LANES = False
-            cases.append((a, v, a.matvec(v)))
-            linalg._TWO_LANES = True
-        return cases
-
-    @staticmethod
-    def _until(done, seconds=30):
-        deadline = time.monotonic() + seconds
-        while not done() and time.monotonic() < deadline:
-            time.sleep(0.001)
-
-    def _delivering(self, lane):
-        """lane.offer, returning once the lane has multiplied the block."""
-        offer = lane.offer
-
-        def delivered(block, x):
-            job = offer(block, x)
-            self._until(lambda: job.rows is not None or job.error is not None)
-            return job
-
-        return delivered
-
-    @pytest.mark.parametrize("rows, width, first", [
-        (1000, 1000, 432), (1233, 131, 536), (515, 517, 224), (19, 8999, 8),
-        (18, 9999, 0),
-    ])
-    def test_lane_rows(self, lane, rows, width, first):
-        # a multiple of 8 rows, 7/16 of the panel, and 8 rows at least
-        assert lane.rows(np.empty((rows, width))) == first
-
-    def test_panels_below_the_floor_stay_on_one_lane(self, monkeypatch, lane):
-        def offer(block, x):
-            raise AssertionError("offered a panel below the floor")
-
-        monkeypatch.setattr(lane, "offer", offer)
-        rng = np.random.default_rng(13)
-        for rows, width in ((399, 400), (2, 70_000)):
-            assert rows * width < _SPLIT_MIN_ENTRIES
-            dense = rng.standard_normal((rows, width)) + 1j
-            a = ComplexSparseMatrix.from_dense(dense)
-            v = np.ones(width, dtype=complex)
-            assert np.array_equal(a.matvec(v), np.dot(dense, v))
-
-    @pytest.mark.parametrize("state", ["not started", "started", "ready"])
-    def test_caller_finishes_the_lane_block_in_every_state(self, monkeypatch, lane, state):
-        deliver, offered = self._delivering(lane), []
-
-        def offer_in_state(block, x):
-            if state == "ready":  # the caller copies the lane's rows
-                job = deliver(block, x)
-            else:  # the caller multiplies them itself
-                job = linalg._LaneJob(block, x)
-                if state == "started":
-                    job.claim.acquire()
-            offered.append(job)
-            return job
-
-        monkeypatch.setattr(lane, "offer", offer_in_state)
-        for a, v, one_lane in self._cases(10):
-            lane.skip = 0
-            split = a.matvec(v)
-            assert np.array_equal(split, one_lane)
-            if len(a._runs) == 1:  # the whole matrix is one panel
-                assert np.array_equal(split, np.dot(a.to_dense(), v))
-        # one block from each panel above the floor and 19 rows or more
-        assert len(offered) == 5
-
-    def test_a_missed_block_keeps_the_next_panels_on_one_lane(self, monkeypatch, lane):
-        (a, v, one_lane), *_ = self._cases(12)
-        deliver = self._delivering(lane)
-        monkeypatch.setattr(lane, "offer", lambda block, x: linalg._LaneJob(block, x))
-        skips = []
-        for _ in range(12):  # every block missed: skips of 1, 2, 4 ... 64
-            assert np.array_equal(a.matvec(v), one_lane)
-            skips.append(lane.skip)
-            while lane.skip:
-                assert lane.rows(a._runs[0][1]) == 0
-        assert skips == [1, 2, 4, 8, 16, 32, 64, 64, 64, 64, 64, 64]
-        monkeypatch.setattr(lane, "offer", deliver)
-        assert np.array_equal(a.matvec(v), one_lane)  # a block delivered
-        assert (lane.skip, lane.penalty) == (0, 0)
-
-    def test_lane_exception_is_raised_in_the_caller(self, monkeypatch, lane):
-        (a, v, one_lane), *_ = self._cases(9)
-        deliver = self._delivering(lane)
-        # the lane gets a job it cannot multiply
-        monkeypatch.setattr(lane, "offer", lambda block, x: deliver(block, x[:-1]))
-        with pytest.raises(ValueError):
-            a.matvec(v)
-        monkeypatch.setattr(lane, "offer", deliver)
-        assert np.array_equal(a.matvec(v), one_lane)
-
-    def test_a_matrix_is_freed_after_its_products(self, monkeypatch, lane):
-        # a lane that kept its last job while idle would keep the matrix's
-        # values alive
-        monkeypatch.setattr(lane, "offer", self._delivering(lane))
-        a = ComplexSparseMatrix.from_dense(np.ones((420, 420)))
-        for _ in range(3):
-            a.matvec(np.ones(420))
-        values = weakref.ref(a.values)
-        del a
-
-        def freed():
-            gc.collect()
-            return values() is None
-
-        self._until(freed, seconds=10)
-        assert values() is None
-
-    def test_concurrent_callers_share_the_lane(self):
-        cases = self._cases(11)
-        wrong = []
-
-        def caller(k):
-            for i in range(20):
-                a, v, want = cases[(k + i) % len(cases)]
-                if not np.array_equal(a.matvec(v), want):
-                    wrong.append((k, i))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
-
-
-_FORK_CHILD = _LANE_MATRICES + """
-import os
-import signal
-import threading
-from gencheb import linalg
-signal.alarm(60)
-linalg._TWO_LANES = True
-a = lane_matrices()[1]
-v = np.ones(a.n_cols, dtype=complex)
-want = a.matvec(v)
-pid = os.fork()
-if pid == 0:
-    signal.alarm(60)  # a child does not inherit the alarm
-    ok = np.array_equal(a.matvec(v), want)
-    lanes = [t for t in threading.enumerate() if t.name == "gencheb-lane"]
-    os._exit(0 if ok and len(lanes) == 1 else 1)
-_, status = os.waitpid(pid, 0)
-raise SystemExit(os.waitstatus_to_exitcode(status))
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_starts_its_own_lane():
-    done = _run_python(_FORK_CHILD)
+    done = subprocess.run([sys.executable, "-c", _NEW_THREADS],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestConjTranspose:
