@@ -1,7 +1,10 @@
+import gc
 import os
 import subprocess
 import sys
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -348,6 +351,12 @@ class TestMatvecProperties:
             assert np.array_equal(a.matvec(v), _reduceat_product(a, v))
 
 
+def _run_python(code, timeout=120):
+    src = os.path.dirname(os.path.dirname(gencheb.__file__))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=timeout)
+
+
 _PANEL_DIGEST = """
 import hashlib
 import numpy as np
@@ -409,12 +418,126 @@ print(sorted(t.name for t in set(threading.enumerate()) - before))
 
 def test_a_product_starts_no_thread():
     # in a fresh process: a thread a product started would be alive after it
-    src = os.path.dirname(os.path.dirname(gencheb.__file__))
-    done = subprocess.run([sys.executable, "-c", _NEW_THREADS],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
+    done = _run_python(_NEW_THREADS)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _two_panels_and_a_diagonal(rng):
+    """A 2804 x 2804 matrix of two 400-odd-row panels and a 2000-row diagonal
+    run, with the dense matrix it stores."""
+    dense = np.zeros((2804, 2804), dtype=complex)
+    for r0, r1 in ((0, 401), (401, 804)):
+        dense[r0:r1, r0:r1] = rng.standard_normal((r1 - r0,) * 2) + 1j
+    dense[804:, 804:] = np.diag(rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
+    return ComplexSparseMatrix.from_dense(dense), dense
+
+
+class TestLargePanels:
+    """Panels above 160,000 entries take the one product path: one gemv per
+    panel on the calling thread, whatever the threads or CPUs around it."""
+
+    @staticmethod
+    def _cases(seed):
+        """(matrix, vector, product) for a panel and a matrix of three runs."""
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal((1233, 131)) + 1j * rng.standard_normal((1233, 131))
+        cases = []
+        for a in (ComplexSparseMatrix.from_dense(dense), _two_panels_and_a_diagonal(rng)[0]):
+            v = rng.standard_normal(a.n_cols) + 1j * rng.standard_normal(a.n_cols)
+            cases.append((a, v, a.matvec(v)))
+        return cases
+
+    # odd heights and widths, a million entries, and two panels below 160,000
+    @pytest.mark.parametrize("rows, width", [
+        (1000, 1000), (1233, 131), (515, 517), (19, 8999), (18, 9999),
+        (399, 400), (2, 70_000),
+    ])
+    def test_a_panel_has_the_bits_of_one_gemv(self, rows, width):
+        rng = np.random.default_rng(rows)
+        dense = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
+        a = ComplexSparseMatrix.from_dense(dense)
+        assert [block.shape for _, block, *_ in a._runs] == [(rows, width)]
+        v = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        assert np.array_equal(a.matvec(v), np.dot(dense, v))
+
+    def test_each_run_has_the_bits_of_its_own_product(self):
+        rng = np.random.default_rng(14)
+        a, dense = _two_panels_and_a_diagonal(rng)
+        assert [op.__name__ for op, *_ in a._runs] == ["dot", "dot", "multiply"]
+        v = rng.standard_normal(2804) + 1j * rng.standard_normal(2804)
+        want = np.concatenate([np.dot(dense[:401, :401], v[:401]),
+                               np.dot(dense[401:804, 401:804], v[401:804]),
+                               np.multiply(np.diag(dense[804:, 804:]), v[804:])])
+        assert np.array_equal(a.matvec(v), want)
+
+    def test_concurrent_callers_get_the_same_bits(self):
+        cases = self._cases(11)
+        wrong = []
+
+        def caller(k):
+            for i in range(20):
+                a, v, want = cases[(k + i) % len(cases)]
+                if not np.array_equal(a.matvec(v), want):
+                    wrong.append((k, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_a_matrix_is_freed_after_its_products(self):
+        # nothing in the library keeps a matrix or its panels past the product
+        (a, v, _), *_ = self._cases(12)
+        for _ in range(3):
+            a.matvec(v)
+        values = weakref.ref(a.values)
+        del a
+        gc.collect()
+        assert values() is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_gets_the_parents_bits(self):
+        done = _run_python(_FORK_CHILD)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_bits_do_not_depend_on_the_cpu_affinity(self):
+        # pinned to one CPU before gencheb is imported, and not pinned
+        outputs = [_run_python(pin + _PANEL_DIGEST) for pin in (_PIN_ONE_CPU, "")]
+        for done in outputs:
+            assert done.returncode == 0, done.stderr
+        assert outputs[0].stdout == outputs[1].stdout
+
+
+_PIN_ONE_CPU = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+
+_FORK_CHILD = """
+import os
+import signal
+import threading
+import numpy as np
+from gencheb.linalg import ComplexSparseMatrix
+signal.alarm(60)
+a = ComplexSparseMatrix.from_dense(np.ones((1000, 1000)) + 1j)
+v = np.arange(1000) + 0.5j
+want = a.matvec(v)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)  # a child does not inherit the alarm
+    ok = np.array_equal(a.matvec(v), want)
+    os._exit(0 if ok and threading.active_count() == 1 else 1)
+_, status = os.waitpid(pid, 0)
+raise SystemExit(os.waitstatus_to_exitcode(status))
+"""
 
 
 class TestConjTranspose:
