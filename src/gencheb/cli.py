@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import os
 import sys
@@ -52,7 +53,7 @@ from .genmat import (
     write_generated_system,
 )
 from .linalg import read_matrix_market, read_vector_market
-from .solvers import SCHEMES, ConvergenceTrace, IterationSystem, run, transform_system
+from .solvers import SCHEMES, ConvergenceTrace, IterationSystem, run
 from .spectrum import SpectrumInfo, build_report, estimate_dominant_eigenvalue
 
 EXIT_OK = 0
@@ -160,38 +161,6 @@ def _spectrum_info(args: argparse.Namespace) -> SpectrumInfo | None:
     return None
 
 
-def _run_schemes(
-    args: argparse.Namespace,
-    base_system: IterationSystem,
-    k: int,
-    reference_x=None,
-    tol: float | None = None,
-) -> tuple[list[ConvergenceTrace], list[str], int]:
-    """Runs of the requested schemes on the k-transformed system.
-
-    Fixed-step runs when `tol` is None, else runs to that relative residual.
-    A run that stops short keeps its trace and gets a report line saying
-    why.  Returns the traces, the report lines and the exit code.
-    """
-    work = transform_system(base_system, k)
-    traces, lines, code = [], [], EXIT_OK
-    for scheme in args.schemes:
-        try:
-            _, trace = run(work, scheme, steps=args.steps, tol=tol,
-                           reference_x=reference_x, residual_system=base_system)
-            if tol is not None:
-                lines.append(f"{scheme}: converged in {len(trace.steps)} steps "
-                             f"({trace.total_matvecs} matvecs)")
-        except NotConverged as exc:
-            trace, code = exc.trace, EXIT_NOT_CONVERGED
-            if isinstance(exc, Divergence):
-                lines.append(f"{scheme}: diverged at step {trace.steps[-1]}")
-            else:
-                lines.append(f"{scheme}: NOT converged within {args.steps} steps")
-        traces.append(trace)
-    return traces, lines, code
-
-
 _ESTIMATORS = {"geomean": ConvergenceTrace.geometric_mean_ratio,
                "lsqfit": ConvergenceTrace.fitted_rate}
 
@@ -222,7 +191,11 @@ def _experiment(args: argparse.Namespace, info: SpectrumInfo, system: IterationS
     """The experiment of example33, normal-sparse and custom: report on `info`
     (no k: report.txt and exit 3), run the schemes on `system` at --k or the
     selected k, write trace.csv, and write report.txt as the report, `k_used`,
-    `lines`, the stop lines and the rates measured over `windows`."""
+    `lines`, the stop lines and the rates measured over `windows`.
+
+    Each run is fixed-step when `tol` is None, else to that relative
+    residual.  A run that stops short keeps its trace, gets a stop line
+    saying why, and makes the exit code 4."""
     report = build_report(info, k_max=args.k_max)
     if report.k_selected is None:
         _write_report(args, report.lines() + lines)
@@ -233,7 +206,21 @@ def _experiment(args: argparse.Namespace, info: SpectrumInfo, system: IterationS
         raise UnreadableMatrix("generalized scheme needs --tilde (or --assume-normal "
                                "for a normal matrix)")
     k = report.k_selected if args.k == "auto" else args.k
-    traces, stops, code = _run_schemes(args, system, k, x, tol)
+    system = dataclasses.replace(system, k=k)
+    traces, stops, code = [], [], EXIT_OK
+    for scheme in args.schemes:
+        try:
+            _, trace = run(system, scheme, steps=args.steps, tol=tol, reference_x=x)
+            if tol is not None:
+                stops.append(f"{scheme}: converged in {len(trace.steps)} steps "
+                             f"({trace.total_matvecs} matvecs)")
+        except NotConverged as exc:
+            trace, code = exc.trace, EXIT_NOT_CONVERGED
+            if isinstance(exc, Divergence):
+                stops.append(f"{scheme}: diverged at step {trace.steps[-1]}")
+            else:
+                stops.append(f"{scheme}: NOT converged within {args.steps} steps")
+        traces.append(trace)
     _write_csv(args, "trace.csv", TRACE_HEADER, _trace_rows(traces))
     path = _write_report(args, [*report.lines(), f"k_used: {k}", *lines, *stops,
                                 *_measured_lines(traces, windows or {})])

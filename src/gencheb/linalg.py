@@ -461,5 +461,5 @@ def read_vector_market(path: str | os.PathLike) -> np.ndarray:
     """Read an n-by-1 Matrix Market file back into a dense vector."""
     mat = read_matrix_market(path)
     if mat.n_cols != 1:
-        raise UnreadableMatrix(f"expected an n-by-1 vector file, got {mat.shape}")
+        raise UnreadableMatrix(f"{path} has shape {mat.shape}, expected an n-by-1 vector")
     return mat.to_dense()[:, 0]

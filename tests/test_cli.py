@@ -315,6 +315,35 @@ class TestCustomCommand:
         assert "error: " + str(wrong) in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
 
+    def test_matrix_given_as_rhs_names_the_file(self, tmp_path, capsys):
+        mpath, _tpath, _spath = self._write_inputs(tmp_path)
+        out = tmp_path / "o"
+        code = main(["custom", "--matrix", str(mpath), "--rhs", str(mpath),
+                     "--lambda1", "0.9", "--out", str(out)])
+        assert code == EXIT_IO
+        assert f"error: {mpath} has shape (4, 4)" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
+    def test_rhs_with_assume_normal_needs_tilde_rhs(self, tmp_path, capsys):
+        mpath, _tpath, _spath = self._write_inputs(tmp_path)
+        gpath = tmp_path / "g.mtx"
+        write_vector_market(np.full(4, 0.1 + 0j), gpath)
+        out = tmp_path / "o"
+        code = main(["custom", "--matrix", str(mpath), "--rhs", str(gpath),
+                     "--assume-normal", "--lambda1", "0.9", "--out", str(out)])
+        assert code == EXIT_IO
+        assert "--tilde-rhs" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
+    def test_needs_a_spectral_flag(self, tmp_path, capsys):
+        mpath, tpath, _spath = self._write_inputs(tmp_path)
+        out = tmp_path / "o"
+        code = main(["custom", "--matrix", str(mpath), "--tilde", str(tpath),
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        assert "--spectrum, --lambda1, or --estimate" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
     def test_generalized_without_tilde_refused(self, tmp_path):
         mpath, _tpath, spath = self._write_inputs(tmp_path)
         code = main([

@@ -92,6 +92,14 @@ class TestBasic:
                 trace.err_norms[i] / trace.err_norms[i - 1], rel=1e-12
             )
 
+    def test_rates_without_a_reference_are_taken_of_residuals(self):
+        sys_, _ = dense_system(np.eye(3) * 0.5)
+        _, trace = basic_iterate(sys_, steps=8)
+        assert trace.err_norms == [None] * 8
+        assert trace.series() == (trace.steps, trace.residuals)
+        assert trace.geometric_mean_ratio(2, 6) == pytest.approx(0.5, rel=1e-12)
+        assert trace.fitted_rate(1, 8) == pytest.approx(0.5, rel=1e-12)
+
 
 class TestTransform:
     def test_k_one_unchanged(self):
@@ -265,10 +273,14 @@ class TestMatvecAccounting:
         assert trace.matvecs == [1] * 5
 
     def test_transformed_basic_counts(self):
+        # `run` applies the system's own k; the residuals are those the former
+        # `run(transform_system(sys_, 2), ..., residual_system=sys_)` recorded
         sys_, x = dense_system(np.eye(3) * 0.5)
-        work = transform_system(sys_, 3)
-        _, trace = basic_iterate(work, steps=4, reference_x=x)
-        assert trace.matvecs == [3] * 4
+        _, trace = run(dataclasses.replace(sys_, k=2), "basic", steps=4, reference_x=x)
+        assert trace.k == 2
+        assert trace.matvecs == [2] * 4
+        assert trace.residuals == [0.21650635094610965, 0.05412658773652741,
+                                   0.013531646934131853, 0.0033829117335329633]
 
     def test_classical_counts(self):
         sys_, x = dense_system(np.eye(3) * 0.5, lambda1=0.5)
@@ -284,9 +296,12 @@ class TestMatvecAccounting:
     def test_generalized_counts_transformed(self):
         diag = np.diag([0.9, 0.3, -0.2])
         sys_, x = dense_system(diag, tilde_dense=np.conj(diag), lambda1=0.9)
-        work = transform_system(sys_, 2)
-        _, trace = generalized_chebyshev_iterate(work, steps=6, reference_x=x)
+        _, trace = run(dataclasses.replace(sys_, k=2), "generalized", steps=6,
+                       reference_x=x)
         assert trace.matvecs == [2, 4, 4, 4, 4, 4]
+        assert trace.residuals == [0.11328724553099521, 0.0937059764310878,
+                                   0.31708494767338885, 0.04706429990993859,
+                                   0.017527102275404008, 0.026523573116011532]
 
 
 class TestSolve:
@@ -448,9 +463,8 @@ def _solve_trace(sys_, scheme):
 
 
 def _fixed_trace(sys_, scheme):
-    """Trace of a 30-step fixed run on the k-transformed system."""
-    work = solvers.transform_system(sys_, sys_.k)
-    return run(work, scheme, steps=30, residual_system=sys_)[1]
+    """Trace of a 30-step fixed run at the system's k."""
+    return run(sys_, scheme, steps=30)[1]
 
 
 class TestSolveSharesTheResidualProduct:
@@ -497,19 +511,22 @@ class TestSolveSharesTheResidualProduct:
     def test_residuals_match_the_fixed_step_path(self, normal_system, scheme, k):
         sys_ = dataclasses.replace(normal_system, k=k)
         trace = _solve_trace(sys_, scheme)
-        work = transform_system(normal_system, k)
-        steps = len(trace.steps)
-        _, fixed = run(work, scheme, steps=steps, residual_system=normal_system)
+        _, fixed = run(sys_, scheme, steps=len(trace.steps))
         assert fixed.initial_residual == trace.initial_residual
         assert fixed.residuals == trace.residuals
         assert fixed.matvecs == trace.matvecs
 
-    def test_residual_system_must_be_the_transform_source(self, normal_system):
+    @pytest.mark.parametrize("iterate", [basic_iterate, generalized_chebyshev_iterate])
+    def test_aliases_refuse_a_mismatched_pair(self, normal_system, iterate):
         other = dataclasses.replace(normal_system)  # same matrices, another system
         work = transform_system(normal_system, 3)
-        _, trace = run(work, "basic", steps=2, residual_system=normal_system)
-        assert trace.steps == [1, 2]
+        _, trace = iterate(work, steps=2, residual_system=normal_system)
+        assert trace.steps == [1, 2] and trace.k == 3
         with pytest.raises(ValueError):
-            run(work, "basic", steps=2, residual_system=transform_system(other, 3))
+            iterate(work, steps=2, residual_system=transform_system(other, 3))
         with pytest.raises(ValueError):
-            run(normal_system, "basic", steps=2, residual_system=other)
+            iterate(normal_system, steps=2, residual_system=other)
+
+    def test_run_refuses_a_transformed_system(self, normal_system):
+        with pytest.raises(ValueError):
+            run(transform_system(normal_system, 3), "basic", steps=2)
