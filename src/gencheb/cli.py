@@ -8,7 +8,10 @@ flags it parsed, non-ASCII characters escaped as \\xNN.  One experiment per
 process; exit codes, 1 and 3-5 as listed in `_EXIT_CODES`, are the contract:
 
     0  success
-    2  usage error (argparse)
+    2  usage error, before --out is created or any file is opened: a flag
+       value or combination that argparse or `main` refuses, such as custom or
+       report with no spectral flag, custom --rhs with a companion (--tilde or
+       --assume-normal) but no --tilde-rhs, or generalized with no companion
     3  no power-transform order k: the spectrum is inapplicable to the
        acceleration, no k up to --k-max serves it, or its dominant
        eigenvalue is zero, not inside the unit disc, or has a k-th power
@@ -148,17 +151,15 @@ def read_spectrum_file(path: str) -> list[complex]:
     return values.tolist()
 
 
-def _spectrum_info(args: argparse.Namespace) -> SpectrumInfo | None:
-    """The spectrum given by --spectrum (full) or --lambda1 (partial), if any."""
-    if args.spectrum:
+def _spectrum_info(args: argparse.Namespace) -> SpectrumInfo:
+    """The spectrum given by --spectrum (full) or else --lambda1 (partial)."""
+    if args.spectrum is not None:
         values = read_spectrum_file(args.spectrum)
         lam1 = max(values, key=abs)
         return SpectrumInfo(tuple(values), lambda1=lam1, source="user_supplied")
-    if args.lambda1 is not None:
-        return SpectrumInfo(
-            (args.lambda1,), lambda1=args.lambda1, source="user_supplied", partial=True,
-        )
-    return None
+    return SpectrumInfo(
+        (args.lambda1,), lambda1=args.lambda1, source="user_supplied", partial=True,
+    )
 
 
 _ESTIMATORS = {"geomean": ConvergenceTrace.geometric_mean_ratio,
@@ -202,9 +203,6 @@ def _experiment(args: argparse.Namespace, info: SpectrumInfo, system: IterationS
         print(f"{args.subcommand}: no k selected ({report.classification}, "
               f"--k-max {args.k_max}); report written", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    if "generalized" in args.schemes and system.M_tilde is None:
-        raise UnreadableMatrix("generalized scheme needs --tilde (or --assume-normal "
-                               "for a normal matrix)")
     k = report.k_selected if args.k == "auto" else args.k
     system = dataclasses.replace(system, k=k)
     traces, stops, code = [], [], EXIT_OK
@@ -270,18 +268,6 @@ def _commutator_check(m, m_star, seed: int) -> tuple[float, int]:
     return float(np.sqrt(total / samples)) / fro2, 4 * samples
 
 
-def _custom_spectrum(args: argparse.Namespace, matrix) -> SpectrumInfo:
-    info = _spectrum_info(args)
-    if info is not None:
-        return info
-    if args.estimate:
-        lam1, _residual = estimate_dominant_eigenvalue(matrix, seed=args.seed)
-        return SpectrumInfo((lam1,), lambda1=lam1, source="estimated", partial=True)
-    raise UnreadableMatrix(
-        "custom runs need one of --spectrum, --lambda1, or --estimate"
-    )
-
-
 def _read_shaped(path: str, shape: tuple):
     """The matrix (2-D `shape`) or vector (1-D) in Matrix Market file `path`,
     refused with the file's name unless it has that shape."""
@@ -297,17 +283,19 @@ def run_custom(args: argparse.Namespace) -> int:
     if matrix.n_cols != n:
         raise UnreadableMatrix(f"{args.matrix} has shape {matrix.shape}, "
                                "expected a square matrix")
-    info = _custom_spectrum(args, matrix)
+    if args.estimate:
+        lam1, _residual = estimate_dominant_eigenvalue(matrix, seed=args.seed)
+        info = SpectrumInfo((lam1,), lambda1=lam1, source="estimated", partial=True)
+    else:
+        info = _spectrum_info(args)
 
     def rhs(path, m):
-        """The vector in `path`, else (I - m) ones unless --rhs was given."""
+        """The vector in `path`, else (I - m) ones; `main` refuses a companion
+        with --rhs but no --tilde-rhs, as the solution x is then unknown."""
         if path is not None:
             return _read_shaped(path, (n,))
-        if args.rhs is None:
-            ones = np.ones(n, dtype=complex)
-            return ones - m.matvec(ones)
-        raise UnreadableMatrix("--tilde or --assume-normal with --rhs also needs "
-                               "--tilde-rhs (reference solution unknown)")
+        ones = np.ones(n, dtype=complex)
+        return ones - m.matvec(ones)
 
     g = rhs(args.rhs, matrix)
     m_tilde, lines = None, []
@@ -366,10 +354,7 @@ def run_deltoid_sample(args: argparse.Namespace) -> int:
 
 
 def run_report(args: argparse.Namespace) -> int:
-    info = _spectrum_info(args)
-    if info is None:
-        raise UnreadableMatrix("report needs --spectrum or --lambda1")
-    report = build_report(info, k_max=args.k_max)
+    report = build_report(_spectrum_info(args), k_max=args.k_max)
     path = _write_report(args, report.lines())
     for line in report.lines():
         print(line)
@@ -464,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subcommand("custom", "run a user-supplied Matrix Market system",
                    "--steps", "--tol", "--schemes", "--k", "--k-max", "--seed")
     # alternatives share a group, added in parser order (line 1 of outputs)
-    spectrum, companion = p.add_mutually_exclusive_group(), p.add_mutually_exclusive_group()
+    spectrum = p.add_mutually_exclusive_group(required=True)
+    companion = p.add_mutually_exclusive_group()
     p.add_argument("--matrix", required=True)
     p.add_argument("--rhs", help="right-hand side vector (.mtx); defaults to "
                    "(I - M) * ones")
@@ -484,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum", help="also write eigen-quotient positions")
 
     p = subcommand("report", "spectrum report without running solvers", "--k-max")
-    spectrum = p.add_mutually_exclusive_group()
+    spectrum = p.add_mutually_exclusive_group(required=True)
     spectrum.add_argument("--spectrum")
     spectrum.add_argument("--lambda1", type=_finite_complex, default=None)
     return parser
@@ -519,9 +505,15 @@ def main(argv=None) -> int:
         if not 0 < args.inner_radius < args.lambda1:
             parser.error(f"argument --inner-radius: must lie in (0, --lambda1 = "
                          f"{args.lambda1}), got {args.inner_radius}")
-    if (args.subcommand == "custom" and args.tilde_rhs is not None
-            and args.tilde is None and not args.assume_normal):
-        parser.error("argument --tilde-rhs: needs --tilde or --assume-normal")
+    if args.subcommand == "custom":
+        companion = args.tilde is not None or args.assume_normal
+        if args.tilde_rhs is not None and not companion:
+            parser.error("argument --tilde-rhs: needs --tilde or --assume-normal")
+        if args.rhs is not None and companion and args.tilde_rhs is None:
+            parser.error("argument --rhs: with --tilde/--assume-normal, needs --tilde-rhs")
+        if "generalized" in args.schemes and not companion:
+            parser.error("argument --schemes: generalized needs --tilde or "
+                         "--assume-normal")
     if args.out is None:
         args.out = os.path.join(os.environ.get(ENV_OUTDIR, "."),
                                 f"gencheb-{args.subcommand}")

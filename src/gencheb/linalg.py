@@ -179,11 +179,6 @@ class ComplexSparseMatrix:
     def nnz(self) -> int:
         return int(self.row_offsets[-1])
 
-    @property
-    def matvec_cost(self) -> int:
-        """Sparse products consumed by one apply (unit for the base matrix)."""
-        return 1
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)
         out[_entry_rows(self), self.col_indices] = self.values
@@ -290,10 +285,6 @@ class PoweredOperator:
     @property
     def shape(self) -> tuple[int, int]:
         return self.base.shape
-
-    @property
-    def matvec_cost(self) -> int:
-        return self.k * self.base.matvec_cost
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.finish(self.base.matvec(v))
@@ -408,6 +399,11 @@ def _write_entries(path, shape, rows, cols, re, im_abs, im_neg, order=None):
 
 def read_matrix_market(path: str | os.PathLike) -> ComplexSparseMatrix:
     """Read a coordinate complex general file written by this package."""
+    return _read_market(path)
+
+
+def _read_market(path: str | os.PathLike, vector: bool = False) -> ComplexSparseMatrix:
+    """read_matrix_market; `vector` refuses more than one column before the body."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().strip()
@@ -422,6 +418,9 @@ def read_matrix_market(path: str | os.PathLike) -> ComplexSparseMatrix:
             if len(parts) != 3:
                 raise UnreadableMatrix(f"bad size line in {path}: {size_line!r}")
             n_rows, n_cols, nnz = (int(p) for p in parts)
+            if vector and n_cols != 1:
+                raise UnreadableMatrix(f"{path} has shape {(n_rows, n_cols)}, "
+                                       "expected an n-by-1 vector")
             with warnings.catch_warnings():  # an empty body is valid for nnz 0
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, dtype=float, comments="%", ndmin=2)
@@ -459,7 +458,4 @@ def write_vector_market(v: np.ndarray, path: str | os.PathLike) -> None:
 
 def read_vector_market(path: str | os.PathLike) -> np.ndarray:
     """Read an n-by-1 Matrix Market file back into a dense vector."""
-    mat = read_matrix_market(path)
-    if mat.n_cols != 1:
-        raise UnreadableMatrix(f"{path} has shape {mat.shape}, expected an n-by-1 vector")
-    return mat.to_dense()[:, 0]
+    return _read_market(path, vector=True).to_dense()[:, 0]

@@ -158,11 +158,11 @@ class _BasicStepper:
     """The basic step y -> M y + g; subclasses recombine it with `prev`.
 
     `step(forward)` takes M y of the latest iterate y and reports the step's
-    full recurrence cost, `cost`, read once per run.
+    full recurrence cost: k products, for M^k y on a k-powered system.
     """
 
     def __init__(self, sys: IterationSystem, x0: np.ndarray):
-        self.sys, self.cost = sys, sys.M.matvec_cost
+        self.sys, self.cost = sys, sys.k
         self.y, self.prev = x0, None
         self.m = 0
 
@@ -217,14 +217,14 @@ class _GeneralizedStepper(_BasicStepper):
     def __init__(self, sys: IterationSystem, x0: np.ndarray):
         if sys.M_tilde is None or sys.g_tilde is None:
             raise MissingTildeData(
-                "generalized scheme needs M_tilde and g_tilde on the system"
+                "generalized scheme: the system has no M_tilde and g_tilde"
             )
         if sys.lambda1 is None:
-            raise MissingLambda1("generalized scheme needs lambda1 on the system")
+            raise MissingLambda1("generalized scheme: the system has no lambda1")
         super().__init__(sys, x0)
         self.stream = ChebCoefficientStream(sys.lambda1)
         self.prev2 = None  # the iterate before `prev`
-        self.tilde_cost = self.cost + sys.M_tilde.matvec_cost  # from step 2
+        self.tilde_cost = 2 * sys.k  # from step 2, M^k y and Mt^k y
 
     def _combine(self, forward):
         sys = self.sys

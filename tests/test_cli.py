@@ -265,7 +265,8 @@ class TestCustomCommand:
         mpath, _tpath, _spath = self._write_inputs(tmp_path)
         (tmp_path / "s.txt").write_text("1e-320 0\n5e-321 0\n")
         code = main(["custom", "--matrix", str(mpath), "--spectrum",
-                     str(tmp_path / "s.txt"), "--out", str(tmp_path / "o")])
+                     str(tmp_path / "s.txt"), "--schemes", "basic",
+                     "--out", str(tmp_path / "o")])
         assert code == EXIT_INAPPLICABLE
         err = capsys.readouterr().err
         assert err == ("error: dominant eigenvalue (1e-320+0j) is zero or below the "
@@ -274,7 +275,7 @@ class TestCustomCommand:
     def test_unreadable_matrix_exit_code(self, tmp_path):
         code = main([
             "custom", "--matrix", str(tmp_path / "missing.mtx"),
-            "--lambda1", "0.9", "--out", str(tmp_path / "o"),
+            "--lambda1", "0.9", "--schemes", "basic", "--out", str(tmp_path / "o"),
         ])
         assert code == EXIT_IO
 
@@ -319,7 +320,7 @@ class TestCustomCommand:
         mpath, _tpath, _spath = self._write_inputs(tmp_path)
         out = tmp_path / "o"
         code = main(["custom", "--matrix", str(mpath), "--rhs", str(mpath),
-                     "--lambda1", "0.9", "--out", str(out)])
+                     "--lambda1", "0.9", "--schemes", "basic", "--out", str(out)])
         assert code == EXIT_IO
         assert f"error: {mpath} has shape (4, 4)" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
@@ -329,28 +330,74 @@ class TestCustomCommand:
         gpath = tmp_path / "g.mtx"
         write_vector_market(np.full(4, 0.1 + 0j), gpath)
         out = tmp_path / "o"
-        code = main(["custom", "--matrix", str(mpath), "--rhs", str(gpath),
-                     "--assume-normal", "--lambda1", "0.9", "--out", str(out)])
-        assert code == EXIT_IO
-        assert "--tilde-rhs" in capsys.readouterr().err
-        assert not (out / "trace.csv").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["custom", "--matrix", str(mpath), "--rhs", str(gpath),
+                  "--assume-normal", "--lambda1", "0.9", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: argument --rhs:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_needs_a_spectral_flag(self, tmp_path, capsys):
         mpath, tpath, _spath = self._write_inputs(tmp_path)
         out = tmp_path / "o"
-        code = main(["custom", "--matrix", str(mpath), "--tilde", str(tpath),
-                     "--out", str(out)])
-        assert code == EXIT_IO
-        assert "--spectrum, --lambda1, or --estimate" in capsys.readouterr().err
-        assert not (out / "trace.csv").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["custom", "--matrix", str(mpath), "--tilde", str(tpath),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert ("one of the arguments --spectrum --lambda1 --estimate is required"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
-    def test_generalized_without_tilde_refused(self, tmp_path):
+    def test_generalized_without_tilde_refused(self, tmp_path, capsys):
         mpath, _tpath, spath = self._write_inputs(tmp_path)
-        code = main([
-            "custom", "--matrix", str(mpath), "--spectrum", str(spath),
-            "--out", str(tmp_path / "o"),
-        ])
-        assert code == EXIT_IO
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["custom", "--matrix", str(mpath), "--spectrum", str(spath),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: argument --schemes: generalized needs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--tilde", "Mt.mtx"], "one of the arguments --spectrum"),
+        (["--lambda1", "0.9", "--assume-normal", "--rhs", "g.mtx"], "argument --rhs:"),
+        (["--lambda1", "0.9", "--tilde", "Mt.mtx", "--rhs", "g.mtx"], "argument --rhs:"),
+        (["--lambda1", "0.9", "--schemes", "basic,generalized"], "argument --schemes:"),
+    ], ids=["no-spectral-flag", "assume-normal-with-rhs", "tilde-with-rhs",
+            "generalized-without-companion"])
+    def test_usage_error_wins_over_a_missing_matrix(self, tmp_path, capsys, flags,
+                                                    message):
+        # the flag combination is judged before any file is opened
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["custom", "--matrix", str(tmp_path / "missing.mtx"), *flags,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "missing.mtx" not in err
+        assert not out.exists()
+
+    def test_explicit_tol_stops_at_the_first_residual_below_it(self, tmp_path):
+        mpath, _tpath, spath = self._write_inputs(tmp_path)
+        out = tmp_path / "o"
+        code = main(["custom", "--matrix", str(mpath), "--spectrum", str(spath),
+                     "--schemes", "basic", "--tol", "1e-6", "--out", str(out)])
+        assert code == EXIT_OK
+        meta, rows = read_trace(out / "trace.csv")
+        assert " tol=1e-06 " in meta
+        g = np.ones(4) - example33_fixture().system.M.to_dense() @ np.ones(4)
+        target = 1e-6 * np.linalg.norm(g)
+        residuals = [float(r["residual"]) for r in rows]
+        assert residuals[-1] <= target < min(residuals[:-1])
+
+    def test_assume_normal_on_an_empty_matrix(self, tmp_path):
+        mpath, out = tmp_path / "Z.mtx", tmp_path / "o"
+        write_matrix_market(ComplexSparseMatrix.from_dense(np.zeros((3, 3))), mpath)
+        code = main(["custom", "--matrix", str(mpath), "--lambda1", "0.5",
+                     "--assume-normal", "--k", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        assert (report_value((out / "report.txt").read_text(), "commutator_check")
+                == "0.000e+00 (randomized, 0 products)")
 
     def test_assume_normal_warns_on_nonnormal(self, tmp_path, capsys):
         mpath, _tpath, spath = self._write_inputs(tmp_path)
@@ -703,8 +750,14 @@ class TestReportCommand:
             "error: dominant eigenvalue (1e-320+0j) is zero or below the smallest "
             "normal double\n")
 
-    def test_needs_input(self, tmp_path):
-        assert main(["report", "--out", str(tmp_path / "o")]) == EXIT_IO
+    def test_needs_input(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--out", str(out)])
+        assert exc.value.code == 2
+        assert ("one of the arguments --spectrum --lambda1 is required"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_spectrum_and_lambda1_conflict(self, tmp_path, capsys):
         spath = write_spectrum(tmp_path / "s.txt", (0.9, 0.5))

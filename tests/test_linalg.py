@@ -637,10 +637,6 @@ class TestPoweredOperator:
                 1.0, np.linalg.norm(expected)
             )
 
-    def test_cost(self):
-        a = ComplexSparseMatrix.identity(3)
-        assert PoweredOperator(a, 4).matvec_cost == 4
-
     def test_invalid_power(self):
         with pytest.raises(ValueError):
             PoweredOperator(ComplexSparseMatrix.identity(2), 0)
@@ -761,6 +757,16 @@ class TestMatrixMarket:
         path = tmp_path / "v.mtx"
         write_vector_market(v, path)
         assert np.array_equal(read_vector_market(path), v)
+
+    def test_vector_shape_refused_before_the_body(self, tmp_path):
+        # the body does not parse: only a size-line check can name the shape
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate complex general\n3 3 1\n1 1 xyz 0.0\n"
+        )
+        with pytest.raises(UnreadableMatrix,
+                           match=r"has shape \(3, 3\), expected an n-by-1 vector"):
+            read_vector_market(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(UnreadableMatrix):
