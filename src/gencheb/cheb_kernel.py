@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateCoefficient
+from .errors import DegenerateCoefficient, InapplicableSpectrum
 
 TWO_PI_I = 2j * np.pi
 
@@ -106,10 +106,11 @@ class ChebCoefficientStream:
 
     def __init__(self, lambda1: complex):
         lambda1 = complex(lambda1)
-        if not 0.0 < abs(lambda1) < 1.0:
-            raise ValueError(
-                f"dominant eigenvalue must satisfy 0 < |lambda1| < 1, got {lambda1}"
-            )
+        if abs(lambda1) < np.finfo(float).tiny:  # zero, or 1/lambda1 would overflow
+            raise InapplicableSpectrum(f"dominant eigenvalue {lambda1} is zero or below "
+                                       "the smallest normal double")
+        if not abs(lambda1) < 1.0:
+            raise ValueError(f"dominant eigenvalue {lambda1} is not inside the unit disc")
         self.lambda1 = lambda1
         self.w = 1.0 / lambda1
         w, wb = self.w, self.w.conjugate()

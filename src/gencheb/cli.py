@@ -337,7 +337,7 @@ def run_deltoid_sample(args: argparse.Namespace) -> int:
         [repr(float(t)), repr(float(z.real)), repr(float(z.imag)), repr(float(h))]
         for t, z, h in zip(ts, zs, hs)
     )))
-    if args.spectrum:
+    if args.spectrum is not None:
         # no SpectrumInfo: plotting quotients needs no |lambda1| < 1 check
         values = read_spectrum_file(args.spectrum)
         lam1 = max(values, key=abs)
@@ -397,11 +397,11 @@ def _k_order(text: str) -> str | int:
 
 
 def _scheme_list(text: str) -> tuple:
-    """argparse type for --schemes: a non-empty comma list of known schemes."""
+    """argparse type for --schemes: a non-empty comma list of distinct known schemes."""
     schemes = tuple(s.strip() for s in text.split(",") if s.strip())
-    if not schemes or not set(schemes) <= set(SCHEMES):
+    if not schemes or not set(schemes) <= set(SCHEMES) or len(set(schemes)) < len(schemes):
         raise argparse.ArgumentTypeError(
-            f"expected a comma list from {','.join(SCHEMES)}, got {text!r}")
+            f"expected distinct names from {','.join(SCHEMES)}, got {text!r}")
     return schemes
 
 

@@ -7,10 +7,11 @@ until a residual tolerance is met, under one divergence guard.  `solve` is
 
 Cost accounting: the trace records the sparse products consumed by the
 scheme recurrence itself (k per basic step on a k-powered system, 2k per
-accelerated three-term step).  `run` takes each residual from the product
-M y that the next step's M^k y starts with, so every run, fixed-step or to
-tolerance, spends the recurrence's products plus one after the power
-transform.
+accelerated three-term step), none for M^k 0 or Mt^k 0 at a zero start.
+`run` takes each residual from the product M y that the next step's M^k y
+starts with, so every run, fixed-step or to tolerance, spends the
+recurrence's products plus one after the power transform, which spends
+k - 1 on each side, (M, g) or (Mt, gt), that the scheme reads.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .cheb_kernel import ChebCoefficientStream
 from .errors import (
     DimensionMismatch,
     Divergence,
+    InapplicableSpectrum,
     MissingLambda1,
     MissingTildeData,
     NotConverged,
@@ -157,23 +159,28 @@ class ConvergenceTrace:
 class _BasicStepper:
     """The basic step y -> M y + g; subclasses recombine it with `prev`.
 
-    `step(forward)` takes M y of the latest iterate y and reports the step's
-    full recurrence cost: k products, for M^k y on a k-powered system.
+    `step(forward)` takes M^k y of the latest iterate y, None for a zero y,
+    and reports the step's recurrence cost: k products for M^k y on a
+    k-powered system, none for M^k 0, plus what `_combine` spends.
     """
+
+    reads_tilde = False  # whether the scheme reads the pair (M_tilde, g_tilde)
 
     def __init__(self, sys: IterationSystem, x0: np.ndarray):
         self.sys, self.cost = sys, sys.k
         self.y, self.prev = x0, None
         self.m = 0
 
-    def step(self, forward: np.ndarray) -> tuple[np.ndarray, int]:
+    def step(self, forward: np.ndarray | None) -> tuple[np.ndarray, int]:
         self.m += 1
-        new, cost = self._combine(forward + self.sys.g)
+        basic, cost = ((self.sys.g.copy(), 0) if forward is None  # never alias g
+                       else (forward + self.sys.g, self.cost))
+        new, extra = self._combine(basic)
         self.prev, self.y = self.y, new
-        return new, cost
+        return new, cost + extra
 
     def _combine(self, basic):
-        return basic, self.cost
+        return basic, 0
 
 
 class _ClassicalStepper(_BasicStepper):
@@ -190,7 +197,7 @@ class _ClassicalStepper(_BasicStepper):
             raise MissingLambda1("classical scheme needs lambda1 to set rho")
         rho = abs(complex(sys.lambda1))
         if not 0.0 < rho < 1.0:
-            raise ValueError(f"spectral radius must lie in (0, 1), got {rho}")
+            raise InapplicableSpectrum(f"spectral radius must lie in (0, 1), got {rho}")
         super().__init__(sys, x0)
         self.quarter_rho2 = rho * rho / 4.0
         self.weight = 2.0
@@ -199,7 +206,7 @@ class _ClassicalStepper(_BasicStepper):
         if self.m > 1:
             self.weight = 1.0 / (1.0 - self.quarter_rho2 * self.weight)
             basic = self.prev + self.weight * (basic - self.prev)
-        return basic, self.cost
+        return basic, 0
 
 
 class _GeneralizedStepper(_BasicStepper):
@@ -214,6 +221,8 @@ class _GeneralizedStepper(_BasicStepper):
     transform) is checked upstream by the spectrum module.
     """
 
+    reads_tilde = True
+
     def __init__(self, sys: IterationSystem, x0: np.ndarray):
         if sys.M_tilde is None or sys.g_tilde is None:
             raise MissingTildeData(
@@ -224,13 +233,15 @@ class _GeneralizedStepper(_BasicStepper):
         super().__init__(sys, x0)
         self.stream = ChebCoefficientStream(sys.lambda1)
         self.prev2 = None  # the iterate before `prev`
-        self.tilde_cost = 2 * sys.k  # from step 2, M^k y and Mt^k y
 
     def _combine(self, forward):
         sys = self.sys
         if self.m == 1:
-            return forward, self.cost
-        tilde = sys.M_tilde.matvec(self.prev) + sys.g_tilde
+            return forward, 0
+        if self.m == 2 and not self.prev.any():  # a zero start: Mt^k 0 = 0
+            tilde, cost = sys.g_tilde, 0
+        else:
+            tilde, cost = sys.M_tilde.matvec(self.prev) + sys.g_tilde, self.cost
         if self.m == 2:
             # the stream has not stepped yet: its window ends with f2(1/lambda1)
             lam1, f2 = self.stream.lambda1, self.stream.window[2]
@@ -239,7 +250,7 @@ class _GeneralizedStepper(_BasicStepper):
             c1, c2, c3 = self.stream.step()
             new = c1 * forward - c2 * tilde + c3 * self.prev2
         self.prev2 = self.prev
-        return new, self.tilde_cost
+        return new, cost
 
 
 _STEPPERS = {
@@ -283,22 +294,25 @@ def run(
         )
     y = np.zeros(system.n, dtype=complex) if x0 is None else as_vector(x0, system.n, "x0")
     ref = None if reference_x is None else as_vector(reference_x, system.n, "reference_x")
-    stepper = stepper_class(transform_system(system, system.k), y)
+    read = system if stepper_class.reads_tilde else replace(system, M_tilde=None,
+                                                            g_tilde=None)
+    stepper = stepper_class(transform_system(read, system.k), y)
     finish = PoweredOperator(system.M, system.k).finish  # M^k y from M y
     trace = ConvergenceTrace(scheme=scheme, k=system.k)
     # One M y per iterate: its residual, and the first factor of the next M^k y.
-    my = system.M.matvec(y)
-    residual = trace.initial_residual = system.residual_norm(y, my)
+    # A zero start has M y = 0 (None) and residual |g| at no product.
+    g_norm = _norm(system.g)
+    my = system.M.matvec(y) if y.any() else None
+    residual = trace.initial_residual = g_norm if my is None else system.residual_norm(y, my)
     if ref is not None:
         trace.initial_err = _norm(ref - y)
-    g_norm = _norm(system.g)
     target = -math.inf if tol is None else tol * g_norm
     guard = DIVERGENCE_GUARD * max(residual, g_norm)
     best, best_residual = y, residual
     for _ in range(steps):
         if residual <= target:
             break
-        y, cost = stepper.step(finish(my))
+        y, cost = stepper.step(None if my is None else finish(my))
         my = system.M.matvec(y)
         residual = system.residual_norm(y, my)
         err = None if ref is None else _norm(ref - y)

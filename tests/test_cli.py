@@ -88,9 +88,9 @@ class TestExample33Command:
                                 "matvecs"}
         schemes = {r["scheme"] for r in rows}
         assert schemes == {"basic", "generalized"}
-        # per-scheme cumulative matvec counters
+        # per-scheme cumulative matvec counters; step 1 from y0 = 0 costs nothing
         basic_rows = [r for r in rows if r["scheme"] == "basic"]
-        assert int(basic_rows[-1]["matvecs"]) == 2 * len(basic_rows)
+        assert int(basic_rows[-1]["matvecs"]) == 2 * (len(basic_rows) - 1)
 
     def test_zero_steps_header_only(self, tmp_path):
         out = tmp_path / "zero"
@@ -117,6 +117,30 @@ class TestExample33Command:
         assert report_value(report, "k_selected") == "None"
         assert "k_used" not in report
         assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("k, scheme, shown", [
+        ("7000", "generalized", "dominant eigenvalue (4.985e-321+0j)"),
+        ("8000", "generalized", "dominant eigenvalue 0j"),
+        ("8000", "classical", "spectral radius must lie in (0, 1), got 0.0"),
+    ])
+    def test_forced_k_with_lambda1_power_below_the_normal_range_refused(
+            self, tmp_path, capsys, k, scheme, shown):
+        # 0.9^7000 is subnormal and 0.9^8000 underflows to 0
+        out = tmp_path / "k"
+        assert main(["example33", "--out", str(out), "--k", k, "--steps", "2",
+                     "--schemes", scheme]) == EXIT_INAPPLICABLE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {shown}") and "Traceback" not in err
+        assert not (out / "trace.csv").exists()
+
+    def test_repeated_scheme_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "twice"
+        with pytest.raises(SystemExit) as exc:
+            main(["example33", "--out", str(out), "--schemes", "basic,basic"])
+        assert exc.value.code == 2
+        assert "error: argument --schemes: expected distinct names" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_fixed_step_divergence_keeps_the_trace(self, tmp_path):
         # at k = 1 the quotients 0.4/0.9 +- 0.7i/0.9 lie outside the deltoid
@@ -671,6 +695,15 @@ class TestDeltoidSampleCommand:
         assert (q["inside_k1"], q["inside_k2"]) == ("0", "1")
 
 
+    def test_empty_spectrum_path_refused(self, tmp_path, capsys):
+        # an empty --spectrum is a path that cannot be read, not an absent flag
+        out = tmp_path / "o"
+        code = main(["deltoid-sample", "--out", str(out), "--resolution", "3",
+                     "--boundary-samples", "3", "--spectrum", ""])
+        assert code == EXIT_IO
+        assert "error: cannot read spectrum file" in capsys.readouterr().err
+        assert not (out / "quotients.csv").exists()
+
     def test_all_zero_spectrum_refused(self, tmp_path, capsys):
         spath = tmp_path / "zero.txt"
         spath.write_text("0 0\n0.0 -0.0\n")
@@ -910,8 +943,8 @@ practical_threshold (k=2): 0.626615
 practical: True
 practical constant: real root of z^3 + z^2 + 2z - 1 = 0.392647; threshold is its k-th root
 k_used: 2
-basic: converged in 101 steps (202 matvecs)
-generalized: converged in 30 steps (118 matvecs)
+basic: converged in 101 steps (200 matvecs)
+generalized: converged in 30 steps (114 matvecs)
 """),
     "custom_tilde_refused": ([*CUSTOM_TILDE, "--k-max", "1"], None, EXIT_INAPPLICABLE, """\
 classification: unique_dominant

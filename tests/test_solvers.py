@@ -13,6 +13,7 @@ from gencheb.errors import (
     NotConverged,
 )
 from gencheb import solvers
+from gencheb.cheb_kernel import ChebCoefficientStream
 from gencheb.genmat import NormalMatrixSpec, assemble_normal_system, example33_fixture
 from gencheb.linalg import ComplexSparseMatrix, PoweredOperator
 from gencheb.solvers import (
@@ -270,7 +271,7 @@ class TestMatvecAccounting:
     def test_basic_counts(self):
         sys_, x = dense_system(np.eye(3) * 0.5)
         _, trace = basic_iterate(sys_, steps=5, reference_x=x)
-        assert trace.matvecs == [1] * 5
+        assert trace.matvecs == [0, 1, 1, 1, 1]  # M 0 costs nothing
 
     def test_transformed_basic_counts(self):
         # `run` applies the system's own k; the residuals are those the former
@@ -278,27 +279,27 @@ class TestMatvecAccounting:
         sys_, x = dense_system(np.eye(3) * 0.5)
         _, trace = run(dataclasses.replace(sys_, k=2), "basic", steps=4, reference_x=x)
         assert trace.k == 2
-        assert trace.matvecs == [2] * 4
+        assert trace.matvecs == [0, 2, 2, 2]
         assert trace.residuals == [0.21650635094610965, 0.05412658773652741,
                                    0.013531646934131853, 0.0033829117335329633]
 
     def test_classical_counts(self):
         sys_, x = dense_system(np.eye(3) * 0.5, lambda1=0.5)
         _, trace = run(sys_, "classical", steps=6, reference_x=x)
-        assert trace.matvecs == [1] * 6
+        assert trace.matvecs == [0, 1, 1, 1, 1, 1]
 
     def test_generalized_counts_untransformed(self):
         diag = np.diag([0.9, 0.3, -0.2])
         sys_, x = dense_system(diag, tilde_dense=np.conj(diag), lambda1=0.9)
         _, trace = generalized_chebyshev_iterate(sys_, steps=6, reference_x=x)
-        assert trace.matvecs == [1, 2, 2, 2, 2, 2]
+        assert trace.matvecs == [0, 1, 2, 2, 2, 2]  # the seed's Mt 0 is free too
 
     def test_generalized_counts_transformed(self):
         diag = np.diag([0.9, 0.3, -0.2])
         sys_, x = dense_system(diag, tilde_dense=np.conj(diag), lambda1=0.9)
         _, trace = run(dataclasses.replace(sys_, k=2), "generalized", steps=6,
                        reference_x=x)
-        assert trace.matvecs == [2, 4, 4, 4, 4, 4]
+        assert trace.matvecs == [0, 2, 4, 4, 4, 4]
         assert trace.residuals == [0.11328724553099521, 0.0937059764310878,
                                    0.31708494767338885, 0.04706429990993859,
                                    0.017527102275404008, 0.026523573116011532]
@@ -467,16 +468,22 @@ def _fixed_trace(sys_, scheme):
     return run(sys_, scheme, steps=30)[1]
 
 
+def _fixed_trace_from_ones(sys_, scheme):
+    """Trace of a 30-step fixed run at the system's k from the nonzero x0 = ones."""
+    return run(sys_, scheme, steps=30, x0=np.ones(sys_.n))[1]
+
+
 class TestSolveSharesTheResidualProduct:
     """`run` takes each residual from the M y that the next step's M^k y
-    starts with: a run, to tolerance or fixed-step, spends its recurrence
-    products plus one."""
+    starts with: a run, to tolerance or fixed-step, from zero or not, spends
+    its recurrence products plus one."""
 
     @pytest.fixture(scope="class")
     def normal_system(self):
         return assemble_normal_system(NormalMatrixSpec(n=200, block_size=40, seed=1)).system
 
-    @pytest.mark.parametrize("mode", [_solve_trace, _fixed_trace], ids=["solve", "fixed"])
+    @pytest.mark.parametrize("mode", [_solve_trace, _fixed_trace, _fixed_trace_from_ones],
+                             ids=["solve", "fixed", "fixed-x0"])
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("scheme", ["basic", "classical", "generalized"])
     def test_products_are_recurrence_plus_one(
@@ -503,7 +510,9 @@ class TestSolveSharesTheResidualProduct:
         tilde = calls.get(id(sys_.M_tilde), 0)
         steps = len(trace.steps)
         assert steps > 1
-        assert tilde == (k * (steps - 1) if scheme == "generalized" else 0)
+        # from step 2 on; from a zero start the seed's Mt^k 0 is not taken
+        tilde_steps = steps - 1 if mode is _fixed_trace_from_ones else steps - 2
+        assert tilde == (k * tilde_steps if scheme == "generalized" else 0)
         assert base + tilde == trace.total_matvecs + 1
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -530,3 +539,139 @@ class TestSolveSharesTheResidualProduct:
     def test_run_refuses_a_transformed_system(self, normal_system):
         with pytest.raises(ValueError):
             run(transform_system(normal_system, 3), "basic", steps=2)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_transform_spends_only_on_the_sides_the_scheme_reads(
+        self, normal_system, monkeypatch, scheme, k
+    ):
+        calls, spent = {}, {}
+        matvec = ComplexSparseMatrix.matvec
+
+        def counting(self, v):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return matvec(self, v)
+
+        def counted_transform(*args):
+            calls.clear()
+            work = transform(*args)
+            spent.update(calls)
+            return work
+
+        transform = solvers.transform_system
+        monkeypatch.setattr(ComplexSparseMatrix, "matvec", counting)
+        monkeypatch.setattr(solvers, "transform_system", counted_transform)
+        run(dataclasses.replace(normal_system, k=k), scheme, steps=2)
+        assert spent.get(id(normal_system.M), 0) == k - 1
+        reads_tilde = scheme == "generalized"
+        assert spent.get(id(normal_system.M_tilde), 0) == (k - 1 if reads_tilde else 0)
+
+
+def _normal_test_system(seed: int, n: int) -> IterationSystem:
+    """A normal system with a real dominant eigenvalue lambda1 in [0.3, 0.95]
+    and every other eigenvalue within |lambda1|/3, so that each scheme
+    converges at every k; M_tilde has the conjugate eigenvalues."""
+    rng = np.random.default_rng(seed)
+    draw = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q, _ = np.linalg.qr(draw(n, n))
+    lambda1 = rng.uniform(0.3, 0.95)
+    quotients = rng.uniform(0.0, 1.0 / 3.0, n) * np.exp(2j * np.pi * rng.random(n))
+    evs = lambda1 * np.concatenate([[1.0], quotients[1:]])
+    dense, dense_tilde = (q @ np.diag(d) @ q.conj().T for d in (evs, evs.conj()))
+    x = draw(n)
+    return IterationSystem(
+        M=ComplexSparseMatrix.from_dense(dense), g=x - dense @ x,
+        M_tilde=ComplexSparseMatrix.from_dense(dense_tilde), g_tilde=x - dense_tilde @ x,
+        lambda1=lambda1,
+    )
+
+
+def _zero_start_reference(sys_, scheme, steps):
+    """Iterates y_0 .. y_steps and their residuals by the loop that takes M 0,
+    M^k 0 and Mt^k 0 like any other product, as `run` did before a zero
+    start was made free."""
+    work = transform_system(sys_, sys_.k)
+    finish = PoweredOperator(sys_.M, sys_.k).finish
+    y = np.zeros(sys_.n, dtype=complex)
+    my = sys_.M.matvec(y)
+    iterates, residuals = [y], [sys_.residual_norm(y, my)]
+    rho = abs(complex(work.lambda1))
+    quarter_rho2, weight = rho * rho / 4.0, 2.0
+    stream = ChebCoefficientStream(work.lambda1)
+    prev = prev2 = None
+    for m in range(1, steps + 1):
+        new = finish(my) + work.g
+        if m > 1 and scheme == "classical":
+            weight = 1.0 / (1.0 - quarter_rho2 * weight)
+            new = prev + weight * (new - prev)
+        elif m > 1 and scheme == "generalized":
+            tilde = work.M_tilde.matvec(prev) + work.g_tilde
+            if m == 2:
+                lam1, f2 = stream.lambda1, stream.window[2]
+                new = (3 * new / lam1**2 - 2 * tilde / lam1.conjugate()) / f2
+            else:
+                c1, c2, c3 = stream.step()
+                new = c1 * new - c2 * tilde + c3 * prev2
+            prev2 = prev
+        prev, y = y, new
+        my = sys_.M.matvec(y)
+        iterates.append(y)
+        residuals.append(sys_.residual_norm(y, my))
+    return iterates, residuals
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+class TestZeroStart:
+    """A zero start skips M 0, M^k 0 and Mt^k 0 and changes no bit."""
+
+    @settings(max_examples=12)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+           steps=st.integers(0, 10), explicit=st.booleans())
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_same_bits_as_the_loop_that_multiplies_zero(
+        self, scheme, k, seed, n, steps, explicit
+    ):
+        sys_ = dataclasses.replace(_normal_test_system(seed, n), k=k)
+        x0 = np.zeros(n) if explicit else None
+        want_iterates, want_residuals = _zero_start_reference(sys_, scheme, steps)
+        got_iterates = run_iterates(sys_, scheme, steps, x0=x0)
+        assert [_bits(y) for y in got_iterates] == [_bits(y) for y in want_iterates]
+        _, trace = run(sys_, scheme, steps=steps, x0=x0)
+        assert _bits([trace.initial_residual, *trace.residuals]) == _bits(want_residuals)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_no_iterate_aliases_g(self, scheme):
+        sys_ = _normal_test_system(3, 4)
+        y, trace = run(sys_, scheme, steps=1)
+        assert trace.matvecs == [0]
+        assert np.array_equal(y, sys_.g) and not np.shares_memory(y, sys_.g)
+
+
+class TestTransformEquivalence:
+    """The power transform keeps the fixed point and the basic iterates."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10),
+           k=st.sampled_from([2, 3, 4]), s=st.integers(1, 5),
+           radius=st.floats(0.05, 0.95))
+    def test_s_steps_at_order_k_are_k_s_steps_at_order_one(self, seed, n, k, s, radius):
+        sys_, _ = dense_system(random_contraction(np.random.default_rng(seed), n, radius))
+        y_k, _ = run(dataclasses.replace(sys_, k=k), "basic", steps=s)
+        y_1, _ = run(sys_, "basic", steps=k * s)
+        assert np.linalg.norm(y_k - y_1) <= 1e-12 * np.linalg.norm(y_1)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10),
+           k=st.sampled_from([2, 3, 4]), radius=st.floats(0.05, 0.95))
+    def test_transformed_g_is_the_geometric_sum(self, seed, n, k, radius):
+        rng = np.random.default_rng(seed)
+        dense = random_contraction(rng, n, radius)
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        sys_ = IterationSystem(M=ComplexSparseMatrix.from_dense(dense), g=g)
+        want = sum(np.linalg.matrix_power(dense, j) @ g for j in range(k))
+        got = transform_system(sys_, k).g
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
