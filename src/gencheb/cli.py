@@ -205,6 +205,8 @@ def _experiment(args: argparse.Namespace, info: SpectrumInfo, system: IterationS
         return EXIT_INAPPLICABLE
     k = report.k_selected if args.k == "auto" else args.k
     system = dataclasses.replace(system, k=k)
+    for scheme in args.schemes:  # refuse a scheme that cannot run at k before any runs
+        run(system, scheme, steps=0)
     traces, stops, code = [], [], EXIT_OK
     for scheme in args.schemes:
         try:

@@ -15,9 +15,10 @@ per run of rows:
   column order, each product np.multiply(value, v[col]) with the stored
   value first, whatever the number of entries.
 So bits repeat run to run for a given numpy and BLAS build and CPU, and the
-tests check that they do not depend on the BLAS thread count.  A diagonal
-run gives the reduceat bits of its rows; panel rows differ from them by
-rounding only, so a matrix without panels gives exactly the reduceat bits.
+tests check that they do not depend on the BLAS thread count.  A diagonal run
+gives the reduceat bits of its rows; panel rows differ from them by rounding
+only, so a matrix without panels gives exactly the reduceat bits.  Products
+into a caller's buffers make the same calls.
 
 Matrix Market exchange: `coordinate complex general`, entries `row col
 real imag` with integer 1-based indices and shortest round-trip floats, a
@@ -192,21 +193,42 @@ class ComplexSparseMatrix:
         product, and np.add.reduceat over `np.multiply(values, v[cols])` for
         the other rows, all on the calling thread.  Equal inputs give equal
         bits for a given numpy/BLAS build and CPU."""
+        return self._into(v, None)
+
+    def _into(self, v, out: np.ndarray | None) -> np.ndarray:
+        """matvec(v), by its check, calls and bits, into `out` if given: n_rows
+        complex entries, zero in every empty row, since no call writes one."""
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.n_cols,):
             raise DimensionMismatch(
                 f"matvec of {self.shape} matrix with vector of shape {v.shape}"
             )
-        if self._rest_rows is None:
-            return self._rest_sums(v)
-        out = (np.zeros if self._zero_fill else np.empty)(self.n_rows, dtype=complex)
+        if out is None:
+            if self._rest_rows is None:  # reduceat's own array is the cheapest
+                return self._rest_into(v, None)
+            out = (np.zeros if self._zero_fill else np.empty)(self.n_rows, dtype=complex)
         for op, block, cols, rows in self._runs:
             op(block, v[cols], out=out[rows])
-        if self._rest_rows.size:
-            out[self._rest_rows] = self._rest_sums(v)
-        return out
+        return self._rest_into(v, out)
 
-    def _rest_sums(self, v: np.ndarray) -> np.ndarray:
+    def _bind(self, src: np.ndarray, out: np.ndarray):
+        """The product src -> out of two fixed buffers as a call of no
+        arguments: _into's calls and bits, with every run's views cut once."""
+        for buf, n in ((src, self.n_cols), (out, self.n_rows)):
+            if buf.shape != (n,) or buf.dtype != complex:
+                raise DimensionMismatch(f"{buf.dtype} buffer {buf.shape} for {self.shape}")
+        calls = [(op, block, src[cols], out[rows]) for op, block, cols, rows in self._runs]
+
+        def product() -> np.ndarray:
+            for op, block, v, o in calls:
+                op(block, v, out=o)
+            return self._rest_into(src, out)
+        return product
+
+    def _rest_into(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        rest = self._rest_rows
+        if rest is not None and not rest.size:
+            return out
         # `values * v[cols]` lets numpy reuse the gathered temporary from
         # 256 KiB up, multiplying it first.  In place, the explicit product
         # has the fresh-array bits at every size but one entry, which numpy
@@ -214,7 +236,10 @@ class ComplexSparseMatrix:
         gathered = v[self._rest_cols]
         products = np.multiply(self._rest_values, gathered,
                                out=gathered if gathered.size > 1 else None)
-        return np.add.reduceat(products, self._starts)
+        if rest is None:  # all the rows
+            return np.add.reduceat(products, self._starts, out=out)
+        out[rest] = np.add.reduceat(products, self._starts)
+        return out
 
     def conj_transpose(self) -> "ComplexSparseMatrix":
         """Return A*: the entries in column order, conjugated."""

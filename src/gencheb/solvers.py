@@ -73,13 +73,34 @@ class IterationSystem:
 
     def residual_norm(self, y: np.ndarray, my: np.ndarray | None = None) -> float:
         """Euclidean norm of (I - M) y - g; `my` is M y when already known."""
-        return _norm(y - (self.M.matvec(y) if my is None else my) - self.g)
+        r = np.subtract(y, self.M.matvec(y) if my is None else my, dtype=complex)
+        return _norm(np.subtract(r, self.g, out=r))
 
 
 def _norm(r: np.ndarray) -> float:
     """Euclidean norm of a complex vector: np.linalg.norm's own sum, without
     its wrapper."""
-    return math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
+    re, im = r.real, r.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+class _Workspace:
+    """finish(first(v)) is base**k v by PoweredOperator.matvec's calls, for one run,
+    in two zeroed buffers made at the first product; a result lasts until the next."""
+
+    def __init__(self, base: ComplexSparseMatrix, k: int):
+        self.base, self.k, self.bound = base, k, None
+
+    def first(self, v: np.ndarray) -> np.ndarray:
+        if self.bound is None:
+            self.out, other = np.zeros((2, self.base.n_rows), dtype=complex)
+            self.bound = self.base._bind(self.out, other), self.base._bind(other, self.out)
+        return self.base._into(v, self.out)
+
+    def finish(self, base_v: np.ndarray) -> np.ndarray:
+        for i in range(self.k - 1):
+            base_v = self.bound[i & 1]()
+        return base_v
 
 
 @dataclass
@@ -157,24 +178,30 @@ class ConvergenceTrace:
 
 
 class _BasicStepper:
-    """The basic step y -> M y + g; subclasses recombine it with `prev`.
+    """The basic step y -> M^k y + g_k; subclasses recombine it with `prev`.
 
-    `step(forward)` takes M^k y of the latest iterate y, None for a zero y,
-    and reports the step's recurrence cost: k products for M^k y on a
-    k-powered system, none for M^k 0, plus what `_combine` spends.
+    Built on the untransformed system, it checks the scheme at the order k
+    and spends nothing before `start`.  `step(forward)` takes M^k y of the
+    latest iterate y, None for a zero y, and reports the step's recurrence
+    cost: k products for M^k y, none for M^k 0, plus what `_combine` spends.
     """
 
     reads_tilde = False  # whether the scheme reads the pair (M_tilde, g_tilde)
 
     def __init__(self, sys: IterationSystem, x0: np.ndarray):
-        self.sys, self.cost = sys, sys.k
+        self.cost, self.lambda1 = sys.k, _power(sys.lambda1, sys.k)
         self.y, self.prev = x0, None
         self.m = 0
 
+    def start(self, sys: IterationSystem) -> None:
+        read = sys if self.reads_tilde else replace(sys, M_tilde=None, g_tilde=None)
+        work = transform_system(read, sys.k)
+        self.g, self.g_tilde = work.g, work.g_tilde
+
     def step(self, forward: np.ndarray | None) -> tuple[np.ndarray, int]:
         self.m += 1
-        basic, cost = ((self.sys.g.copy(), 0) if forward is None  # never alias g
-                       else (forward + self.sys.g, self.cost))
+        basic, cost = ((self.g.copy(), 0) if forward is None  # never alias g
+                       else (forward + self.g, self.cost))
         new, extra = self._combine(basic)
         self.prev, self.y = self.y, new
         return new, cost + extra
@@ -195,10 +222,10 @@ class _ClassicalStepper(_BasicStepper):
     def __init__(self, sys: IterationSystem, x0: np.ndarray):
         if sys.lambda1 is None:
             raise MissingLambda1("classical scheme needs lambda1 to set rho")
-        rho = abs(complex(sys.lambda1))
+        super().__init__(sys, x0)
+        rho = abs(complex(self.lambda1))
         if not 0.0 < rho < 1.0:
             raise InapplicableSpectrum(f"spectral radius must lie in (0, 1), got {rho}")
-        super().__init__(sys, x0)
         self.quarter_rho2 = rho * rho / 4.0
         self.weight = 2.0
 
@@ -231,17 +258,17 @@ class _GeneralizedStepper(_BasicStepper):
         if sys.lambda1 is None:
             raise MissingLambda1("generalized scheme: the system has no lambda1")
         super().__init__(sys, x0)
-        self.stream = ChebCoefficientStream(sys.lambda1)
+        self.stream = ChebCoefficientStream(self.lambda1)
+        self.mt = _Workspace(sys.M_tilde, sys.k)  # Mt^k
         self.prev2 = None  # the iterate before `prev`
 
     def _combine(self, forward):
-        sys = self.sys
         if self.m == 1:
             return forward, 0
         if self.m == 2 and not self.prev.any():  # a zero start: Mt^k 0 = 0
-            tilde, cost = sys.g_tilde, 0
+            tilde, cost = self.g_tilde, 0
         else:
-            tilde, cost = sys.M_tilde.matvec(self.prev) + sys.g_tilde, self.cost
+            tilde, cost = self.mt.finish(self.mt.first(self.prev)) + self.g_tilde, self.cost
         if self.m == 2:
             # the stream has not stepped yet: its window ends with f2(1/lambda1)
             lam1, f2 = self.stream.lambda1, self.stream.window[2]
@@ -281,28 +308,29 @@ def run(
     tolerance, returns the first iterate whose residual is at most
     tol * |g| and the trace, or raises NotConverged with the best iterate
     and the trace attached.  A residual above the divergence guard, or not
-    finite, raises Divergence (a NotConverged) under every scheme.
+    finite, raises Divergence (a NotConverged) under every scheme.  A run
+    of no step from zero checks the scheme at `system.k`, spending nothing.
     """
     stepper_class = _STEPPERS.get(scheme)
     if stepper_class is None:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if isinstance(system.M, PoweredOperator):
+    if isinstance(system.M, PoweredOperator) or isinstance(system.M_tilde, PoweredOperator):
         raise ValueError(
             "run needs the untransformed system; store the transform order in k"
         )
     y = np.zeros(system.n, dtype=complex) if x0 is None else as_vector(x0, system.n, "x0")
     ref = None if reference_x is None else as_vector(reference_x, system.n, "reference_x")
-    read = system if stepper_class.reads_tilde else replace(system, M_tilde=None,
-                                                            g_tilde=None)
-    stepper = stepper_class(transform_system(read, system.k), y)
-    finish = PoweredOperator(system.M, system.k).finish  # M^k y from M y
+    stepper = stepper_class(system, y)
+    if steps:
+        stepper.start(system)
+    power = _Workspace(system.M, system.k)
     trace = ConvergenceTrace(scheme=scheme, k=system.k)
     # One M y per iterate: its residual, and the first factor of the next M^k y.
     # A zero start has M y = 0 (None) and residual |g| at no product.
     g_norm = _norm(system.g)
-    my = system.M.matvec(y) if y.any() else None
+    my = power.first(y) if y.any() else None
     residual = trace.initial_residual = g_norm if my is None else system.residual_norm(y, my)
     if ref is not None:
         trace.initial_err = _norm(ref - y)
@@ -312,8 +340,8 @@ def run(
     for _ in range(steps):
         if residual <= target:
             break
-        y, cost = stepper.step(None if my is None else finish(my))
-        my = system.M.matvec(y)
+        y, cost = stepper.step(None if my is None else power.finish(my))
+        my = power.first(y)
         residual = system.residual_norm(y, my)
         err = None if ref is None else _norm(ref - y)
         trace.append(stepper.m, err, residual, cost)
@@ -386,9 +414,14 @@ def transform_system(sys: IterationSystem, k: int) -> IterationSystem:
         g=geometric_sum_apply(sys.M, k, sys.g),
         M_tilde=m_tilde,
         g_tilde=g_tilde,
-        lambda1=None if sys.lambda1 is None else complex(sys.lambda1) ** k,
+        lambda1=_power(sys.lambda1, k),
         k=k,
     )
+
+
+def _power(lambda1, k: int):
+    """lambda1**k as the transform raises it: lambda1 itself at k = 1."""
+    return lambda1 if lambda1 is None or k == 1 else complex(lambda1) ** k
 
 
 def solve(

@@ -133,6 +133,16 @@ class TestExample33Command:
         assert err.startswith(f"error: {shown}") and "Traceback" not in err
         assert not (out / "trace.csv").exists()
 
+    def test_forced_k_refused_before_any_scheme_runs(self, tmp_path, capsys,
+                                                     product_counts):
+        # basic runs at k = 8000 and generalized does not: neither runs
+        out = tmp_path / "k"
+        assert main(["example33", "--out", str(out), "--k", "8000", "--steps", "2",
+                     "--schemes", "basic,generalized"]) == EXIT_INAPPLICABLE
+        assert capsys.readouterr().err.startswith("error: dominant eigenvalue 0j")
+        assert not (out / "trace.csv").exists()
+        assert sum(product_counts.values()) == 0
+
     def test_repeated_scheme_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "twice"
         with pytest.raises(SystemExit) as exc:

@@ -237,6 +237,48 @@ class TestMatvecProperties:
         assert (panels, diagonals) == _loop_runs(a)
         _assert_product(a, rng.standard_normal(n_cols) + 1j * rng.standard_normal(n_cols))
 
+    @given(stacked_runs())
+    def test_products_into_buffers_have_the_matvec_bits(self, case):
+        # _into and a bound product write matvec's bits, again and again into
+        # the same zeroed buffer, and a bound product reads what its source
+        # buffer holds at the call
+        n_cols, stored_rows, seed = case
+        rows = np.repeat(np.arange(len(stored_rows)), [len(c) for c in stored_rows])
+        cols = np.array([c for r in stored_rows for c in r], dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
+        a = ComplexSparseMatrix.from_triplets(len(stored_rows), n_cols, rows, cols, values)
+        bits = lambda v: v.view(np.uint64).tolist()
+        src, out = np.zeros(n_cols, dtype=complex), np.zeros(a.n_rows, dtype=complex)
+        product = a._bind(src, out)
+        for _ in range(3):
+            v = rng.standard_normal(n_cols) + 1j * rng.standard_normal(n_cols)
+            assert a._into(v, out) is out and bits(out) == bits(a.matvec(v))
+            src[:] = rng.standard_normal(n_cols) + 1j * rng.standard_normal(n_cols)
+            assert product() is out and bits(out) == bits(a.matvec(src))
+
+    @pytest.mark.parametrize("src, out", [
+        (np.zeros(3, complex), np.zeros(2, complex)),
+        (np.zeros(2, complex), np.zeros(3, complex)),
+        (np.zeros(2, complex), np.zeros((2, 1), complex)),
+        (np.zeros(2), np.zeros(2, complex)),
+        (np.zeros(2, complex), np.zeros(2, np.complex64)),
+    ])
+    def test_bound_buffers_are_checked_when_bound(self, src, out):
+        a = ComplexSparseMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+        with pytest.raises(DimensionMismatch):
+            a._bind(src, out)
+
+    def test_a_product_into_a_buffer_checks_its_vector_as_matvec_does(self):
+        a = ComplexSparseMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+        out = np.zeros(2, dtype=complex)
+        for v in (np.zeros(3), np.zeros((2, 1))):
+            with pytest.raises(DimensionMismatch):
+                a.matvec(v)
+            with pytest.raises(DimensionMismatch):
+                a._into(v, out)
+        assert a._into([1, 1j], out) is out and out.tolist() == [1 + 2j, 3j]
+
     # (shape, dense blocks (r0, r1, c0, c1), dropped entries, diagonal
     # stretches (r0, r1, c0), panels, diagonal runs); a block replaces its rows
     PANEL_CASES = {

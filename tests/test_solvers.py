@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -455,6 +457,12 @@ def test_residual_norm_is_the_bits_of_np_linalg_norm(n, scale):
             assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
+def test_residual_norm_takes_real_vectors():
+    sys_ = IterationSystem(M=ComplexSparseMatrix.identity(2), g=np.array([1j, 2.0]))
+    y, my = np.array([1.0, 3.0]), np.array([0.5, 0.0])
+    assert sys_.residual_norm(y, my) == float(np.linalg.norm(y - my - sys_.g))
+
+
 def _solve_trace(sys_, scheme):
     """Trace of a short `solve`, whether or not it reached the tolerance."""
     try:
@@ -487,14 +495,9 @@ class TestSolveSharesTheResidualProduct:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("scheme", ["basic", "classical", "generalized"])
     def test_products_are_recurrence_plus_one(
-        self, normal_system, monkeypatch, scheme, k, mode
+        self, normal_system, monkeypatch, product_counts, scheme, k, mode
     ):
-        calls = {}
-        matvec = ComplexSparseMatrix.matvec
-
-        def counting(self, v):
-            calls[id(self)] = calls.get(id(self), 0) + 1
-            return matvec(self, v)
+        calls = product_counts  # made by matvec or by the run's workspace
 
         def transform_then_reset(*args):
             work = transform(*args)
@@ -502,7 +505,6 @@ class TestSolveSharesTheResidualProduct:
             return work
 
         transform = solvers.transform_system
-        monkeypatch.setattr(ComplexSparseMatrix, "matvec", counting)
         monkeypatch.setattr(solvers, "transform_system", transform_then_reset)
         sys_ = dataclasses.replace(normal_system, k=k)
         trace = mode(sys_, scheme)
@@ -539,6 +541,13 @@ class TestSolveSharesTheResidualProduct:
     def test_run_refuses_a_transformed_system(self, normal_system):
         with pytest.raises(ValueError):
             run(transform_system(normal_system, 3), "basic", steps=2)
+
+    def test_run_refuses_a_powered_companion(self, normal_system):
+        # the run's workspace multiplies by the matrices themselves
+        powered = dataclasses.replace(
+            normal_system, M_tilde=PoweredOperator(normal_system.M_tilde, 2))
+        with pytest.raises(ValueError, match="untransformed"):
+            run(powered, "generalized", steps=2)
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -586,13 +595,14 @@ def _normal_test_system(seed: int, n: int) -> IterationSystem:
     )
 
 
-def _zero_start_reference(sys_, scheme, steps):
-    """Iterates y_0 .. y_steps and their residuals by the loop that takes M 0,
-    M^k 0 and Mt^k 0 like any other product, as `run` did before a zero
-    start was made free."""
+def _zero_start_reference(sys_, scheme, steps, x0=None):
+    """Iterates y_0 .. y_steps and their residuals by the loop of public
+    products, `matvec` and `PoweredOperator.finish`, from x0 (default zero).
+    It takes M 0, M^k 0 and Mt^k 0 like any other product, as `run` did
+    before a zero start was made free."""
     work = transform_system(sys_, sys_.k)
     finish = PoweredOperator(sys_.M, sys_.k).finish
-    y = np.zeros(sys_.n, dtype=complex)
+    y = np.zeros(sys_.n, dtype=complex) if x0 is None else x0
     my = sys_.M.matvec(y)
     iterates, residuals = [y], [sys_.residual_norm(y, my)]
     rho = abs(complex(work.lambda1))
@@ -649,6 +659,92 @@ class TestZeroStart:
         y, trace = run(sys_, scheme, steps=1)
         assert trace.matvecs == [0]
         assert np.array_equal(y, sys_.g) and not np.shares_memory(y, sys_.g)
+
+
+def _structured_system(seed: int) -> IterationSystem:
+    """A system whose M has a 32 x 32 dense panel, a 128-row diagonal run,
+    reduceat rows and empty rows, at random places, with max row sum 0.6;
+    M_tilde is M*."""
+    rng = np.random.default_rng(seed)
+    draw = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    n = 200
+    dense = draw(n, n) * (rng.random((n, n)) < 0.03)
+    r0, c0, d0 = rng.integers(0, n - 160), rng.integers(0, n - 32), rng.integers(0, n - 128)
+    dense[r0:r0 + 160] = 0.0
+    dense[r0:r0 + 32, c0:c0 + 32] = draw(32, 32)
+    dense[np.arange(r0 + 32, r0 + 160), np.arange(d0, d0 + 128)] = draw(128)
+    dense[rng.choice(np.r_[:r0, r0 + 160:n], 8, replace=False)] = 0.0
+    dense *= 0.6 / np.abs(dense).sum(axis=1).max()
+    m = ComplexSparseMatrix.from_dense(dense)
+    assert sorted(op.__name__ for op, *_ in m._runs) == ["dot", "multiply"]
+    assert m._zero_fill and m._rest_rows.size
+    x = draw(n)
+    return IterationSystem(M=m, g=x - dense @ x, M_tilde=m.conj_transpose(),
+                           g_tilde=x - dense.conj().T @ x, lambda1=0.6)
+
+
+class TestWorkspace:
+    """`run` multiplies into buffers of its own, by matvec's calls."""
+
+    @settings(max_examples=8)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 6),
+           nonzero=st.booleans())
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_same_bits_as_the_loop_of_public_products(
+        self, scheme, k, seed, steps, nonzero
+    ):
+        sys_ = dataclasses.replace(_structured_system(seed), k=k)
+        x0 = np.random.default_rng(seed).standard_normal(sys_.n) + 0.5j if nonzero else None
+        want_iterates, want_residuals = _zero_start_reference(sys_, scheme, steps, x0)
+        got_iterates = run_iterates(sys_, scheme, steps, x0=x0)
+        assert [_bits(y) for y in got_iterates] == [_bits(y) for y in want_iterates]
+        _, trace = run(sys_, scheme, steps=steps, x0=x0)
+        assert _bits([trace.initial_residual, *trace.residuals]) == _bits(want_residuals)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_returned_iterates_keep_their_bytes(self, scheme, k):
+        sys_ = dataclasses.replace(_structured_system(5), k=k)
+        x0 = np.ones(sys_.n, dtype=complex)
+        want, _ = _zero_start_reference(sys_, scheme, 4, x0)
+        y, _ = run(sys_, scheme, steps=4, x0=x0)
+        with pytest.raises(NotConverged) as exc:
+            run(sys_, scheme, steps=4, tol=1e-300, x0=x0)
+        best = exc.value.best
+        kept = _bits(y), _bits(best)
+        run(sys_, scheme, steps=4)
+        assert (_bits(y), _bits(best)) == kept
+        assert kept[0] == _bits(want[-1]) and kept[1] in [_bits(w) for w in want]
+
+    def test_two_threads_on_one_system_get_the_single_thread_bits(self):
+        sys_ = dataclasses.replace(_structured_system(6), k=3)
+        x0 = np.ones(sys_.n, dtype=complex)
+
+        def bits_of_runs():
+            return [(_bits(y), _bits(trace.residuals), trace.matvecs)
+                    for y, trace in (run(sys_, scheme, steps=12, x0=x0)
+                                     for scheme in SCHEMES * 4)]
+
+        want, got = bits_of_runs(), {}
+        start = threading.Barrier(2)
+
+        def caller(i):
+            start.wait(timeout=60)
+            got[i] = bits_of_runs()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {0: want, 1: want}
 
 
 class TestTransformEquivalence:
