@@ -21,11 +21,8 @@ from .cheb_kernel import (
     power_preimage_contains,
 )
 from .errors import (
-    ConvergenceFailure,
-    DegenerateCoefficient,
     DimensionMismatch,
     Divergence,
-    FixtureCorrupt,
     GenChebError,
     InapplicableSpectrum,
     MissingLambda1,
@@ -47,7 +44,6 @@ from .linalg import (
     ComplexSparseMatrix,
     PoweredOperator,
     as_vector,
-    dense_eigendecomposition,
     geometric_sum_apply,
     read_matrix_market,
     read_vector_market,

@@ -15,11 +15,9 @@ even though f_m(w) grows geometrically for |w| > 1.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DegenerateCoefficient, InapplicableSpectrum
+from .errors import InapplicableSpectrum
 
 TWO_PI_I = 2j * np.pi
 
@@ -27,9 +25,11 @@ TWO_PI_I = 2j * np.pi
 #: algebraic points; eigenvalue quotients computed in floating point are not.
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
-# Window entries whose renormalized magnitude falls below this are treated
-# as a hit on a polynomial root.
-_UNDERFLOW = 1e-250
+#: Smallest |lambda1| the coefficient stream takes.  Its first step forms
+#: 3w f_2(w) from the unscaled window, a modulus up to about 9|w|^3 at
+#: w = 1/lambda1; |w|^3 <= max/27 keeps that a factor of 3 below the largest
+#: double, so the step's sum stays finite.
+_FLOOR = (27 / np.finfo(float).max) ** (1 / 3)
 
 
 def phi1(theta1, theta2):
@@ -101,16 +101,17 @@ class ChebCoefficientStream:
 
     which satisfy c1 - c2 + c3 = 1.  Only a three-value window of f values
     is kept, rescaled by its max magnitude each step; the coefficients are
-    ratios and therefore invariant under that rescaling.
+    ratios and therefore invariant under that rescaling.  A |lambda1| outside
+    [_FLOOR, 1) is refused with InapplicableSpectrum: below the floor the
+    unscaled first step overflows, and from 1 on the scheme does not apply.
     """
 
     def __init__(self, lambda1: complex):
         lambda1 = complex(lambda1)
-        if abs(lambda1) < np.finfo(float).tiny:  # zero, or 1/lambda1 would overflow
-            raise InapplicableSpectrum(f"dominant eigenvalue {lambda1} is zero or below "
-                                       "the smallest normal double")
-        if not abs(lambda1) < 1.0:
-            raise ValueError(f"dominant eigenvalue {lambda1} is not inside the unit disc")
+        if not _FLOOR <= abs(lambda1) < 1.0:
+            raise InapplicableSpectrum(
+                f"dominant eigenvalue {lambda1} is outside the coefficient stream's "
+                f"range: its modulus must be at least the floor {_FLOOR:.3g} and below 1")
         self.lambda1 = lambda1
         self.w = 1.0 / lambda1
         w, wb = self.w, self.w.conjugate()
@@ -124,10 +125,6 @@ class ChebCoefficientStream:
         f_prev3, f_prev2, f_prev1 = self.window
         f_m = 3 * w * f_prev1 - 3 * wb * f_prev2 + f_prev3
         scale = max(abs(f_m), abs(f_prev1), abs(f_prev2))
-        if not math.isfinite(scale) or abs(f_m) <= _UNDERFLOW * scale:
-            raise DegenerateCoefficient(
-                f"f_m(1/lambda1) vanished at m={self.m} for lambda1={self.lambda1}"
-            )
         c1 = 3 * f_prev1 / (self.lambda1 * f_m)
         c2 = 3 * f_prev2 / (self.lambda1.conjugate() * f_m)
         c3 = f_prev3 / f_m

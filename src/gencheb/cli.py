@@ -15,8 +15,9 @@ process; exit codes, 1 and 3-5 as listed in `_EXIT_CODES`, are the contract:
     3  no power-transform order k: the spectrum is inapplicable to the
        acceleration, no k up to --k-max serves it, or its dominant
        eigenvalue is zero, not inside the unit disc, or has a k-th power
-       below the smallest normal double (report.txt still written, except
-       for those last cases)
+       below the smallest normal double or, for the three-term scheme, below
+       the coefficient stream's floor (report.txt still written, except for
+       those last cases)
     4  a requested run did not converge: it reached the step cap short of
        the tolerance, or the divergence guard stopped it (trace still
        written, and report.txt names the step)

@@ -13,18 +13,6 @@ class DimensionMismatch(GenChebError, ValueError):
     """Operands have incompatible shapes."""
 
 
-class DegenerateCoefficient(GenChebError, ArithmeticError):
-    """Coefficient denominator underflowed after window renormalization.
-
-    Signals an evaluation point at or beyond a polynomial root; not expected
-    for spectral radii inside the unit disc.
-    """
-
-
-class ConvergenceFailure(GenChebError, RuntimeError):
-    """A dense eigensolve did not meet its residual contract."""
-
-
 class MissingTildeData(GenChebError, ValueError):
     """The three-term scheme needs the companion matrix and right-hand side."""
 
@@ -54,8 +42,9 @@ class InapplicableSpectrum(GenChebError, ValueError):
     """No power-transform order k makes the acceleration apply.
 
     The dominant eigenvalue is zero or not inside the unit disc, its power
-    at the selected k is below the smallest normal double, or the dominant
-    set is not a root-of-unity family.
+    at the selected k is below the smallest normal double (or, for the
+    three-term scheme, below the coefficient stream's floor), or the
+    dominant set is not a root-of-unity family.
     """
 
 
@@ -66,10 +55,6 @@ class NoConvergence(GenChebError, RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.residual = residual
-
-
-class FixtureCorrupt(GenChebError, RuntimeError):
-    """A built-in reference fixture failed its self-check."""
 
 
 class UnreadableMatrix(GenChebError, ValueError):

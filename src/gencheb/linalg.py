@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, UnreadableMatrix
+from .errors import DimensionMismatch, UnreadableMatrix
 
 
 def as_vector(values, n: int | None = None, name: str = "vector") -> np.ndarray:
@@ -334,35 +334,6 @@ def geometric_sum_apply(a, k: int, v: np.ndarray) -> np.ndarray:
     for _ in range(k - 1):
         acc = v + a.matvec(acc)
     return acc
-
-
-def dense_eigendecomposition(a, max_dim: int = 64):
-    """Eigenvalues and eigenvectors of a small dense matrix.
-
-    Validation tool, not a production eigensolver; hence the dimension
-    guard.  Each returned pair satisfies |A v - lambda v| <= 1e-8 |A|_F |v|,
-    else ConvergenceFailure is raised.
-    """
-    if isinstance(a, ComplexSparseMatrix):
-        a = a.to_dense()
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > max_dim:
-        raise ValueError(
-            f"dense eigendecomposition is guarded to n <= {max_dim}, got {a.shape[0]}"
-        )
-    try:
-        eigenvalues, eigenvectors = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
-        raise ConvergenceFailure(f"dense eigensolve failed: {exc}") from exc
-    residual = np.linalg.norm(a @ eigenvectors - eigenvectors * eigenvalues, axis=0)
-    norms = np.linalg.norm(eigenvectors, axis=0)
-    if np.any(residual > 1e-8 * np.linalg.norm(a) * norms):
-        raise ConvergenceFailure(
-            f"eigenpair residual {residual.max():.3e} above contract"
-        )
-    return eigenvalues, eigenvectors
 
 
 # -- Matrix Market exchange --------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from gencheb.cli import EXIT_OK, main
 from gencheb.genmat import NormalMatrixSpec, assemble_normal_system, example33_fixture
-from gencheb.linalg import ComplexSparseMatrix, dense_eigendecomposition
+from gencheb.linalg import ComplexSparseMatrix
 from gencheb.solvers import (
     IterationSystem,
     basic_iterate,
@@ -29,6 +29,8 @@ from gencheb.spectrum import (
     select_k_bound,
     select_k_geometric,
 )
+
+from dense_eig import dense_eigendecomposition
 
 
 def ok(criterion, detail):

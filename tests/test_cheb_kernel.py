@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gencheb.cheb_kernel import (
+    _FLOOR,
     ChebCoefficientStream,
     deltoid_contains,
     eval_f,
@@ -9,6 +12,7 @@ from gencheb.cheb_kernel import (
     phi1,
     power_preimage_contains,
 )
+from gencheb.errors import InapplicableSpectrum
 
 
 class TestPhi1:
@@ -191,12 +195,33 @@ class TestCoefficientStream:
             got, want = np.array(stream.step()), np.array(reference.step())
             assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
-    @pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, -2.0, 1j])
+    @pytest.mark.parametrize("lam", [np.nextafter(_FLOOR, 0), 0.0, 1.0, 1.5, -2.0, 1j])
     def test_invalid_lambda_rejected(self, lam):
-        if abs(lam) < 1 and lam != 0:
-            return
-        with pytest.raises(ValueError):
+        with pytest.raises(InapplicableSpectrum, match="floor"):
             ChebCoefficientStream(lam)
+
+    def test_floor_is_accepted(self):
+        c1, c2, c3 = ChebCoefficientStream(_FLOOR).step()
+        assert abs(c1 - c2 + c3 - 1.0) <= 1e-12
+
+    @settings(max_examples=50)
+    @given(log_modulus=st.floats(np.log(_FLOOR), 0.0, exclude_max=True),
+           argument=st.one_of(st.sampled_from([0.0, np.pi, 2 * np.pi / 3, -2 * np.pi / 3]),
+                              st.floats(-np.pi, np.pi)))
+    @example(log_modulus=np.log(_FLOOR), argument=2 * np.pi / 3)
+    @example(log_modulus=np.log1p(-2 ** -52), argument=0.0)
+    def test_no_degenerate_step_from_the_floor_to_one(self, log_modulus, argument):
+        # why the stream needs no check per step: from the floor up, every
+        # coefficient is finite and f_m stays the window's largest value (up to
+        # a half), so a step can neither overflow nor divide by a vanished f_m
+        lam = np.exp(log_modulus) * np.exp(1j * argument)
+        assume(_FLOOR <= abs(lam) < 1.0)
+        stream = ChebCoefficientStream(lam)
+        for _ in range(3000):
+            c1, c2, c3 = stream.step()
+            assert np.isfinite([c1, c2, c3]).all()
+            assert abs(c1 - c2 + c3 - 1.0) <= 1e-12
+            assert abs(stream.window[2]) >= 0.5
 
 
 

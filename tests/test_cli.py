@@ -133,15 +133,41 @@ class TestExample33Command:
         assert err.startswith(f"error: {shown}") and "Traceback" not in err
         assert not (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("k, shown", [
+        ("8000", "dominant eigenvalue 0j"),
+        ("2300", "dominant eigenvalue (5.724950163680305e-106+0j) is outside the "
+                 "coefficient stream's range: its modulus must be at least the floor "
+                 "5.32e-103"),
+    ], ids=["8000", "2300"])
     def test_forced_k_refused_before_any_scheme_runs(self, tmp_path, capsys,
-                                                     product_counts):
-        # basic runs at k = 8000 and generalized does not: neither runs
+                                                     product_counts, k, shown):
+        # basic runs at k = 8000 and 2300 and generalized does not: neither runs
         out = tmp_path / "k"
-        assert main(["example33", "--out", str(out), "--k", "8000", "--steps", "2",
+        assert main(["example33", "--out", str(out), "--k", k, "--steps", "2",
                      "--schemes", "basic,generalized"]) == EXIT_INAPPLICABLE
-        assert capsys.readouterr().err.startswith("error: dominant eigenvalue 0j")
+        assert capsys.readouterr().err.startswith(f"error: {shown}")
         assert not (out / "trace.csv").exists()
         assert sum(product_counts.values()) == 0
+
+    @pytest.mark.parametrize("k, code", [
+        ("2235", EXIT_OK), ("2236", EXIT_INAPPLICABLE), ("2300", EXIT_INAPPLICABLE),
+    ])
+    def test_forced_k_at_the_stream_floor(self, tmp_path, capsys, k, code):
+        # 0.9^2235 = 5.4e-103 is above the floor; 0.9^2236 = 4.9e-103 and
+        # 0.9^2300 = 5.7e-106 are normal doubles below it, where the stream's
+        # first step would overflow
+        out = tmp_path / "k"
+        assert main(["example33", "--out", str(out), "--k", k, "--steps", "3",
+                     "--schemes", "generalized"]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            _, rows = read_trace(out / "trace.csv")
+            assert [row["m"] for row in rows] == ["1", "2", "3"]
+            assert all(math.isfinite(float(row["residual"])) for row in rows)
+        else:
+            assert err.startswith("error: dominant eigenvalue") and err.count("\n") == 1
+            assert "the floor 5.32e-103" in err
+            assert not (out / "trace.csv").exists()
 
     def test_repeated_scheme_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "twice"
@@ -305,6 +331,29 @@ class TestCustomCommand:
         err = capsys.readouterr().err
         assert err == ("error: dominant eigenvalue (1e-320+0j) is zero or below the "
                        "smallest normal double\n")
+
+    @pytest.mark.parametrize("schemes, code", [
+        ([], EXIT_INAPPLICABLE),
+        (["--schemes", "basic"], EXIT_OK),
+    ], ids=["basic,generalized", "basic"])
+    def test_lambda1_below_the_stream_floor(self, tmp_path, capsys, schemes, code):
+        # the three-term scheme is refused before its seed divides by
+        # lambda1^2 = 1e-400; basic needs no stream and converges
+        gen = tmp_path / "gen"
+        assert main(["normal-sparse", "--n", "400", "--block", "40", "--steps", "0",
+                     "--out", str(gen)]) == EXIT_OK
+        out = tmp_path / "o"
+        assert main(["custom", "--matrix", str(gen / "M.mtx"), "--tilde",
+                     str(gen / "M_tilde.mtx"), "--lambda1", "1e-200", *schemes,
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert err == ""
+            assert "basic: converged" in (out / "report.txt").read_text()
+        else:
+            assert err.startswith("error: dominant eigenvalue (1e-200+0j)")
+            assert "the floor 5.32e-103" in err
+            assert not (out / "trace.csv").exists()
 
     def test_unreadable_matrix_exit_code(self, tmp_path):
         code = main([

@@ -17,10 +17,11 @@ from gencheb.genmat import (
 )
 from gencheb.linalg import (
     ComplexSparseMatrix,
-    dense_eigendecomposition,
     read_matrix_market,
     write_matrix_market,
 )
+
+from dense_eig import dense_eigendecomposition
 
 
 def greedy_match_distance(planted, computed):
