@@ -42,7 +42,6 @@ from .genmat import (
 )
 from .linalg import (
     ComplexSparseMatrix,
-    PoweredOperator,
     as_vector,
     geometric_sum_apply,
     read_matrix_market,
@@ -53,6 +52,7 @@ from .linalg import (
 from .solvers import (
     ConvergenceTrace,
     IterationSystem,
+    PowerTransform,
     basic_iterate,
     generalized_chebyshev_iterate,
     run,

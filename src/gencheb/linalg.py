@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,33 +291,6 @@ def _column_order(a: ComplexSparseMatrix) -> np.ndarray:
     """Storage positions of the entries sorted by column, rows ascending
     within a column: the storage order of A*."""
     return np.argsort(a.col_indices, kind="stable")
-
-
-@dataclass(frozen=True)
-class PoweredOperator:
-    """Action of base**k realized as k successive matvecs; never materialized."""
-
-    base: ComplexSparseMatrix
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"power must be positive, got {self.k}")
-        if self.base.n_rows != self.base.n_cols:
-            raise DimensionMismatch("powered operator needs a square base")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.base.shape
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.finish(self.base.matvec(v))
-
-    def finish(self, base_v: np.ndarray) -> np.ndarray:
-        """Return base**k v from base_v = base @ v, spending k - 1 products."""
-        for _ in range(self.k - 1):
-            base_v = self.base.matvec(base_v)
-        return base_v
 
 
 def geometric_sum_apply(a, k: int, v: np.ndarray) -> np.ndarray:

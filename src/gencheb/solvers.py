@@ -5,13 +5,14 @@ system's own power-transform order k, either for a fixed number of steps or
 until a residual tolerance is met, under one divergence guard.  `solve` is
 `run` to tolerance.
 
-Cost accounting: the trace records the sparse products consumed by the
-scheme recurrence itself (k per basic step on a k-powered system, 2k per
-accelerated three-term step), none for M^k 0 or Mt^k 0 at a zero start.
-`run` takes each residual from the product M y that the next step's M^k y
-starts with, so every run, fixed-step or to tolerance, spends the
-recurrence's products plus one after the power transform, which spends
-k - 1 on each side, (M, g) or (Mt, gt), that the scheme reads.
+Cost accounting: `run` takes M^k as k products of M, after the transformed
+sides (I + M + ... + M^(k-1)) g, and the same of (Mt, gt) for the scheme
+that reads them, at k - 1 products each; `transform_system` returns those
+sides.  The trace records the sparse products of the scheme recurrence
+itself (k per basic step, 2k per accelerated three-term step), none for
+M^k 0 or Mt^k 0 at a zero start.  `run` takes each residual from the
+product M y that the next step's M^k y starts with, so every run,
+fixed-step or to tolerance, spends the recurrence's products plus one.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     MissingTildeData,
     NotConverged,
 )
-from .linalg import ComplexSparseMatrix, PoweredOperator, as_vector, geometric_sum_apply
+from .linalg import ComplexSparseMatrix, as_vector, geometric_sum_apply
 
 #: Residual growth factor that converts silent overflow into a typed error.
 DIVERGENCE_GUARD = 1e12
@@ -43,17 +44,20 @@ class IterationSystem:
     `M_tilde`/`g_tilde` describe the companion iteration with conjugated
     eigenvalues on the same eigenvectors (equal to M*/its side for normal
     M).  `lambda1` is a dominant eigenvalue of M when known.  `k` is the
-    power-transform order `run` applies to it through `transform_system`.
+    power-transform order `run` applies to it.
     """
 
-    M: ComplexSparseMatrix | PoweredOperator
+    M: ComplexSparseMatrix
     g: np.ndarray
-    M_tilde: ComplexSparseMatrix | PoweredOperator | None = None
+    M_tilde: ComplexSparseMatrix | None = None
     g_tilde: np.ndarray | None = None
     lambda1: complex | None = None
     k: int = 1
 
     def __post_init__(self):
+        for op in (self.M,) if self.M_tilde is None else (self.M, self.M_tilde):
+            if not isinstance(op, ComplexSparseMatrix):
+                raise TypeError(f"operators must be ComplexSparseMatrix, got {type(op).__name__}")
         n_rows, n_cols = self.M.shape
         if n_rows != n_cols:
             raise DimensionMismatch(f"iteration matrix must be square, got {self.M.shape}")
@@ -85,8 +89,9 @@ def _norm(r: np.ndarray) -> float:
 
 
 class _Workspace:
-    """finish(first(v)) is base**k v by PoweredOperator.matvec's calls, for one run,
-    in two zeroed buffers made at the first product; a result lasts until the next."""
+    """finish(first(v)) is base**k v by k successive products of base, for one
+    run, in two zeroed buffers made at the first product; a result lasts until
+    the next."""
 
     def __init__(self, base: ComplexSparseMatrix, k: int):
         self.base, self.k, self.bound = base, k, None
@@ -186,17 +191,13 @@ class _BasicStepper:
     cost: k products for M^k y, none for M^k 0, plus what `_combine` spends.
     """
 
-    reads_tilde = False  # whether the scheme reads the pair (M_tilde, g_tilde)
-
     def __init__(self, sys: IterationSystem, x0: np.ndarray):
         self.cost, self.lambda1 = sys.k, _power(sys.lambda1, sys.k)
         self.y, self.prev = x0, None
         self.m = 0
 
     def start(self, sys: IterationSystem) -> None:
-        read = sys if self.reads_tilde else replace(sys, M_tilde=None, g_tilde=None)
-        work = transform_system(read, sys.k)
-        self.g, self.g_tilde = work.g, work.g_tilde
+        self.g = geometric_sum_apply(sys.M, sys.k, sys.g)
 
     def step(self, forward: np.ndarray | None) -> tuple[np.ndarray, int]:
         self.m += 1
@@ -248,8 +249,6 @@ class _GeneralizedStepper(_BasicStepper):
     transform) is checked upstream by the spectrum module.
     """
 
-    reads_tilde = True
-
     def __init__(self, sys: IterationSystem, x0: np.ndarray):
         if sys.M_tilde is None or sys.g_tilde is None:
             raise MissingTildeData(
@@ -261,6 +260,10 @@ class _GeneralizedStepper(_BasicStepper):
         self.stream = ChebCoefficientStream(self.lambda1)
         self.mt = _Workspace(sys.M_tilde, sys.k)  # Mt^k
         self.prev2 = None  # the iterate before `prev`
+
+    def start(self, sys: IterationSystem) -> None:
+        super().start(sys)
+        self.g_tilde = geometric_sum_apply(sys.M_tilde, sys.k, sys.g_tilde)
 
     def _combine(self, forward):
         if self.m == 1:
@@ -301,8 +304,8 @@ def run(
     """Run `scheme` on `system` at its own order `system.k`, for `steps`
     steps or until the residual meets `tol`.
 
-    `system` must be untransformed; `run` applies `transform_system` at
-    `system.k` and measures every residual on `system` itself, so that
+    `system` must be an `IterationSystem`; `run` takes its power transform at
+    `system.k` itself and measures every residual on `system` itself, so that
     schemes and transform orders are comparable.  With `tol=None`, returns
     the final iterate and the trace after exactly `steps` steps.  With a
     tolerance, returns the first iterate whose residual is at most
@@ -316,10 +319,10 @@ def run(
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if isinstance(system.M, PoweredOperator) or isinstance(system.M_tilde, PoweredOperator):
-        raise ValueError(
-            "run needs the untransformed system; store the transform order in k"
-        )
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if not isinstance(system, IterationSystem):
+        raise ValueError("run needs an untransformed IterationSystem; store k in the system")
     y = np.zeros(system.n, dtype=complex) if x0 is None else as_vector(x0, system.n, "x0")
     ref = None if reference_x is None else as_vector(reference_x, system.n, "reference_x")
     stepper = stepper_class(system, y)
@@ -364,28 +367,28 @@ def run(
     )
 
 
-def _source(work: IterationSystem, residual_system: IterationSystem | None):
-    """The untransformed system at `work`'s order that `work` was transformed
-    from, for the aliases' `residual_system` pairing."""
-    if residual_system is None or residual_system is work:
-        return work
-    if isinstance(work.M, PoweredOperator) and work.M.base is residual_system.M:
-        return replace(residual_system, k=work.k)
-    raise ValueError("residual_system must be the system `sys` was transformed from")
+def _source(sys, residual_system: IterationSystem | None) -> IterationSystem:
+    """The system the aliases run: `sys`, or the system a `PowerTransform`
+    was taken of at its k; a given `residual_system` must be that system."""
+    source = sys.system if isinstance(sys, PowerTransform) else sys
+    if residual_system is not None and residual_system is not source:
+        raise ValueError("residual_system must be the system `sys` was transformed from")
+    return sys if source is sys else replace(source, k=sys.k)
 
 
-def basic_iterate(sys: IterationSystem, x0=None, steps: int = 50, reference_x=None,
+def basic_iterate(sys, x0=None, steps: int = 50, reference_x=None,
                   residual_system: IterationSystem | None = None):
     """`run` of the basic scheme for a fixed number of steps: final iterate and trace.
 
-    `residual_system`, with `sys` transformed from it, is kept only for the
-    benchmark's call; such a pair runs as `residual_system` at `sys.k`.
+    `sys` may be a `PowerTransform`, which runs as its system at its k; the
+    `residual_system` pairing with the system it was taken of is kept only
+    for the benchmark's call.
     """
     return run(_source(sys, residual_system), "basic", steps=steps, x0=x0,
                reference_x=reference_x)
 
 
-def generalized_chebyshev_iterate(sys: IterationSystem, x0=None, steps: int = 50,
+def generalized_chebyshev_iterate(sys, x0=None, steps: int = 50,
                                   reference_x=None,
                                   residual_system: IterationSystem | None = None):
     """`run` of the three-term scheme for a fixed number of steps; see basic_iterate."""
@@ -393,30 +396,27 @@ def generalized_chebyshev_iterate(sys: IterationSystem, x0=None, steps: int = 50
                reference_x=reference_x)
 
 
-def transform_system(sys: IterationSystem, k: int) -> IterationSystem:
-    """Replace the operator by its k-th power, keeping the fixed point.
+@dataclass(frozen=True)
+class PowerTransform:
+    """What the k-power transform of `system` changes besides M -> M^k: the
+    sides (I + M + ... + M^(k-1)) g and the same of (M_tilde, g_tilde), and
+    lambda1^k.  At k = 1 it holds the system's own g, g_tilde and lambda1."""
 
-    The right-hand side becomes (I + M + ... + M^(k-1)) g, the tilde pair is
-    transformed the same way, and lambda1 is raised to the k-th power.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if k == 1:
-        return sys
-    if isinstance(sys.M, PoweredOperator):
-        raise ValueError("system is already power-transformed")
-    m_tilde = g_tilde = None
-    if sys.M_tilde is not None:
-        m_tilde = PoweredOperator(sys.M_tilde, k)
-        g_tilde = geometric_sum_apply(sys.M_tilde, k, sys.g_tilde)
-    return IterationSystem(
-        M=PoweredOperator(sys.M, k),
-        g=geometric_sum_apply(sys.M, k, sys.g),
-        M_tilde=m_tilde,
-        g_tilde=g_tilde,
-        lambda1=_power(sys.lambda1, k),
-        k=k,
-    )
+    system: IterationSystem
+    k: int
+    g: np.ndarray
+    g_tilde: np.ndarray | None
+    lambda1: complex | None
+
+
+def transform_system(sys: IterationSystem, k: int) -> PowerTransform:
+    """The sides of the k-power transform of `sys`, which keeps its fixed
+    point: k - 1 products on each.  `run` takes them itself at `sys.k`."""
+    if not isinstance(sys, IterationSystem):
+        raise ValueError("transform_system needs an untransformed IterationSystem")
+    g_tilde = None if sys.M_tilde is None else geometric_sum_apply(sys.M_tilde, k, sys.g_tilde)
+    return PowerTransform(sys, k, geometric_sum_apply(sys.M, k, sys.g), g_tilde,
+                          _power(sys.lambda1, k))
 
 
 def _power(lambda1, k: int):

@@ -19,7 +19,6 @@ from gencheb.linalg import (
     _DIAGONAL_MIN_ROWS,
     _PANEL_MIN_ENTRIES,
     ComplexSparseMatrix,
-    PoweredOperator,
     as_vector,
     geometric_sum_apply,
     read_matrix_market,
@@ -663,24 +662,6 @@ class TestGeometricSum:
         ) @ v
         got = geometric_sum_apply(a, 4, v)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-
-
-class TestPoweredOperator:
-    def test_matches_dense_powers(self):
-        rng = np.random.default_rng(31)
-        dense = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
-        a = ComplexSparseMatrix.from_dense(dense)
-        v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        for k in range(1, 6):
-            got = PoweredOperator(a, k).matvec(v)
-            expected = np.linalg.matrix_power(dense, k) @ v
-            assert np.linalg.norm(got - expected) <= 1e-10 * max(
-                1.0, np.linalg.norm(expected)
-            )
-
-    def test_invalid_power(self):
-        with pytest.raises(ValueError):
-            PoweredOperator(ComplexSparseMatrix.identity(2), 0)
 
 
 class TestVectorValidation:

@@ -17,7 +17,7 @@ from gencheb.errors import (
 from gencheb import solvers
 from gencheb.cheb_kernel import ChebCoefficientStream
 from gencheb.genmat import NormalMatrixSpec, assemble_normal_system, example33_fixture
-from gencheb.linalg import ComplexSparseMatrix, PoweredOperator
+from gencheb.linalg import ComplexSparseMatrix
 from gencheb.solvers import (
     SCHEMES,
     IterationSystem,
@@ -105,9 +105,11 @@ class TestBasic:
 
 
 class TestTransform:
-    def test_k_one_unchanged(self):
-        sys_, _ = dense_system(np.eye(2) * 0.5)
-        assert transform_system(sys_, 1) is sys_
+    def test_k_one_holds_the_systems_own_sides(self):
+        sys_, _ = dense_system(np.eye(2) * 0.5, tilde_dense=np.eye(2) * 0.5, lambda1=0.5)
+        out = transform_system(sys_, 1)
+        assert out.system is sys_ and out.k == 1
+        assert out.g is sys_.g and out.g_tilde is sys_.g_tilde and out.lambda1 is sys_.lambda1
 
     def test_scalar_diagonal_side(self):
         lam = 0.3 + 0.4j
@@ -117,7 +119,7 @@ class TestTransform:
         )
         out = transform_system(sys_, 2)
         assert np.allclose(out.g, (1 + lam) * g, atol=1e-15)
-        assert isinstance(out.M, PoweredOperator) and out.M.k == 2
+        assert out.system is sys_ and out.k == 2 and out.g_tilde is None
 
     def test_lambda1_is_raised_to_k(self):
         sys_, _ = dense_system(np.eye(2) * 0.5, lambda1=0.5)
@@ -389,6 +391,22 @@ class TestSolve:
         with pytest.raises(Divergence):
             solve(sys_, max_steps=500, residual_tol=1e-12)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+    def test_refuses_a_tolerance_that_is_not_finite_and_non_negative(
+        self, product_counts, tol
+    ):
+        sys_, _ = dense_system(np.eye(3) * 0.5, x=np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            run(sys_, "basic", steps=5, tol=tol, x0=np.ones(3))
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            solve(sys_, residual_tol=tol)
+        assert not product_counts  # refused before any product
+
+    def test_zero_tolerance_is_met_by_an_exact_residual(self):
+        sys_, x = dense_system(np.zeros((3, 3)), x=np.array([1.0, -2.0, 0.5]))
+        y, trace = run(sys_, "basic", steps=5, tol=0.0)
+        assert np.array_equal(y, x) and trace.residuals == [0.0]
+
 
 class TestDivergenceGuard:
     """One guard for every scheme, fixed-step or run to tolerance."""
@@ -439,6 +457,21 @@ class TestSystemValidation:
                 g=np.zeros(3),
                 M_tilde=ComplexSparseMatrix.identity(3),
             )
+
+    @pytest.mark.parametrize("operator", [np.eye(3) * 0.5, None, "M"],
+                             ids=["ndarray", "None", "str"])
+    def test_refuses_an_M_that_is_not_a_sparse_matrix(self, operator):
+        # run multiplies by ComplexSparseMatrix alone; a dense M failed there
+        # with an AttributeError
+        with pytest.raises(TypeError, match="ComplexSparseMatrix"):
+            IterationSystem(M=operator, g=np.ones(3))
+
+    def test_refuses_an_M_tilde_that_is_not_a_sparse_matrix(self):
+        sys_, _ = dense_system(np.eye(3) * 0.5)
+        with pytest.raises(TypeError, match="ndarray"):
+            dataclasses.replace(sys_, M_tilde=np.eye(3) * 0.5, g_tilde=np.ones(3))
+        with pytest.raises(TypeError, match="PowerTransform"):
+            dataclasses.replace(sys_, M_tilde=transform_system(sys_, 2), g_tilde=np.ones(3))
 
 
 @pytest.mark.parametrize("n", [1, 400])
@@ -499,13 +532,13 @@ class TestSolveSharesTheResidualProduct:
     ):
         calls = product_counts  # made by matvec or by the run's workspace
 
-        def transform_then_reset(*args):
-            work = transform(*args)
+        def sum_then_reset(*args):
+            side = geometric_sum(*args)
             calls.clear()  # the transform's right-hand-side products are not the loop's
-            return work
+            return side
 
-        transform = solvers.transform_system
-        monkeypatch.setattr(solvers, "transform_system", transform_then_reset)
+        geometric_sum = solvers.geometric_sum_apply
+        monkeypatch.setattr(solvers, "geometric_sum_apply", sum_then_reset)
         sys_ = dataclasses.replace(normal_system, k=k)
         trace = mode(sys_, scheme)
         base = calls.get(id(sys_.M), 0)
@@ -542,13 +575,6 @@ class TestSolveSharesTheResidualProduct:
         with pytest.raises(ValueError):
             run(transform_system(normal_system, 3), "basic", steps=2)
 
-    def test_run_refuses_a_powered_companion(self, normal_system):
-        # the run's workspace multiplies by the matrices themselves
-        powered = dataclasses.replace(
-            normal_system, M_tilde=PoweredOperator(normal_system.M_tilde, 2))
-        with pytest.raises(ValueError, match="untransformed"):
-            run(powered, "generalized", steps=2)
-
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_transform_spends_only_on_the_sides_the_scheme_reads(
@@ -561,15 +587,15 @@ class TestSolveSharesTheResidualProduct:
             calls[id(self)] = calls.get(id(self), 0) + 1
             return matvec(self, v)
 
-        def counted_transform(*args):
+        def counted_sum(*args):
             calls.clear()
-            work = transform(*args)
-            spent.update(calls)
-            return work
+            side = geometric_sum(*args)
+            spent.update(calls)  # each side has a matrix of its own
+            return side
 
-        transform = solvers.transform_system
+        geometric_sum = solvers.geometric_sum_apply
         monkeypatch.setattr(ComplexSparseMatrix, "matvec", counting)
-        monkeypatch.setattr(solvers, "transform_system", counted_transform)
+        monkeypatch.setattr(solvers, "geometric_sum_apply", counted_sum)
         run(dataclasses.replace(normal_system, k=k), scheme, steps=2)
         assert spent.get(id(normal_system.M), 0) == k - 1
         reads_tilde = scheme == "generalized"
@@ -596,12 +622,16 @@ def _normal_test_system(seed: int, n: int) -> IterationSystem:
 
 
 def _zero_start_reference(sys_, scheme, steps, x0=None):
-    """Iterates y_0 .. y_steps and their residuals by the loop of public
-    products, `matvec` and `PoweredOperator.finish`, from x0 (default zero).
-    It takes M 0, M^k 0 and Mt^k 0 like any other product, as `run` did
-    before a zero start was made free."""
+    """Iterates y_0 .. y_steps and their residuals by a loop of public
+    `matvec` calls, from x0 (default zero).  It takes M 0, M^k 0 and Mt^k 0
+    like any other product, as `run` did before a zero start was made free."""
     work = transform_system(sys_, sys_.k)
-    finish = PoweredOperator(sys_.M, sys_.k).finish
+
+    def power(a, v, times):
+        for _ in range(times):
+            v = a.matvec(v)
+        return v
+
     y = np.zeros(sys_.n, dtype=complex) if x0 is None else x0
     my = sys_.M.matvec(y)
     iterates, residuals = [y], [sys_.residual_norm(y, my)]
@@ -610,12 +640,12 @@ def _zero_start_reference(sys_, scheme, steps, x0=None):
     stream = ChebCoefficientStream(work.lambda1)
     prev = prev2 = None
     for m in range(1, steps + 1):
-        new = finish(my) + work.g
+        new = power(sys_.M, my, sys_.k - 1) + work.g
         if m > 1 and scheme == "classical":
             weight = 1.0 / (1.0 - quarter_rho2 * weight)
             new = prev + weight * (new - prev)
         elif m > 1 and scheme == "generalized":
-            tilde = work.M_tilde.matvec(prev) + work.g_tilde
+            tilde = power(sys_.M_tilde, prev, sys_.k) + work.g_tilde
             if m == 2:
                 lam1, f2 = stream.lambda1, stream.window[2]
                 new = (3 * new / lam1**2 - 2 * tilde / lam1.conjugate()) / f2
