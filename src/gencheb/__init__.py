@@ -66,7 +66,6 @@ from .spectrum import (
     alpha_from_lambda1,
     asymptotic_rate_g,
     build_report,
-    classify_dominant,
     estimate_dominant_eigenvalue,
     feasibility_threshold,
     mu_max,

@@ -101,15 +101,14 @@ def _write_csv(args: argparse.Namespace, name: str, header: list[str], rows) -> 
 def _trace_rows(traces: list[ConvergenceTrace]):
     for trace in traces:
         total = 0
-        for i, m in enumerate(trace.steps):
-            total += trace.matvecs[i]
-            err = trace.err_norms[i]
-            ratio = trace.ratios[i]
+        for m, err, residual, ratio, cost in zip(trace.steps, trace.err_norms, trace.residuals,
+                                                 trace.ratios, trace.matvecs):
+            total += cost
             yield [
                 m,
                 trace.scheme,
                 "" if err is None else repr(err),
-                repr(trace.residuals[i]),
+                repr(residual),
                 "" if ratio is None else repr(ratio),
                 total,
             ]

@@ -164,11 +164,6 @@ class ComplexSparseMatrix:
         rows, cols = np.nonzero(np.abs(a) > drop_tol)
         return cls.from_triplets(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
 
-    @classmethod
-    def identity(cls, n):
-        idx = np.arange(n)
-        return cls(n, n, np.arange(n + 1), idx, np.ones(n, dtype=complex))
-
     # -- queries -----------------------------------------------------------
 
     @property

@@ -5,20 +5,23 @@ system's own power-transform order k, either for a fixed number of steps or
 until a residual tolerance is met, under one divergence guard.  `solve` is
 `run` to tolerance.
 
-Cost accounting: `run` takes M^k as k products of M, after the transformed
-sides (I + M + ... + M^(k-1)) g, and the same of (Mt, gt) for the scheme
-that reads them, at k - 1 products each; `transform_system` returns those
-sides.  The trace records the sparse products of the scheme recurrence
-itself (k per basic step, 2k per accelerated three-term step), none for
-M^k 0 or Mt^k 0 at a zero start.  `run` takes each residual from the
-product M y that the next step's M^k y starts with, so every run,
-fixed-step or to tolerance, spends the recurrence's products plus one.
+Cost accounting: `run` takes M^k as k products of M.  A `PowerTransform`
+takes each transformed side, (I + M + ... + M^(k-1)) g or the same of
+(Mt, gt), at k - 1 products when the side is first read, so only the sides
+a scheme reads are spent on; `transform_system` spends nothing.  The trace
+records the sparse products of the scheme recurrence itself (k per basic
+step, 2k per accelerated three-term step), none for M^k 0 or Mt^k 0 at a
+zero start.  `run` takes each residual from the product M y that the next
+step's M^k y starts with, so every run, fixed-step or to tolerance, spends
+the recurrence's products plus one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -68,8 +71,7 @@ class IterationSystem:
             if self.M_tilde.shape != self.M.shape:
                 raise DimensionMismatch("M and M_tilde must have equal dimensions")
             self.g_tilde = as_vector(self.g_tilde, n_rows, "g_tilde")
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
+        self.k = _order(self.k)
 
     @property
     def n(self) -> int:
@@ -79,6 +81,15 @@ class IterationSystem:
         """Euclidean norm of (I - M) y - g; `my` is M y when already known."""
         r = np.subtract(y, self.M.matvec(y) if my is None else my, dtype=complex)
         return _norm(np.subtract(r, self.g, out=r))
+
+
+def _order(k) -> int:
+    """The power-transform order k as an int: a positive integer, numpy's
+    included; TypeError for any other type."""
+    k = operator.index(k)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    return k
 
 
 def _norm(r: np.ndarray) -> float:
@@ -110,38 +121,39 @@ class _Workspace:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-step error/residual record for one scheme run.
+    """Per-step error/residual record for one scheme run, of steps 1..m.
 
     `err_norms[i]` is None when no reference solution was supplied.
-    `ratios[i]` is the consecutive quotient of error norms when available,
-    else of residual norms.  `matvecs[i]` counts the sparse products of the
-    recurrence at that step only.
+    `matvecs[i]` counts the sparse products of the recurrence at that step
+    only.
     """
 
     scheme: str
     k: int = 1
     initial_err: float | None = None
     initial_residual: float = 0.0
-    steps: list[int] = field(default_factory=list)
     err_norms: list[float | None] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
-    ratios: list[float | None] = field(default_factory=list)
     matvecs: list[int] = field(default_factory=list)
 
-    def append(self, m: int, err: float | None, residual: float, cost: int) -> None:
-        """Record step m; its ratio divides err (else the residual) by the
-        previous step's, or by the initial value on the first step, and is
-        None when that divisor is missing or 0."""
-        if err is None:
-            value, history, initial = residual, self.residuals, self.initial_residual
-        else:
-            value, history, initial = err, self.err_norms, self.initial_err
-        divisor = history[-1] if history else initial
-        self.ratios.append(value / divisor if divisor else None)
-        self.steps.append(m)
+    def append(self, err: float | None, residual: float, cost: int) -> None:
+        """Record the next step."""
         self.err_norms.append(err)
         self.residuals.append(residual)
         self.matvecs.append(cost)
+
+    @property
+    def steps(self) -> list[int]:
+        return list(range(1, len(self.residuals) + 1))
+
+    @property
+    def ratios(self) -> list[float | None]:
+        """Each step's error norm (else residual) over the previous step's,
+        or over the initial value on the first step; None where that
+        divisor is missing or 0."""
+        _, values = self.series()
+        initial = self.initial_residual if values is self.residuals else self.initial_err
+        return [v / d if d else None for v, d in zip(values, [initial, *values])]
 
     @property
     def total_matvecs(self) -> int:
@@ -155,11 +167,10 @@ class ConvergenceTrace:
         return self.steps, self.residuals
 
     def _value_at(self, m: int) -> float:
-        steps, vals = self.series()
-        try:
-            return vals[steps.index(m)]
-        except ValueError:
-            raise ValueError(f"step {m} not recorded in trace") from None
+        _, vals = self.series()
+        if not 1 <= m <= len(vals):
+            raise ValueError(f"step {m} not recorded in trace")
+        return vals[m - 1]
 
     def geometric_mean_ratio(self, first: int, last: int) -> float:
         """Telescoped geometric mean of consecutive ratios over [first, last]."""
@@ -177,37 +188,33 @@ class ConvergenceTrace:
         ms = [m for m in steps if first <= m <= last]
         if len(ms) < 2:
             raise ValueError("window contains fewer than two recorded steps")
-        ys = [math.log(self._value_at(m)) for m in ms]
+        ys = [math.log(vals[m - 1]) for m in ms]
         slope = np.polyfit(np.array(ms, dtype=float), np.array(ys), 1)[0]
         return float(np.exp(slope))
 
 
 class _BasicStepper:
-    """The basic step y -> M^k y + g_k; subclasses recombine it with `prev`.
+    """The basic step y -> M^k y + g_k; subclasses recombine it with the
+    earlier iterates they keep.
 
-    Built on the untransformed system, it checks the scheme at the order k
-    and spends nothing before `start`.  `step(forward)` takes M^k y of the
-    latest iterate y, None for a zero y, and reports the step's recurrence
-    cost: k products for M^k y, none for M^k 0, plus what `_combine` spends.
+    Built on the untransformed system and whether the run starts from zero,
+    it checks the scheme at the order k and spends nothing: its
+    `PowerTransform` takes a side at its first read.  `step(y, forward)`
+    takes M^k y of the latest iterate y, None for a zero y, and reports the
+    step's recurrence cost: k products for M^k y, none for M^k 0, plus what
+    `_combine` spends.
     """
 
-    def __init__(self, sys: IterationSystem, x0: np.ndarray):
-        self.cost, self.lambda1 = sys.k, _power(sys.lambda1, sys.k)
-        self.y, self.prev = x0, None
-        self.m = 0
+    def __init__(self, sys: IterationSystem, zero: bool):
+        self.sides, self.cost = PowerTransform(sys, sys.k), sys.k
 
-    def start(self, sys: IterationSystem) -> None:
-        self.g = geometric_sum_apply(sys.M, sys.k, sys.g)
-
-    def step(self, forward: np.ndarray | None) -> tuple[np.ndarray, int]:
-        self.m += 1
-        basic, cost = ((self.g.copy(), 0) if forward is None  # never alias g
-                       else (forward + self.g, self.cost))
-        new, extra = self._combine(basic)
-        self.prev, self.y = self.y, new
+    def step(self, y: np.ndarray, forward: np.ndarray | None) -> tuple[np.ndarray, int]:
+        basic, cost = ((self.sides.g.copy(), 0) if forward is None  # never alias g
+                       else (forward + self.sides.g, self.cost))
+        new, extra = self._combine(y, basic)
         return new, cost + extra
 
-    def _combine(self, basic):
+    def _combine(self, y, basic):
         return basic, 0
 
 
@@ -220,20 +227,22 @@ class _ClassicalStepper(_BasicStepper):
     |lambda1|; the caller is responsible for the real-spectrum assumption.
     """
 
-    def __init__(self, sys: IterationSystem, x0: np.ndarray):
+    def __init__(self, sys: IterationSystem, zero: bool):
         if sys.lambda1 is None:
             raise MissingLambda1("classical scheme needs lambda1 to set rho")
-        super().__init__(sys, x0)
-        rho = abs(complex(self.lambda1))
+        super().__init__(sys, zero)
+        rho = abs(complex(self.sides.lambda1))
         if not 0.0 < rho < 1.0:
             raise InapplicableSpectrum(f"spectral radius must lie in (0, 1), got {rho}")
         self.quarter_rho2 = rho * rho / 4.0
         self.weight = 2.0
+        self.prev = None  # y_{m-2}
 
-    def _combine(self, basic):
-        if self.m > 1:
+    def _combine(self, y, basic):
+        if self.prev is not None:
             self.weight = 1.0 / (1.0 - self.quarter_rho2 * self.weight)
             basic = self.prev + self.weight * (basic - self.prev)
+        self.prev = y
         return basic, 0
 
 
@@ -249,37 +258,33 @@ class _GeneralizedStepper(_BasicStepper):
     transform) is checked upstream by the spectrum module.
     """
 
-    def __init__(self, sys: IterationSystem, x0: np.ndarray):
+    def __init__(self, sys: IterationSystem, zero: bool):
         if sys.M_tilde is None or sys.g_tilde is None:
-            raise MissingTildeData(
-                "generalized scheme: the system has no M_tilde and g_tilde"
-            )
+            raise MissingTildeData("generalized scheme: the system has no M_tilde and g_tilde")
         if sys.lambda1 is None:
             raise MissingLambda1("generalized scheme: the system has no lambda1")
-        super().__init__(sys, x0)
-        self.stream = ChebCoefficientStream(self.lambda1)
+        super().__init__(sys, zero)
+        self.stream = ChebCoefficientStream(self.sides.lambda1)
         self.mt = _Workspace(sys.M_tilde, sys.k)  # Mt^k
-        self.prev2 = None  # the iterate before `prev`
+        self.zero = zero
+        self.prev = self.prev2 = None  # y_{m-2} and y_{m-3}
 
-    def start(self, sys: IterationSystem) -> None:
-        super().start(sys)
-        self.g_tilde = geometric_sum_apply(sys.M_tilde, sys.k, sys.g_tilde)
-
-    def _combine(self, forward):
-        if self.m == 1:
+    def _combine(self, y, forward):
+        prev, prev2 = self.prev, self.prev2
+        self.prev, self.prev2 = y, prev
+        if prev is None:
             return forward, 0
-        if self.m == 2 and not self.prev.any():  # a zero start: Mt^k 0 = 0
-            tilde, cost = self.g_tilde, 0
+        if prev2 is None and self.zero:  # the seed from a zero start: Mt^k 0 = 0
+            tilde, cost = self.sides.g_tilde, 0
         else:
-            tilde, cost = self.mt.finish(self.mt.first(self.prev)) + self.g_tilde, self.cost
-        if self.m == 2:
+            tilde, cost = self.mt.finish(self.mt.first(prev)) + self.sides.g_tilde, self.cost
+        if prev2 is None:
             # the stream has not stepped yet: its window ends with f2(1/lambda1)
             lam1, f2 = self.stream.lambda1, self.stream.window[2]
             new = (3 * forward / lam1**2 - 2 * tilde / lam1.conjugate()) / f2
         else:
             c1, c2, c3 = self.stream.step()
-            new = c1 * forward - c2 * tilde + c3 * self.prev2
-        self.prev2 = self.prev
+            new = c1 * forward - c2 * tilde + c3 * prev2
         return new, cost
 
 
@@ -312,7 +317,8 @@ def run(
     tol * |g| and the trace, or raises NotConverged with the best iterate
     and the trace attached.  A residual above the divergence guard, or not
     finite, raises Divergence (a NotConverged) under every scheme.  A run
-    of no step from zero checks the scheme at `system.k`, spending nothing.
+    of no step checks the scheme at `system.k` and spends no product but the
+    initial residual's M x0, none from zero.
     """
     stepper_class = _STEPPERS.get(scheme)
     if stepper_class is None:
@@ -325,15 +331,14 @@ def run(
         raise ValueError("run needs an untransformed IterationSystem; store k in the system")
     y = np.zeros(system.n, dtype=complex) if x0 is None else as_vector(x0, system.n, "x0")
     ref = None if reference_x is None else as_vector(reference_x, system.n, "reference_x")
-    stepper = stepper_class(system, y)
-    if steps:
-        stepper.start(system)
+    zero = not y.any()
+    stepper = stepper_class(system, zero)
     power = _Workspace(system.M, system.k)
     trace = ConvergenceTrace(scheme=scheme, k=system.k)
     # One M y per iterate: its residual, and the first factor of the next M^k y.
     # A zero start has M y = 0 (None) and residual |g| at no product.
     g_norm = _norm(system.g)
-    my = power.first(y) if y.any() else None
+    my = None if zero else power.first(y)
     residual = trace.initial_residual = g_norm if my is None else system.residual_norm(y, my)
     if ref is not None:
         trace.initial_err = _norm(ref - y)
@@ -343,16 +348,15 @@ def run(
     for _ in range(steps):
         if residual <= target:
             break
-        y, cost = stepper.step(None if my is None else power.finish(my))
+        y, cost = stepper.step(y, None if my is None else power.finish(my))
         my = power.first(y)
         residual = system.residual_norm(y, my)
-        err = None if ref is None else _norm(ref - y)
-        trace.append(stepper.m, err, residual, cost)
+        trace.append(None if ref is None else _norm(ref - y), residual, cost)
         if residual < best_residual:
             best, best_residual = y, residual
         if not residual <= guard:
             raise Divergence(
-                f"{scheme} scheme diverged at step {stepper.m}: residual {residual:.3e}"
+                f"{scheme} scheme diverged at step {len(trace.residuals)}: residual {residual:.3e}"
                 f" is not below the guard {guard:.3e}",
                 best=best,
                 trace=trace,
@@ -400,28 +404,34 @@ def generalized_chebyshev_iterate(sys, x0=None, steps: int = 50,
 class PowerTransform:
     """What the k-power transform of `system` changes besides M -> M^k: the
     sides (I + M + ... + M^(k-1)) g and the same of (M_tilde, g_tilde), and
-    lambda1^k.  At k = 1 it holds the system's own g, g_tilde and lambda1."""
+    lambda1^k.  A side is taken at its first read, at k - 1 products, and
+    kept; at k = 1 each is the system's own."""
 
     system: IterationSystem
     k: int
-    g: np.ndarray
-    g_tilde: np.ndarray | None
-    lambda1: complex | None
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return geometric_sum_apply(self.system.M, self.k, self.system.g)
+
+    @cached_property
+    def g_tilde(self) -> np.ndarray | None:
+        m_tilde, g_tilde = self.system.M_tilde, self.system.g_tilde
+        return None if m_tilde is None else geometric_sum_apply(m_tilde, self.k, g_tilde)
+
+    @cached_property
+    def lambda1(self) -> complex | None:
+        lambda1 = self.system.lambda1
+        return lambda1 if lambda1 is None or self.k == 1 else complex(lambda1) ** self.k
 
 
 def transform_system(sys: IterationSystem, k: int) -> PowerTransform:
-    """The sides of the k-power transform of `sys`, which keeps its fixed
-    point: k - 1 products on each.  `run` takes them itself at `sys.k`."""
+    """The k-power transform of `sys`, which keeps its fixed point.  It
+    spends nothing: each side costs k - 1 products when it is first read.
+    `run` takes the transform itself at `sys.k`."""
     if not isinstance(sys, IterationSystem):
         raise ValueError("transform_system needs an untransformed IterationSystem")
-    g_tilde = None if sys.M_tilde is None else geometric_sum_apply(sys.M_tilde, k, sys.g_tilde)
-    return PowerTransform(sys, k, geometric_sum_apply(sys.M, k, sys.g), g_tilde,
-                          _power(sys.lambda1, k))
-
-
-def _power(lambda1, k: int):
-    """lambda1**k as the transform raises it: lambda1 itself at k = 1."""
-    return lambda1 if lambda1 is None or k == 1 else complex(lambda1) ** k
+    return PowerTransform(sys, _order(k))
 
 
 def solve(

@@ -134,11 +134,6 @@ def _dominance(info: SpectrumInfo) -> tuple[Classification, int | None]:
     return Classification(kind, k0), k0 * _smallest_k_for_ratio(ratio)
 
 
-def classify_dominant(info: SpectrumInfo) -> Classification:
-    """Unique dominant eigenvalue, root-of-unity family, or inapplicable."""
-    return _dominance(info)[0]
-
-
 def select_k_bound(info: SpectrumInfo) -> int:
     """Transform order from the modulus bound: k0 * k1.
 

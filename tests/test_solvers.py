@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -139,6 +140,30 @@ class TestTransform:
         sys_, _ = dense_system(np.eye(2) * 0.5)
         with pytest.raises(ValueError):
             transform_system(transform_system(sys_, 2), 2)
+
+    def test_spends_nothing_until_a_side_is_read(self, product_counts):
+        sys_, _ = dense_system(np.eye(3) * 0.5, tilde_dense=np.eye(3) * 0.5, lambda1=0.5)
+        out = transform_system(sys_, 3)
+        assert out.lambda1 == pytest.approx(0.125)
+        assert not product_counts
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("side, matrix", [("g", "M"), ("g_tilde", "M_tilde")])
+    def test_a_side_costs_k_minus_one_products_at_its_first_read_only(
+        self, product_counts, side, matrix, k
+    ):
+        sys_, _ = dense_system(np.eye(3) * 0.5, tilde_dense=np.eye(3) * 0.5, lambda1=0.5)
+        out = transform_system(sys_, k)
+        first = getattr(out, side)
+        spent = dict(product_counts)
+        assert spent == ({id(getattr(sys_, matrix)): k - 1} if k > 1 else {})
+        assert getattr(out, side) is first and product_counts == spent
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_order_refused(self, k):
+        sys_, _ = dense_system(np.eye(2) * 0.5)
+        with pytest.raises(ValueError, match="positive"):
+            transform_system(sys_, k)
 
 
 class TestClassical:
@@ -444,18 +469,32 @@ class TestSystemValidation:
 
         with pytest.raises(DimensionMismatch):
             IterationSystem(
-                M=ComplexSparseMatrix.identity(3),
+                M=ComplexSparseMatrix.from_dense(np.eye(3)),
                 g=np.zeros(3),
-                M_tilde=ComplexSparseMatrix.identity(4),
+                M_tilde=ComplexSparseMatrix.from_dense(np.eye(4)),
                 g_tilde=np.zeros(4),
             )
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, "2"])
+    def test_refuses_a_k_that_is_not_an_integer(self, k):
+        # a float k built, and `run` then died inside `range`
+        sys_, _ = dense_system(np.eye(3) * 0.5)
+        with pytest.raises(TypeError):
+            dataclasses.replace(sys_, k=k)
+        with pytest.raises(TypeError):
+            transform_system(sys_, k)
+
+    def test_takes_a_numpy_integer_k(self):
+        sys_, _ = dense_system(np.eye(3) * 0.5)
+        assert dataclasses.replace(sys_, k=np.int64(2)).k == 2
+        assert transform_system(sys_, np.int32(3)).k == 3
 
     def test_tilde_pair_must_be_complete(self):
         with pytest.raises(ValueError):
             IterationSystem(
-                M=ComplexSparseMatrix.identity(3),
+                M=ComplexSparseMatrix.from_dense(np.eye(3)),
                 g=np.zeros(3),
-                M_tilde=ComplexSparseMatrix.identity(3),
+                M_tilde=ComplexSparseMatrix.from_dense(np.eye(3)),
             )
 
     @pytest.mark.parametrize("operator", [np.eye(3) * 0.5, None, "M"],
@@ -491,7 +530,7 @@ def test_residual_norm_is_the_bits_of_np_linalg_norm(n, scale):
 
 
 def test_residual_norm_takes_real_vectors():
-    sys_ = IterationSystem(M=ComplexSparseMatrix.identity(2), g=np.array([1j, 2.0]))
+    sys_ = IterationSystem(M=ComplexSparseMatrix.from_dense(np.eye(2)), g=np.array([1j, 2.0]))
     y, my = np.array([1.0, 3.0]), np.array([0.5, 0.0])
     assert sys_.residual_norm(y, my) == float(np.linalg.norm(y - my - sys_.g))
 
@@ -530,19 +569,20 @@ class TestSolveSharesTheResidualProduct:
     def test_products_are_recurrence_plus_one(
         self, normal_system, monkeypatch, product_counts, scheme, k, mode
     ):
-        calls = product_counts  # made by matvec or by the run's workspace
+        calls, spent = product_counts, Counter()  # made by matvec or by the run's workspace
 
-        def sum_then_reset(*args):
+        def counted_sum(*args):
+            before = calls.copy()
             side = geometric_sum(*args)
-            calls.clear()  # the transform's right-hand-side products are not the loop's
+            spent.update(calls - before)  # a transformed side's products are not the loop's
             return side
 
         geometric_sum = solvers.geometric_sum_apply
-        monkeypatch.setattr(solvers, "geometric_sum_apply", sum_then_reset)
+        monkeypatch.setattr(solvers, "geometric_sum_apply", counted_sum)
         sys_ = dataclasses.replace(normal_system, k=k)
         trace = mode(sys_, scheme)
-        base = calls.get(id(sys_.M), 0)
-        tilde = calls.get(id(sys_.M_tilde), 0)
+        base = calls.get(id(sys_.M), 0) - spent[id(sys_.M)]
+        tilde = calls.get(id(sys_.M_tilde), 0) - spent[id(sys_.M_tilde)]
         steps = len(trace.steps)
         assert steps > 1
         # from step 2 on; from a zero start the seed's Mt^k 0 is not taken
@@ -600,6 +640,18 @@ class TestSolveSharesTheResidualProduct:
         assert spent.get(id(normal_system.M), 0) == k - 1
         reads_tilde = scheme == "generalized"
         assert spent.get(id(normal_system.M_tilde), 0) == (k - 1 if reads_tilde else 0)
+
+    @pytest.mark.parametrize("scheme", ["basic", "classical"])
+    def test_basic_and_classical_never_read_g_tilde(self, normal_system, monkeypatch, scheme):
+        def refuse(self):
+            raise AssertionError("g_tilde read")
+
+        monkeypatch.setattr(solvers.PowerTransform, "g_tilde", property(refuse))
+        sys_ = dataclasses.replace(normal_system, k=3)
+        for x0 in (None, np.ones(sys_.n)):
+            run(sys_, scheme, steps=5, x0=x0)
+        with pytest.raises(AssertionError, match="g_tilde read"):
+            run(sys_, "generalized", steps=5)
 
 
 def _normal_test_system(seed: int, n: int) -> IterationSystem:

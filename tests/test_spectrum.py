@@ -27,7 +27,6 @@ from gencheb.spectrum import (
     alpha_from_lambda1,
     asymptotic_rate_g,
     build_report,
-    classify_dominant,
     estimate_dominant_eigenvalue,
     feasibility_threshold,
     mu_max,
@@ -112,29 +111,29 @@ class TestSelectKGeometric:
 class TestClassify:
     def test_example33_unique(self):
         info = SpectrumInfo(EX33, lambda1=0.9, source="exact")
-        assert classify_dominant(info).kind == UNIQUE_DOMINANT
+        assert build_report(info).classification.kind == UNIQUE_DOMINANT
 
     def test_plus_minus_pair_is_family_of_order_two(self):
         info = SpectrumInfo((0.8, -0.8), lambda1=0.8, source="exact")
-        cls = classify_dominant(info)
+        cls = build_report(info).classification
         assert cls.kind == ROOT_OF_UNITY_FAMILY
         assert cls.k0 == 2
 
     def test_mixed_orders_lcm(self):
         w3 = 0.7 * np.exp(2j * np.pi / 3)
         info = SpectrumInfo((0.7, w3, -0.7), lambda1=0.7, source="exact")
-        cls = classify_dominant(info)
+        cls = build_report(info).classification
         assert cls.kind == ROOT_OF_UNITY_FAMILY
         assert cls.k0 == 6
 
     def test_irrational_rotation_inapplicable(self):
         zeta = np.exp(2j * np.pi * np.sqrt(2) / 2)
         info = SpectrumInfo((0.8, 0.8 * zeta), lambda1=0.8, source="exact")
-        assert classify_dominant(info).kind == INAPPLICABLE
+        assert build_report(info).classification.kind == INAPPLICABLE
 
     def test_repeated_dominant_eigenvalue_is_unique(self):
         info = SpectrumInfo((0.9, 0.9, 0.3), lambda1=0.9, source="exact")
-        cls = classify_dominant(info)
+        cls = build_report(info).classification
         assert cls.kind == UNIQUE_DOMINANT
         assert str(cls) == UNIQUE_DOMINANT
         assert select_k_bound(info) == 1
@@ -142,13 +141,13 @@ class TestClassify:
     def test_scale_invariance_under_global_phase(self):
         rng = np.random.default_rng(17)
         evs = (0.8, -0.8, 0.3 + 0.2j, -0.1j)
-        base = classify_dominant(SpectrumInfo(evs, lambda1=0.8, source="exact"))
+        base = build_report(SpectrumInfo(evs, lambda1=0.8, source="exact")).classification
         for _ in range(5):
             phase = np.exp(2j * np.pi * rng.random())
             rotated = tuple(phase * np.asarray(evs, complex))
-            cls = classify_dominant(
+            cls = build_report(
                 SpectrumInfo(rotated, lambda1=phase * 0.8, source="exact")
-            )
+            ).classification
             assert cls == base
 
 
@@ -430,7 +429,7 @@ class TestSinglePass:
     @given(spectra())
     def test_report_reads_the_public_selectors(self, info):
         report = build_report(info)
-        assert report.classification == classify_dominant(info)
+        assert report.classification == _dominance(info)[0]
         try:
             assert report.k_bound == select_k_bound(info)
         except InapplicableSpectrum:
