@@ -196,7 +196,8 @@ def _experiment(args: argparse.Namespace, info: SpectrumInfo, system: IterationS
 
     Each run is fixed-step when `tol` is None, else to that relative
     residual.  A run that stops short keeps its trace, gets a stop line
-    saying why, and makes the exit code 4."""
+    saying why, and makes the exit code 4.  A fixed-step run that ends above
+    its initial residual gets a stop line saying so and keeps the exit code."""
     report = build_report(info, k_max=args.k_max)
     if report.k_selected is None:
         _write_report(args, report.lines() + lines)
@@ -214,6 +215,9 @@ def _experiment(args: argparse.Namespace, info: SpectrumInfo, system: IterationS
             if tol is not None:
                 stops.append(f"{scheme}: converged in {len(trace.steps)} steps "
                              f"({trace.total_matvecs} matvecs)")
+            elif trace.residuals and trace.residuals[-1] > trace.initial_residual:
+                stops.append(f"{scheme}: residual grew from {trace.initial_residual:.3e} "
+                             f"to {trace.residuals[-1]:.3e} over {len(trace.steps)} steps")
         except NotConverged as exc:
             trace, code = exc.trace, EXIT_NOT_CONVERGED
             if isinstance(exc, Divergence):

@@ -25,11 +25,16 @@ real imag` with integer 1-based indices and shortest round-trip floats, a
 byte format that stays fixed; read(write(A)) reproduces A bit-identically,
 signed zeros included.  The writer can write A* beside A from A's own
 formatted fields, in the same bytes as a write of A*.  `%` comment lines
-and blank lines may appear anywhere in the body.
+and blank lines may appear anywhere in the body.  Each written file gets a
+binary twin `<file>.npz`: the CSR arrays the text encodes, its shape and
+the SHA-256 of the text's bytes.  A read builds the matrix from the twin
+when that digest matches the file as read and the constructor accepts the
+arrays, and parses the text otherwise, so a twin never changes a result.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import warnings
 
@@ -237,14 +242,9 @@ class ComplexSparseMatrix:
 
     def conj_transpose(self) -> "ComplexSparseMatrix":
         """Return A*: the entries in column order, conjugated."""
-        order = _column_order(self)
-        counts = np.bincount(self.col_indices, minlength=self.n_cols)
-        rows, values = _entry_rows(self)[order], self.values[order]
-        del order  # not alive beside the constructor's temporaries
-        return ComplexSparseMatrix(
-            self.n_cols, self.n_rows, np.concatenate(([0], np.cumsum(counts))),
-            rows, np.conj(values, out=values),
-        )
+        # the order is freed when the helper returns, before the constructor
+        return ComplexSparseMatrix(self.n_cols, self.n_rows,
+                                   *_adjoint_csr(self, _column_order(self)))
 
 
 def _row_runs(row_offsets: np.ndarray, col_indices: np.ndarray,
@@ -288,6 +288,13 @@ def _column_order(a: ComplexSparseMatrix) -> np.ndarray:
     return np.argsort(a.col_indices, kind="stable")
 
 
+def _adjoint_csr(a: ComplexSparseMatrix, order: np.ndarray) -> tuple:
+    """A*'s row_offsets, col_indices and values, from A's column order."""
+    counts = np.bincount(a.col_indices, minlength=a.n_cols)
+    rows, values = _entry_rows(a)[order], a.values[order]
+    return np.concatenate(([0], np.cumsum(counts))), rows, np.conj(values, out=values)
+
+
 def geometric_sum_apply(a, k: int, v: np.ndarray) -> np.ndarray:
     """Return (I + A + ... + A**(k-1)) v by Horner accumulation.
 
@@ -317,14 +324,20 @@ def write_matrix_market(a: ComplexSparseMatrix, path: str | os.PathLike,
     write_matrix_market(a.conj_transpose(), adjoint_path) but with each
     float formatted once: A*'s lines are A's fields in column order, row
     and column swapped, with the sign of the imaginary part toggled
-    (repr(-x) is "-" + repr(x), zeros included).
+    (repr(-x) is "-" + repr(x), zeros included).  Each file gets its binary
+    twin (see _write_twin), written once the formatted fields are freed.
     """
     rows = _entry_rows(a)
     re, im_abs, im_neg = _value_fields(a.values)
-    _write_entries(path, a.shape, rows, a.col_indices, re, im_abs, im_neg)
+    digest = _write_entries(path, a.shape, rows, a.col_indices, re, im_abs, im_neg)
     if adjoint_path is not None:
-        _write_entries(adjoint_path, a.shape[::-1], a.col_indices, rows, re, im_abs,
-                       ~im_neg, _column_order(a))
+        order = _column_order(a)
+        adjoint_digest = _write_entries(adjoint_path, a.shape[::-1], a.col_indices, rows,
+                                        re, im_abs, ~im_neg, order)
+    del rows, re, im_abs, im_neg
+    _write_twin(path, digest, a.shape, a.row_offsets, a.col_indices, a.values)
+    if adjoint_path is not None:
+        _write_twin(adjoint_path, adjoint_digest, a.shape[::-1], *_adjoint_csr(a, order))
 
 
 def _value_fields(values: np.ndarray):
@@ -343,11 +356,16 @@ def _value_fields(values: np.ndarray):
 
 def _write_entries(path, shape, rows, cols, re, im_abs, im_neg, order=None):
     """Write the header and a `row col re im` line per entry (0-based
-    `rows`/`cols`), taking entries in `order` (default: as stored)."""
+    `rows`/`cols`), taking entries in `order` (default: as stored); return
+    the SHA-256 digest of the bytes written."""
     nnz = rows.size
     index = np.arange(1, max(shape) + 1).astype(f"S{len(str(max(shape)))}")
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(f"{_MM_HEADER}\n{shape[0]} {shape[1]} {nnz}\n".encode("ascii"))
+        def write(data):
+            fh.write(data)
+            digest.update(data)
+        write(f"{_MM_HEADER}\n{shape[0]} {shape[1]} {nnz}\n".encode("ascii"))
         # fields padded with NUL side by side, one line per row of bytes;
         # dropping the NULs joins them into text in bounded batches
         for s in range(0, nnz, _MM_BATCH):
@@ -357,11 +375,45 @@ def _write_entries(path, shape, rows, cols, re, im_abs, im_neg, order=None):
             parts = (index[rows[e]], space, index[cols[e]], space, re[e], space,
                      np.where(im_neg[e], b"-", b""), im_abs[e], newline)
             line = np.concatenate([p.view(np.uint8).reshape(k, -1) for p in parts], axis=1)
-            fh.write(line[line != 0])
+            write(line[line != 0])
+    return digest.digest()
+
+
+def _twin_path(path: str | os.PathLike) -> str:
+    return os.fsdecode(path) + ".npz"
+
+
+def _write_twin(path, digest: bytes, shape, row_offsets, col_indices, values) -> None:
+    """Write `<path>.npz`, uncompressed numeric arrays: the CSR arrays of the
+    text at `path`, its shape and the SHA-256 `digest` of its bytes."""
+    np.savez(_twin_path(path), digest=np.frombuffer(digest, dtype=np.uint8),
+             shape=np.array(shape), row_offsets=row_offsets, col_indices=col_indices,
+             values=values)
+
+
+def _read_twin(path, shape: tuple, nnz: int) -> ComplexSparseMatrix | None:
+    """The matrix in the twin of `path`, with the `shape` and `nnz` of its
+    size line; None unless the twin loads without pickle, holds the SHA-256
+    of the file's bytes as read now, and holds arrays of the written dtypes
+    that the constructor accepts."""
+    try:
+        with open(_twin_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as twin, \
+                open(path, "rb") as text:
+            if bytes(twin["digest"]) != hashlib.sha256(text.read()).digest():
+                return None
+            csr = [twin[key] for key in ("row_offsets", "col_indices", "values")]
+        if [a.dtype for a in csr] != [np.int64, np.int64, complex] or csr[2].shape != (nnz,):
+            return None
+        return ComplexSparseMatrix(*shape, *csr)
+    except Exception:  # zipfile and np.load refuse a damaged twin with seven types
+        return None  # no twin, or a damaged one: the text decides
 
 
 def read_matrix_market(path: str | os.PathLike) -> ComplexSparseMatrix:
-    """Read a coordinate complex general file written by this package."""
+    """Read a coordinate complex general file, such as one written by this
+    package.  The header and size line are always checked; the entries come
+    from the binary twin `<path>.npz` when its digest matches the file and
+    the constructor accepts its arrays, else from the text."""
     return _read_market(path)
 
 
@@ -384,6 +436,9 @@ def _read_market(path: str | os.PathLike, vector: bool = False) -> ComplexSparse
             if vector and n_cols != 1:
                 raise UnreadableMatrix(f"{path} has shape {(n_rows, n_cols)}, "
                                        "expected an n-by-1 vector")
+            twin = _read_twin(path, (n_rows, n_cols), nnz)
+            if twin is not None:
+                return twin
             with warnings.catch_warnings():  # an empty body is valid for nnz 0
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, dtype=float, comments="%", ndmin=2)
@@ -415,8 +470,9 @@ def write_vector_market(v: np.ndarray, path: str | os.PathLike) -> None:
     """Write a vector as an n-by-1 coordinate complex general matrix."""
     v = as_vector(v)
     n = v.shape[0]
-    _write_entries(path, (n, 1), np.arange(n), np.zeros(n, dtype=np.int64),
-                   *_value_fields(v))
+    cols = np.zeros(n, dtype=np.int64)
+    digest = _write_entries(path, (n, 1), np.arange(n), cols, *_value_fields(v))
+    _write_twin(path, digest, (n, 1), np.arange(n + 1), cols, v)
 
 
 def read_vector_market(path: str | os.PathLike) -> np.ndarray:

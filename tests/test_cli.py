@@ -190,6 +190,28 @@ class TestExample33Command:
         _, rows = read_trace(out / "trace.csv")
         assert int(rows[-1]["m"]) == int(stop.group(1)) < 200
 
+    @pytest.mark.parametrize("flags, scheme, final", [
+        # classical's ellipse on [-0.81, 0.81] misses (0.4 +- 0.7i)^2; at k = 3
+        # the pair's quotients leave the deltoid
+        (["--schemes", "basic,classical,generalized"], "classical", 6.315e+01),
+        (["--k", "3", "--schemes", "generalized"], "generalized", 5.096e+02),
+        ([], None, None),
+    ], ids=["classical", "k3", "default"])
+    def test_a_fixed_step_run_that_grows_says_so(self, tmp_path, flags, scheme, final):
+        out = tmp_path / "grow"
+        assert main(["example33", "--out", str(out), *flags]) == EXIT_OK
+        grown = re.findall(r"^(\w+): residual grew from (\S+) to (\S+) over (\d+) steps$",
+                           (out / "report.txt").read_text(), re.M)
+        if scheme is None:
+            assert grown == []
+            return
+        [(name, initial, last, steps)] = grown
+        assert (name, initial, steps) == (scheme, "7.890e+00", "200")
+        assert float(last) == pytest.approx(final, rel=1e-3)
+        _, rows = read_trace(out / "trace.csv")
+        last_row = [row for row in rows if row["scheme"] == scheme][-1]
+        assert float(last_row["residual"]) == pytest.approx(final, rel=1e-3)
+
 
 class TestNormalSparseCommand:
     def test_scaled_run(self, tmp_path):
@@ -1061,7 +1083,8 @@ class TestNonAsciiPaths:
                           "M\u00e9.mtx" if renamed == "--matrix" else "M.mtx")
         assert escaped.keys() == plain.keys()
         for name, (first, rest) in escaped.items():
-            first.decode("ascii")
+            if not name.endswith(".npz"):  # a binary twin has no metadata line
+                first.decode("ascii")
             if name.endswith((".csv", ".txt")):
                 assert (b"\\xfc" if renamed == "--out" else b"M\\xe9.mtx") in first
             assert rest == plain[name][1], name

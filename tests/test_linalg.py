@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -718,16 +719,23 @@ class TestCSRInvariants:
         assert np.array_equal(a.values, [1.0, 2.0 + 0.5j, 4.0])
 
 
+def _read_both_ways(read, path):
+    """`read(path)` through the binary twin that the writer left, then, with
+    the twin deleted, from the text."""
+    twin = path.with_name(path.name + ".npz")
+    through_twin = read(path)
+    twin.unlink()  # raises unless the writer left the twin
+    return through_twin, read(path)
+
+
 class TestMatrixMarket:
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(17)
         a, _ = random_sparse(rng, 13, 9, density=0.4)
         path = tmp_path / "a.mtx"
         write_matrix_market(a, path)
-        b = read_matrix_market(path)
-        assert np.array_equal(a.row_offsets, b.row_offsets)
-        assert np.array_equal(a.col_indices, b.col_indices)
-        assert np.array_equal(a.values, b.values)
+        for b in _read_both_ways(read_matrix_market, path):
+            _assert_same_arrays(b, a)
 
     def test_header_format(self, tmp_path):
         path = tmp_path / "i.mtx"
@@ -740,9 +748,11 @@ class TestMatrixMarket:
     def test_vector_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        v[0] = _complex(-0.0, 5e-324)
         path = tmp_path / "v.mtx"
         write_vector_market(v, path)
-        assert np.array_equal(read_vector_market(path), v)
+        for back in _read_both_ways(read_vector_market, path):
+            assert np.array_equal(back.view(np.uint64), v.view(np.uint64))
 
     def test_vector_shape_refused_before_the_body(self, tmp_path):
         # the body does not parse: only a size-line check can name the shape
@@ -864,11 +874,8 @@ class TestMatrixMarketProperties:
             for r, c, x, y in zip(rows, cols, re[rows, cols], im[rows, cols])
         )
         assert path.read_text(encoding="ascii") == expected
-        b = read_matrix_market(path)
-        assert b.shape == a.shape
-        assert np.array_equal(b.row_offsets, a.row_offsets)
-        assert np.array_equal(b.col_indices, a.col_indices)
-        assert np.array_equal(b.values.view(np.uint64), a.values.view(np.uint64))
+        for b in _read_both_ways(read_matrix_market, path):
+            _assert_same_arrays(b, a)
 
     @given(stored_pattern_and_parts())
     @example(_mm_case([[True]], -0.0, -0.0))
@@ -947,3 +954,99 @@ class TestMatrixMarketInputs:
             warnings.simplefilter("error")
             a = read_matrix_market(path)
         assert a.shape == (4, 3) and a.nnz == 0
+
+
+def _save_twin(path, a, **changes):
+    """Hand-build the twin of `path`, with its digest and a's arrays except
+    the `changes`."""
+    arrays = {**dict(shape=np.array(a.shape), row_offsets=a.row_offsets,
+                     col_indices=a.col_indices, values=a.values), **changes}
+    digest = hashlib.sha256(path.read_bytes()).digest()
+    with open(path.with_name(path.name + ".npz"), "wb") as fh:
+        np.savez(fh, digest=np.frombuffer(digest, dtype=np.uint8), **arrays)
+
+
+class TestBinaryTwin:
+    """A read takes a written file's CSR arrays from its twin `<file>.npz`
+    only when the twin's digest is the file's and the constructor accepts its
+    arrays; in every other case it returns what the text gives."""
+
+    def _written(self, tmp_path):
+        a = ComplexSparseMatrix.from_triplets(
+            3, 3, [0, 1, 1, 2], [2, 0, 1, 1], _complex([1.5, -0.0, 2.0, 5e-324],
+                                                       [0.25, -0.0, 1e300, -3.0]))
+        path = tmp_path / "a.mtx"
+        write_matrix_market(a, path)
+        return a, path, tmp_path / "a.mtx.npz"
+
+    def test_a_written_file_is_read_from_its_twin(self, tmp_path, monkeypatch):
+        a, path, twin = self._written(tmp_path)
+        with np.load(twin, allow_pickle=False) as arrays:
+            assert sorted(arrays.files) == ["col_indices", "digest", "row_offsets",
+                                            "shape", "values"]
+            assert bytes(arrays["digest"]) == hashlib.sha256(path.read_bytes()).digest()
+
+        def no_text(*args, **kwargs):
+            raise AssertionError("the text was parsed")
+        monkeypatch.setattr(np, "loadtxt", no_text)
+        _assert_same_arrays(read_matrix_market(path), a)
+
+    def test_an_edited_file_reads_its_text(self, tmp_path):
+        _, path, twin = self._written(tmp_path)
+        text = path.read_text()
+        assert "1 3 1.5 0.25\n" in text
+        path.write_text(text.replace("1 3 1.5 0.25\n", "1 3 1.7 0.25\n"))
+        assert twin.exists()
+        assert read_matrix_market(path).to_dense()[0, 2] == 1.7 + 0.25j
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy", "pickled"])
+    def test_a_broken_twin_gives_the_text_result(self, tmp_path, damage):
+        a, path, twin = self._written(tmp_path)
+        if damage == "truncated":
+            twin.write_bytes(twin.read_bytes()[:-40])
+        elif damage == "garbage":
+            twin.write_bytes(bytes(range(256)) * 8)
+        elif damage == "empty":
+            twin.write_bytes(b"")
+        elif damage == "npy":
+            with open(twin, "wb") as fh:
+                np.save(fh, a.values)
+        else:  # an object array is stored pickled and loads only with pickle
+            _save_twin(path, a, values=np.array(list(a.values), dtype=object))
+        _assert_same_arrays(read_matrix_market(path), a)
+
+    @pytest.mark.filterwarnings("error")
+    @given(st.data())
+    def test_a_flipped_twin_byte_never_changes_the_result(self, tmp_path_factory, data):
+        a, path, twin = self._written(tmp_path_factory.mktemp("twin"))
+        raw = bytearray(twin.read_bytes())
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        twin.write_bytes(raw)
+        _assert_same_arrays(read_matrix_market(path), a)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("changes", [
+        dict(values=np.array([np.nan, 1, 2, 3], dtype=complex)),
+        dict(col_indices=np.array([2, 0, 1, 3])),
+        dict(col_indices=np.array([2, 1, 0, 1])),
+        dict(row_offsets=np.array([0, 1, 3, 3])),
+        # valid CSR arrays, but not those of the size line or of the dtypes
+        dict(row_offsets=np.array([0, 1, 3, 3]), col_indices=np.array([2, 0, 1]),
+             values=np.array([1, 2, 3], dtype=complex)),
+        dict(col_indices=np.array([2.0, 0.0, 1.0, 0.9])),
+        dict(values=np.array([1, 2, 3, 4], dtype=np.complex64)),
+    ], ids=["nan", "column out of bounds", "unsorted row", "short offsets",
+            "one entry fewer", "float indices", "complex64 values"])
+    def test_a_twin_with_the_digest_but_bad_arrays_gives_the_text_result(
+            self, tmp_path, changes):
+        a, path, _ = self._written(tmp_path)
+        _save_twin(path, a, **changes)
+        _assert_same_arrays(read_matrix_market(path), a)
+
+    def test_a_matrix_with_a_valid_twin_is_still_no_vector(self, tmp_path):
+        _, path, twin = self._written(tmp_path)
+        assert twin.exists()
+        with pytest.raises(UnreadableMatrix,
+                           match=r"has shape \(3, 3\), expected an n-by-1 vector"):
+            read_vector_market(path)
