@@ -20,7 +20,6 @@ import numpy as np
 
 from .linalg import (
     ComplexSparseMatrix,
-    _twin_path,
     write_matrix_market,
     write_vector_market,
 )
@@ -156,16 +155,15 @@ def assemble_normal_system(spec: NormalMatrixSpec) -> GeneratedSystem:
 def write_generated_system(
     gen: GeneratedSystem, spec: NormalMatrixSpec, out_dir: str | os.PathLike
 ) -> list[str]:
-    """Write Matrix Market files, their binary twins and a key=value
-    metadata sidecar; return the paths written.  M_tilde.mtx is written as
-    M*, the companion the assembly stores."""
+    """Write Matrix Market files plus a key=value metadata sidecar.
+    M_tilde.mtx is written as M*, the companion the assembly stores."""
     os.makedirs(out_dir, exist_ok=True)
-    written = [os.path.join(out_dir, name)
-               for name in ("M.mtx", "M_tilde.mtx", "g.mtx", "g_tilde.mtx")]
-    write_matrix_market(gen.system.M, *written[:2])
-    for vec, path in zip((gen.system.g, gen.system.g_tilde), written[2:]):
+    written = [os.path.join(out_dir, name) for name in ("M.mtx", "M_tilde.mtx")]
+    write_matrix_market(gen.system.M, *written)
+    for name, vec in (("g.mtx", gen.system.g), ("g_tilde.mtx", gen.system.g_tilde)):
+        path = os.path.join(out_dir, name)
         write_vector_market(vec, path)
-    written += [_twin_path(path) for path in written]
+        written.append(path)
     meta = os.path.join(out_dir, "system.meta")
     with open(meta, "w", encoding="ascii") as fh:
         fh.write(f"n={spec.n}\n")

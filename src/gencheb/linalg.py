@@ -25,18 +25,16 @@ real imag` with integer 1-based indices and shortest round-trip floats, a
 byte format that stays fixed; read(write(A)) reproduces A bit-identically,
 signed zeros included.  The writer can write A* beside A from A's own
 formatted fields, in the same bytes as a write of A*.  `%` comment lines
-and blank lines may appear anywhere in the body.  Each written file gets a
-binary twin `<file>.npz`: the CSR arrays the text encodes, its shape and
-the SHA-256 of the text's bytes.  A read builds the matrix from the twin
-when that digest matches the file as read and the constructor accepts the
-arrays, and parses the text otherwise, so a twin never changes a result.
+and blank lines may appear anywhere in the body.  The reader takes files
+from any writer and gives each real and imaginary part the bits float()
+gives its text; it parses with whole-array steps, not a call per field.
 """
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import os
-import warnings
+import re
 
 import numpy as np
 
@@ -242,9 +240,14 @@ class ComplexSparseMatrix:
 
     def conj_transpose(self) -> "ComplexSparseMatrix":
         """Return A*: the entries in column order, conjugated."""
-        # the order is freed when the helper returns, before the constructor
-        return ComplexSparseMatrix(self.n_cols, self.n_rows,
-                                   *_adjoint_csr(self, _column_order(self)))
+        order = _column_order(self)
+        counts = np.bincount(self.col_indices, minlength=self.n_cols)
+        rows, values = _entry_rows(self)[order], self.values[order]
+        del order  # not alive beside the constructor's temporaries
+        return ComplexSparseMatrix(
+            self.n_cols, self.n_rows, np.concatenate(([0], np.cumsum(counts))),
+            rows, np.conj(values, out=values),
+        )
 
 
 def _row_runs(row_offsets: np.ndarray, col_indices: np.ndarray,
@@ -288,13 +291,6 @@ def _column_order(a: ComplexSparseMatrix) -> np.ndarray:
     return np.argsort(a.col_indices, kind="stable")
 
 
-def _adjoint_csr(a: ComplexSparseMatrix, order: np.ndarray) -> tuple:
-    """A*'s row_offsets, col_indices and values, from A's column order."""
-    counts = np.bincount(a.col_indices, minlength=a.n_cols)
-    rows, values = _entry_rows(a)[order], a.values[order]
-    return np.concatenate(([0], np.cumsum(counts))), rows, np.conj(values, out=values)
-
-
 def geometric_sum_apply(a, k: int, v: np.ndarray) -> np.ndarray:
     """Return (I + A + ... + A**(k-1)) v by Horner accumulation.
 
@@ -324,20 +320,14 @@ def write_matrix_market(a: ComplexSparseMatrix, path: str | os.PathLike,
     write_matrix_market(a.conj_transpose(), adjoint_path) but with each
     float formatted once: A*'s lines are A's fields in column order, row
     and column swapped, with the sign of the imaginary part toggled
-    (repr(-x) is "-" + repr(x), zeros included).  Each file gets its binary
-    twin (see _write_twin), written once the formatted fields are freed.
+    (repr(-x) is "-" + repr(x), zeros included).
     """
     rows = _entry_rows(a)
     re, im_abs, im_neg = _value_fields(a.values)
-    digest = _write_entries(path, a.shape, rows, a.col_indices, re, im_abs, im_neg)
+    _write_entries(path, a.shape, rows, a.col_indices, re, im_abs, im_neg)
     if adjoint_path is not None:
-        order = _column_order(a)
-        adjoint_digest = _write_entries(adjoint_path, a.shape[::-1], a.col_indices, rows,
-                                        re, im_abs, ~im_neg, order)
-    del rows, re, im_abs, im_neg
-    _write_twin(path, digest, a.shape, a.row_offsets, a.col_indices, a.values)
-    if adjoint_path is not None:
-        _write_twin(adjoint_path, adjoint_digest, a.shape[::-1], *_adjoint_csr(a, order))
+        _write_entries(adjoint_path, a.shape[::-1], a.col_indices, rows, re, im_abs,
+                       ~im_neg, _column_order(a))
 
 
 def _value_fields(values: np.ndarray):
@@ -356,16 +346,11 @@ def _value_fields(values: np.ndarray):
 
 def _write_entries(path, shape, rows, cols, re, im_abs, im_neg, order=None):
     """Write the header and a `row col re im` line per entry (0-based
-    `rows`/`cols`), taking entries in `order` (default: as stored); return
-    the SHA-256 digest of the bytes written."""
+    `rows`/`cols`), taking entries in `order` (default: as stored)."""
     nnz = rows.size
     index = np.arange(1, max(shape) + 1).astype(f"S{len(str(max(shape)))}")
-    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        def write(data):
-            fh.write(data)
-            digest.update(data)
-        write(f"{_MM_HEADER}\n{shape[0]} {shape[1]} {nnz}\n".encode("ascii"))
+        fh.write(f"{_MM_HEADER}\n{shape[0]} {shape[1]} {nnz}\n".encode("ascii"))
         # fields padded with NUL side by side, one line per row of bytes;
         # dropping the NULs joins them into text in bounded batches
         for s in range(0, nnz, _MM_BATCH):
@@ -375,60 +360,28 @@ def _write_entries(path, shape, rows, cols, re, im_abs, im_neg, order=None):
             parts = (index[rows[e]], space, index[cols[e]], space, re[e], space,
                      np.where(im_neg[e], b"-", b""), im_abs[e], newline)
             line = np.concatenate([p.view(np.uint8).reshape(k, -1) for p in parts], axis=1)
-            write(line[line != 0])
-    return digest.digest()
-
-
-def _twin_path(path: str | os.PathLike) -> str:
-    return os.fsdecode(path) + ".npz"
-
-
-def _write_twin(path, digest: bytes, shape, row_offsets, col_indices, values) -> None:
-    """Write `<path>.npz`, uncompressed numeric arrays: the CSR arrays of the
-    text at `path`, its shape and the SHA-256 `digest` of its bytes."""
-    np.savez(_twin_path(path), digest=np.frombuffer(digest, dtype=np.uint8),
-             shape=np.array(shape), row_offsets=row_offsets, col_indices=col_indices,
-             values=values)
-
-
-def _read_twin(path, shape: tuple, nnz: int) -> ComplexSparseMatrix | None:
-    """The matrix in the twin of `path`, with the `shape` and `nnz` of its
-    size line; None unless the twin loads without pickle, holds the SHA-256
-    of the file's bytes as read now, and holds arrays of the written dtypes
-    that the constructor accepts."""
-    try:
-        with open(_twin_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as twin, \
-                open(path, "rb") as text:
-            if bytes(twin["digest"]) != hashlib.sha256(text.read()).digest():
-                return None
-            csr = [twin[key] for key in ("row_offsets", "col_indices", "values")]
-        if [a.dtype for a in csr] != [np.int64, np.int64, complex] or csr[2].shape != (nnz,):
-            return None
-        return ComplexSparseMatrix(*shape, *csr)
-    except Exception:  # zipfile and np.load refuse a damaged twin with seven types
-        return None  # no twin, or a damaged one: the text decides
+            fh.write(line[line != 0])
 
 
 def read_matrix_market(path: str | os.PathLike) -> ComplexSparseMatrix:
     """Read a coordinate complex general file, such as one written by this
-    package.  The header and size line are always checked; the entries come
-    from the binary twin `<path>.npz` when its digest matches the file and
-    the constructor accepts its arrays, else from the text."""
+    package.  Each real and imaginary part gets the bits float() gives its
+    text."""
     return _read_market(path)
 
 
 def _read_market(path: str | os.PathLike, vector: bool = False) -> ComplexSparseMatrix:
     """read_matrix_market; `vector` refuses more than one column before the body."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().strip()
+        with open(path, "rb") as fh:
+            header = fh.readline().decode("ascii").strip()
             if header.lower() != _MM_HEADER.lower():
                 raise UnreadableMatrix(
                     f"unsupported Matrix Market header in {path}: {header!r}"
                 )
-            size_line = fh.readline()
+            size_line = fh.readline().decode("ascii")
             while size_line.lstrip().startswith("%"):
-                size_line = fh.readline()
+                size_line = fh.readline().decode("ascii")
             parts = size_line.split()
             if len(parts) != 3:
                 raise UnreadableMatrix(f"bad size line in {path}: {size_line!r}")
@@ -436,43 +389,255 @@ def _read_market(path: str | os.PathLike, vector: bool = False) -> ComplexSparse
             if vector and n_cols != 1:
                 raise UnreadableMatrix(f"{path} has shape {(n_rows, n_cols)}, "
                                        "expected an n-by-1 vector")
-            twin = _read_twin(path, (n_rows, n_cols), nnz)
-            if twin is not None:
-                return twin
-            with warnings.catch_warnings():  # an empty body is valid for nnz 0
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, dtype=float, comments="%", ndmin=2)
-        if data.shape[0] != nnz or (nnz and data.shape[1] != 4):
-            raise UnreadableMatrix(f"{path} declares {nnz} `row col real imag` "
-                                   f"entries, found {data.shape[0]} lines of "
-                                   f"{data.shape[1]} fields")
-        data = data.reshape(nnz, 4)  # an empty body parses as shape (0, 1)
-        index = data[:, :2]
-        if np.any(index != np.floor(index)):
-            raise UnreadableMatrix(f"non-integer index in {path}")
+            index, re_im = _read_entries(fh, nnz)
+        index = index.astype(np.int64)  # 19 digits past 2**63 wrap below 1
         if np.any((index < 1) | (index > (n_rows, n_cols))):
             raise UnreadableMatrix(
                 f"index outside the declared {n_rows}x{n_cols} shape in {path}"
             )
         vals = np.empty(nnz, dtype=complex)
-        vals.real, vals.imag = data[:, 2], data[:, 3]  # keeps the sign of -0.0
-        rows, cols = index.astype(np.int64).T - 1
+        vals.real, vals.imag = re_im[:, 0], re_im[:, 1]  # keeps the sign of -0.0
+        rows, cols = index.T - 1
         return ComplexSparseMatrix.from_triplets(n_rows, n_cols, rows, cols, vals)
     except OSError as exc:
         raise UnreadableMatrix(f"cannot read {path}: {exc}") from exc
+    except MemoryError as exc:  # no room for the entry count of the size line
+        raise UnreadableMatrix(f"{path} declares more entries than fit: {exc}") from exc
     except UnreadableMatrix:
         raise
     except ValueError as exc:
         raise UnreadableMatrix(f"malformed entry in {path}: {exc}") from exc
 
 
+# -- reading entry lines -----------------------------------------------------
+# The body is parsed with whole-array numpy steps, not one strtod per field
+# as np.loadtxt does: at nnz 110k, about 40 against 72 ms per file (2-vCPU
+# x86_64, Python 3.11, numpy 2.4).  A real or imaginary part is read as a
+# uint64 mantissa m of at most 19 digits and an exponent e; m * 10**e is
+# formed in double-double arithmetic to about 2**-100 and rounded to
+# nearest.  A field whose product lies too close to a midpoint between
+# doubles for that to be certain, or whose digits or exponent are out of
+# that range, goes to float(), so every field gets float()'s bits.
+
+_ENTRY_CHUNK = 1 << 18  # bytes read per pass, cut after the last newline: bounds the memory
+_PAD = 24  # zero bytes around a chunk's digits: the widest window a field is read through
+_U10 = 10 ** np.arange(25, dtype=np.uint64)  # past 10**19 they wrap, and are not used
+_SIGN = np.array([1.0, -1.0])
+# _KEEP[k][n]: the bytes of word k (of three, the last holding the lowest
+# digits) that lie in an n-digit field ending at the window's end
+_KEEP = np.array([[2**64 - 2 ** (8 * min(max(24 - n - 8 * k, 0), 8)) for n in range(25)]
+                  for k in range(3)], dtype=np.uint64)
+
+
+def _read_entries(fh, nnz: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `nnz` lines `row col real imag` in the rest of binary file `fh`:
+    the indices as uint64 and the parts as float64, each of shape (nnz, 2).
+    Fields are separated by spaces, tabs or other bytes up to 32; lines end
+    in `\n`.  `%` starts a comment to the end of its line, and blank lines
+    are skipped.  Raises ValueError on another number of lines, a line of
+    other than 4 fields, an index that is not 1 to 19 digits, and a part
+    that is not a decimal number [+-](d[.d] | .d)[(e|E)[+-]d]."""
+    # filled in place: per-block arrays joined at the end would leave the
+    # heap fragmented, about 5 MB more peak RSS at nnz 110k
+    index, re_im = np.empty((nnz, 2), np.uint64), np.empty((nnz, 2))
+    done, rest = 0, b""
+    while True:
+        block = fh.read(_ENTRY_CHUNK)
+        lines = rest + block
+        cut = lines.rfind(b"\n") + 1 if block else len(lines)
+        lines, rest = lines[:cut], lines[cut:]
+        if b"%" in lines:
+            lines = re.sub(rb"%[^\n]*", b"", lines)
+        if lines:
+            i, x = _read_chunk(lines)
+            if done + len(i) > nnz:
+                raise ValueError(f"declares {nnz} entries, found more")
+            index[done:done + len(i)], re_im[done:done + len(i)] = i, x
+            done += len(i)
+        if not block:
+            if done != nnz:
+                raise ValueError(f"declares {nnz} entries, found {done}")
+            return index, re_im
+
+
+def _read_chunk(lines: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """_read_entries on whole lines."""
+    buf = np.frombuffer(lines, np.uint8)
+    white = buf <= 32
+    edges = np.flatnonzero(white[1:] != white[:-1]) + 1
+    if not white[0]:
+        edges = np.concatenate(([0], edges))
+    if not white[-1]:
+        edges = np.concatenate((edges, [buf.size]))
+    start, end = edges[0::2], edges[1::2]  # of each field
+    n = start.size
+    if n == 0:
+        return np.empty((0, 2), np.uint64), np.empty((0, 2))
+    # a line ends between two fields whose gap holds a newline
+    line_end = buf[end[:-1]] == 10
+    wide = np.flatnonzero(start[1:] - end[:-1] > 1)
+    if wide.size:
+        newlines = np.flatnonzero(buf == 10)
+        line_end[wide] = (np.searchsorted(newlines, start[wide + 1])
+                          > np.searchsorted(newlines, end[wide]))
+    breaks = np.flatnonzero(line_end)
+    if n % 4 or not np.array_equal(breaks, np.arange(3, n - 1, 4)):
+        widths = np.diff(breaks, prepend=-1, append=n - 1)
+        raise ValueError(f"a line of {widths[widths != 4][0]} fields, not the 4 of "
+                         "`row col real imag`")
+    # the digit value of each byte, 0 where it is no digit; read 8 at a
+    # time, from any offset
+    digits = np.zeros(buf.size + 2 * _PAD, np.uint8)
+    d = digits[_PAD:-_PAD]
+    np.subtract(buf, np.uint8(48), out=d)
+    is_digit = d <= 9
+    d *= is_digit
+    words = np.ndarray((digits.size - 7,), dtype="<u8", buffer=digits, strides=(1,))
+    start, end = start.reshape(-1, 4), end.reshape(-1, 4)
+    index_len = end[:, :2] - start[:, :2]
+    if index_len.max() > 19:
+        raise ValueError("an index of more than 19 digits")
+    index, _ = _digit_runs(words, end[:, :2], index_len)
+    parts, marks = _read_decimals(lines, buf, words, start[:, 2:].ravel(), end[:, 2:].ravel())
+    # so each byte that is no digit and no separator is a sign, point or
+    # exponent mark in its place in a part
+    if d.size - np.count_nonzero(is_digit) - np.count_nonzero(white) != marks:
+        raise ValueError("a character out of place in a number")
+    return index, parts.reshape(-1, 2)
+
+
+def _read_decimals(lines, buf, words, start, end):
+    """The decimal fields lines[start:end] as float64, and the count of the
+    signs, points and exponent marks they hold."""
+    last = buf.size - 1
+    lead = buf[start]
+    neg = lead == 45
+    s0 = start + (neg | (lead == 43))  # first digit or point
+    e_at = np.flatnonzero((buf | 32) == 101)  # e or E
+    e_tok = np.searchsorted(start, e_at, "right") - 1
+    if np.any(e_tok < 0) or np.any(e_at >= end[e_tok]) or np.any(e_tok[1:] == e_tok[:-1]):
+        raise ValueError("an exponent mark outside a real or imaginary part")
+    e_pos = end.copy()  # end of the digits before any exponent
+    e_pos[e_tok] = e_at
+    # the point: most often after one leading digit, else searched for (the
+    # search costs about 9 ms per file at nnz 110k)
+    dot = s0 + 1
+    found = (buf.take(np.minimum(dot, last)) == 46) & (dot < e_pos)
+    if not found.all():
+        dot_at = np.flatnonzero(buf == 46)
+        dot_tok = np.searchsorted(start, dot_at, "right") - 1
+        if (np.any(dot_tok < 0) or np.any(dot_at >= e_pos[dot_tok])
+                or np.any(dot_tok[1:] == dot_tok[:-1])):
+            raise ValueError("a point outside the digits of a real or imaginary part")
+        found[:] = False
+        found[dot_tok] = True
+        dot = e_pos.copy()
+        dot[dot_tok] = dot_at
+    n_int = dot - s0
+    n_frac = np.maximum(e_pos - dot - 1, 0)
+    if np.any(n_int + n_frac == 0):
+        raise ValueError("a real or imaginary part without digits")
+    x0 = e_at + 1  # first exponent digit, after any sign
+    sign = buf.take(np.minimum(x0, last))
+    has_sign = ((sign == 43) | (sign == 45)) & (x0 < end[e_tok])
+    x0 += has_sign
+    n_exp = end[e_tok] - x0
+    if np.any(n_exp <= 0):
+        raise ValueError("an exponent without digits")
+    marks = (np.count_nonzero(s0 > start) + np.count_nonzero(found) + e_at.size
+             + np.count_nonzero(has_sign))
+
+    m, _ = _digit_runs(words, dot, np.minimum(n_int, 19))
+    n_frac_read = np.minimum(n_frac, 24)
+    frac, fits = _digit_runs(words, e_pos, n_frac_read)
+    slow = (n_int > 19) | (n_frac > 24) | ~fits | ((m > 0) & (n_int + n_frac > 19))
+    m = (m * _U10[n_frac_read] + frac) * ~slow  # a wrapped m is not converted
+    e10 = -n_frac
+    if e_at.size:
+        slow[e_tok] |= n_exp > 19
+        exp, _ = _digit_runs(words, end[e_tok], np.minimum(n_exp, 19))
+        exp = np.minimum(exp, np.uint64(10**6)).astype(np.int64)
+        e10[e_tok] += np.where(sign == 45, -exp, exp)
+    x, sure = _round_decimal(m, e10)
+    for i in np.flatnonzero(slow | ~sure):
+        x[i] = float(lines[s0[i]:end[i]])
+    x *= _SIGN[neg.view(np.uint8)]
+    return x, marks
+
+
+def _digit_runs(words, stop, length):
+    """The integers whose `length` (0 to 24) digits end before each `stop`,
+    and whether each is below 10**19; past that the integer has wrapped."""
+    nw = max(1, -(-int(length.max(initial=0)) // 8))
+    out, fits = None, np.True_
+    for k in range(3 - nw, 3):
+        v = _eight_digits(words[stop + (_PAD - 24 + 8 * k)] & _KEEP[k].take(length))
+        if k == 0:
+            fits = v < 1000  # the top 8 of 24 digits
+        out = v if out is None else out * np.uint64(10**8) + v
+    return out, fits
+
+
+_SWAR_LOW = np.uint64(0x000000FF000000FF)
+_SWAR_HI = np.uint64(100 + (1000000 << 32))
+_SWAR_LO = np.uint64(1 + (10000 << 32))
+
+
+def _eight_digits(v: np.ndarray) -> np.ndarray:
+    """The integer of the 8 digit values packed in each uint64, first digit
+    in the lowest byte: pairs, then quads, then the eight are combined."""
+    v = v * np.uint64(10) + (v >> np.uint64(8))
+    return ((v & _SWAR_LOW) * _SWAR_HI + ((v >> np.uint64(16)) & _SWAR_LOW) * _SWAR_LO
+            ) >> np.uint64(32)
+
+
+@functools.cache
+def _pow10_dd(e: int) -> tuple[float, float]:
+    """10**e as hi + lo, each rounded to nearest from exact integers."""
+    if e >= 0:
+        hi = float(10**e)
+        return hi, float(10**e - int(hi))
+    k = 10**-e
+    hi = 1 / k
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * k) / (den * k)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of a into two halves of 26 bits."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _round_decimal(m: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m * 10**e10 rounded to nearest, and where that is certain.  Dekker's
+    product of m and 10**e10 as double-doubles, prod + t, is within about
+    2**-100 of the exact one.  Rounding is monotonic, so where prod + t
+    rounds to the same double when moved by 2**-95 either way, the exact
+    product rounds to it too.  Exponents out of [-270, 285], where a term
+    could underflow or the product overflow, are not certain."""
+    e = np.clip(e10, -270, 285)
+    e_min = int(e.min(initial=0))
+    hi_t, lo_t = np.array([_pow10_dd(k) for k in range(e_min, int(e.max(initial=0)) + 1)]).T
+    hi, lo = hi_t.take(e - e_min), lo_t.take(e - e_min)
+    mf = m.astype(np.float64)
+    m_lo = (m - mf.astype(np.uint64)).view(np.int64).astype(np.float64)  # exact
+    prod = mf * hi
+    ah, al = _split(mf)
+    bh, bl = _split(hi)
+    t = (((ah * bh - prod) + ah * bl + al * bh) + al * bl) + (mf * lo + m_lo * hi)
+    slack = prod * 2.0**-95
+    r = prod + (t + slack)
+    return r, (r == prod + (t - slack)) & (e == e10)
+
+
 def write_vector_market(v: np.ndarray, path: str | os.PathLike) -> None:
     """Write a vector as an n-by-1 coordinate complex general matrix."""
     v = as_vector(v)
     n = v.shape[0]
-    cols = np.zeros(n, dtype=np.int64)
-    digest = _write_entries(path, (n, 1), np.arange(n), cols, *_value_fields(v))
-    _write_twin(path, digest, (n, 1), np.arange(n + 1), cols, v)
+    _write_entries(path, (n, 1), np.arange(n), np.zeros(n, dtype=np.int64),
+                   *_value_fields(v))
 
 
 def read_vector_market(path: str | os.PathLike) -> np.ndarray:

@@ -268,8 +268,7 @@ class TestWriteSystem:
         gen = assemble_normal_system(spec)
         written = write_generated_system(gen, spec, tmp_path)
         names = {p.split("/")[-1] for p in map(str, written)}
-        matrices = {"M.mtx", "M_tilde.mtx", "g.mtx", "g_tilde.mtx"}
-        assert names == matrices | {f"{name}.npz" for name in matrices} | {"system.meta"}
+        assert names == {"M.mtx", "M_tilde.mtx", "g.mtx", "g_tilde.mtx", "system.meta"}
         back = read_matrix_market(tmp_path / "M.mtx")
         assert np.array_equal(back.values, gen.system.M.values)
         meta = (tmp_path / "system.meta").read_text()
