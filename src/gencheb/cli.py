@@ -32,11 +32,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
+import math
 import os
+import re
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .genmat import (
     example33_fixture,
     write_generated_system,
 )
-from .linalg import read_matrix_market, read_vector_market
+from .linalg import _read_blocks, read_matrix_market, read_vector_market
 from .solvers import SCHEMES, ConvergenceTrace, IterationSystem, run
 from .spectrum import SpectrumInfo, build_report, estimate_dominant_eigenvalue
 
@@ -124,24 +124,17 @@ def _write_report(args: argparse.Namespace, lines: list[str]) -> str:
 def read_spectrum_file(path: str) -> list[complex]:
     """Eigenvalue list: one finite `re im` pair per line; # and % start comments."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-        # one comment character keeps loadtxt on its C path; two add a
-        # Python step per line.  No number holds either character.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # empty: refused below
-            data = np.loadtxt(io.StringIO(text.replace("%", "#")), dtype=float,
-                              comments="#", ndmin=2)
+        with open(path, "rb") as fh:
+            try:
+                blocks = [x for _, x in _read_blocks(fh, indices=0, comments=b"#%")]
+            except ValueError as exc:
+                fh.seek(0)
+                raise _refused_spectrum(path, fh.read(), exc) from exc
     except OSError as exc:
         raise UnreadableMatrix(f"cannot read spectrum file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise UnreadableMatrix(f"malformed spectrum file {path}: {exc}") from exc
+    data = np.concatenate([np.empty((0, 2)), *blocks])
     if data.size == 0:
         raise UnreadableMatrix(f"spectrum file {path} contains no eigenvalues")
-    if data.shape[1] != 2:
-        raise UnreadableMatrix(
-            f"spectrum lines need two floats `re im`, got {data.shape[1]} in {path}"
-        )
     with np.errstate(over="ignore"):  # 1.5e308 1.5e308 is finite, its modulus not
         modulus = np.hypot(data[:, 0], data[:, 1])
     if not np.isfinite(modulus).all():
@@ -149,6 +142,20 @@ def read_spectrum_file(path: str) -> list[complex]:
     values = np.empty(data.shape[0], dtype=complex)
     values.real, values.imag = data[:, 0], data[:, 1]  # keeps the sign of -0.0
     return values.tolist()
+
+
+def _refused_spectrum(path: str, text: bytes, exc: ValueError) -> UnreadableMatrix:
+    """The error for a spectrum file that the parser refused: float() names
+    the field, and reads the nan and inf that the parser takes for malformed
+    text."""
+    for field in re.sub(rb"[#%][^\n]*", b"", text).split():
+        try:
+            finite = math.isfinite(float(field))
+        except ValueError as err:
+            return UnreadableMatrix(f"malformed spectrum file {path}: {err}")
+        if not finite:
+            return UnreadableMatrix(f"spectrum file {path} holds a non-finite value or modulus")
+    return UnreadableMatrix(f"malformed spectrum file {path}: {exc}")
 
 
 def _spectrum_info(args: argparse.Namespace) -> SpectrumInfo:

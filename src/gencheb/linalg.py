@@ -23,11 +23,15 @@ into a caller's buffers make the same calls.
 Matrix Market exchange: `coordinate complex general`, entries `row col
 real imag` with integer 1-based indices and shortest round-trip floats, a
 byte format that stays fixed; read(write(A)) reproduces A bit-identically,
-signed zeros included.  The writer can write A* beside A from A's own
-formatted fields, in the same bytes as a write of A*.  `%` comment lines
-and blank lines may appear anywhere in the body.  The reader takes files
-from any writer and gives each real and imaginary part the bits float()
-gives its text; it parses with whole-array steps, not a call per field.
+signed zeros included.  Each part is written as its sign and the bytes of
+float.__repr__ of its magnitude, formatted with whole-array steps; a part
+goes to float.__repr__ itself only where those steps cannot be sure of its
+digits (subnormal, outside [1e-250, 1e250], or next to a tie or a half-ulp
+edge).  The writer can write A* beside A from A's own formatted fields, in
+the same bytes as a write of A*.  `%` comment lines and blank lines may
+appear anywhere in the body.  The reader takes files from any writer and
+gives each real and imaginary part the bits float() gives its text; it
+parses with whole-array steps, not a call per field.
 """
 
 from __future__ import annotations
@@ -309,7 +313,7 @@ def geometric_sum_apply(a, k: int, v: np.ndarray) -> np.ndarray:
 # -- Matrix Market exchange --------------------------------------------------
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate complex general"
-_MM_BATCH = 2048  # entries formatted per write
+_MM_BATCH = 4096  # entries formatted and written per step
 
 
 def write_matrix_market(a: ComplexSparseMatrix, path: str | os.PathLike,
@@ -323,44 +327,75 @@ def write_matrix_market(a: ComplexSparseMatrix, path: str | os.PathLike,
     (repr(-x) is "-" + repr(x), zeros included).
     """
     rows = _entry_rows(a)
-    re, im_abs, im_neg = _value_fields(a.values)
-    _write_entries(path, a.shape, rows, a.col_indices, re, im_abs, im_neg)
+    fields, signs = _value_fields(a.values)
+    _write_entries(path, a.shape, rows, a.col_indices, fields, signs)
     if adjoint_path is not None:
-        _write_entries(adjoint_path, a.shape[::-1], a.col_indices, rows, re, im_abs,
-                       ~im_neg, _column_order(a))
+        signs[1] = ~signs[1]
+        _write_entries(adjoint_path, a.shape[::-1], a.col_indices, rows, fields, signs,
+                       _column_order(a))
 
 
-def _value_fields(values: np.ndarray):
-    """repr of each real part and of each |imaginary part| as fixed-width
-    ASCII bytes (a compact store, no str object per field), plus the sign
-    bit of each imaginary part."""
-    re, im = values.real, values.imag
-    # 24 bytes: the widest repr of a double, e.g. "-2.2250738585072014e-308"
+def _value_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """repr of |real part| and of |imaginary part| of each value, as (2, n)
+    24-byte ASCII fields whose NUL bytes, also any before an exponent, are
+    padding (a compact store, no str object per field); and the (2, n) sign
+    bits of the parts."""
     fields = np.empty((2, values.size), dtype="S24")
-    for s in range(0, values.size, _MM_BATCH):
-        batch = slice(s, s + _MM_BATCH)
-        fields[0, batch] = list(map(float.__repr__, re[batch].tolist()))
-        fields[1, batch] = list(map(float.__repr__, np.abs(im[batch]).tolist()))
-    return fields[0], fields[1], np.signbit(im)
+    words = fields.view("<u8").reshape(2, values.size, 3)  # bytes in little-endian words
+    for i, part in enumerate((values.real, values.imag)):
+        for s in range(0, values.size, _MM_BATCH):
+            x = np.abs(part[s:s + _MM_BATCH])
+            digits, e10, unsure = _shortest_digits(x)
+            _lay_out(digits, e10, words[i, s:s + _MM_BATCH])
+            slow = np.flatnonzero(unsure)
+            if slow.size:
+                fields[i, s + slow] = _repr_bytes(x[slow])
+    signs = np.empty((2, values.size), bool)
+    np.signbit(values.real, out=signs[0])
+    np.signbit(values.imag, out=signs[1])
+    return fields, signs
 
 
-def _write_entries(path, shape, rows, cols, re, im_abs, im_neg, order=None):
+def _repr_bytes(x: np.ndarray) -> list[bytes]:
+    """float.__repr__ of each double of x, as ASCII: the fields that
+    _shortest_digits leaves."""
+    return [float.__repr__(v).encode("ascii") for v in x.tolist()]
+
+
+def _write_entries(path, shape, rows, cols, fields, signs, order=None):
     """Write the header and a `row col re im` line per entry (0-based
-    `rows`/`cols`), taking entries in `order` (default: as stored)."""
+    `rows`/`cols`, the parts from _value_fields), taking entries in `order`
+    (default: as stored)."""
     nnz = rows.size
-    index = np.arange(1, max(shape) + 1).astype(f"S{len(str(max(shape)))}")
+    index = _index_text(max(shape))
+    # one record of NUL-padded fields per line, each part after its sign
+    # byte; dropping the NULs joins them into text
+    line = np.zeros(min(nnz, _MM_BATCH), dtype=[
+        ("row", index.dtype), ("sp1", "u1"), ("col", index.dtype), ("sp2", "u1"),
+        ("sign0", "u1"), ("part0", "S24"), ("sp3", "u1"), ("sign1", "u1"),
+        ("part1", "S24"), ("end", "u1")])
+    for name in ("sp1", "sp2", "sp3"):
+        line[name] = ord(" ")
+    line["end"] = ord("\n")
     with open(path, "wb") as fh:
         fh.write(f"{_MM_HEADER}\n{shape[0]} {shape[1]} {nnz}\n".encode("ascii"))
-        # fields padded with NUL side by side, one line per row of bytes;
-        # dropping the NULs joins them into text in bounded batches
         for s in range(0, nnz, _MM_BATCH):
             e = slice(s, s + _MM_BATCH) if order is None else order[s:s + _MM_BATCH]
-            k = min(_MM_BATCH, nnz - s)
-            space, newline = np.full(k, b" "), np.full(k, b"\n")
-            parts = (index[rows[e]], space, index[cols[e]], space, re[e], space,
-                     np.where(im_neg[e], b"-", b""), im_abs[e], newline)
-            line = np.concatenate([p.view(np.uint8).reshape(k, -1) for p in parts], axis=1)
-            fh.write(line[line != 0])
+            block = line[:min(_MM_BATCH, nnz - s)]
+            block["row"], block["col"] = index[rows[e]], index[cols[e]]
+            for i in range(2):
+                np.multiply(signs[i, e], np.uint8(ord("-")), out=block[f"sign{i}"])
+                block[f"part{i}"] = fields[i, e]
+            fh.write(block.tobytes().translate(None, b"\0"))
+
+
+@functools.lru_cache(maxsize=1)
+def _index_text(n: int) -> np.ndarray:
+    """1 to n as ASCII, NUL-padded to the width of n (read-only): the index
+    fields of the files of one matrix and its vectors."""
+    index = np.arange(1, n + 1).astype(f"S{len(str(n))}")
+    index.flags.writeable = False
+    return index
 
 
 def read_matrix_market(path: str | os.PathLike) -> ComplexSparseMatrix:
@@ -440,39 +475,53 @@ def _read_entries(fh, nnz: int) -> tuple[np.ndarray, np.ndarray]:
     # filled in place: per-block arrays joined at the end would leave the
     # heap fragmented, about 5 MB more peak RSS at nnz 110k
     index, re_im = np.empty((nnz, 2), np.uint64), np.empty((nnz, 2))
-    done, rest = 0, b""
+    done = 0
+    for i, x in _read_blocks(fh):
+        if done + len(i) > nnz:
+            raise ValueError(f"declares {nnz} entries, found more")
+        index[done:done + len(i)], re_im[done:done + len(i)] = i, x
+        done += len(i)
+    if done != nnz:
+        raise ValueError(f"declares {nnz} entries, found {done}")
+    return index, re_im
+
+
+def _read_blocks(fh, indices: int = 2, comments: bytes = b"%"):
+    """_read_lines on the rest of binary file `fh`, a block of whole lines
+    at a time, each of the `comments` bytes starting a comment to the end
+    of its line: yields the indices and parts of each block."""
+    strip = re.compile(b"[" + re.escape(comments) + rb"][^\n]*")
+    rest = b""
     while True:
         block = fh.read(_ENTRY_CHUNK)
         lines = rest + block
         cut = lines.rfind(b"\n") + 1 if block else len(lines)
         lines, rest = lines[:cut], lines[cut:]
-        if b"%" in lines:
-            lines = re.sub(rb"%[^\n]*", b"", lines)
+        if any(c in lines for c in comments):  # a scan by re costs more than the parse
+            lines = strip.sub(b"", lines)
         if lines:
-            i, x = _read_chunk(lines)
-            if done + len(i) > nnz:
-                raise ValueError(f"declares {nnz} entries, found more")
-            index[done:done + len(i)], re_im[done:done + len(i)] = i, x
-            done += len(i)
+            yield _read_lines(lines, indices)
         if not block:
-            if done != nnz:
-                raise ValueError(f"declares {nnz} entries, found {done}")
-            return index, re_im
+            return
 
 
-def _read_chunk(lines: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """_read_entries on whole lines."""
+def _read_lines(lines: bytes, indices: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """The lines of `indices` index fields (2, or 0 for `re im` lines) and a
+    real and an imaginary part in `lines`, which hold no comment, parsed as
+    _read_entries parses its lines: the indices as uint64, shape (n,
+    indices), and the parts as float64, shape (n, 2)."""
+    width = indices + 2
     buf = np.frombuffer(lines, np.uint8)
     white = buf <= 32
     edges = np.flatnonzero(white[1:] != white[:-1]) + 1
-    if not white[0]:
+    if buf.size and not white[0]:
         edges = np.concatenate(([0], edges))
-    if not white[-1]:
+    if buf.size and not white[-1]:
         edges = np.concatenate((edges, [buf.size]))
     start, end = edges[0::2], edges[1::2]  # of each field
     n = start.size
     if n == 0:
-        return np.empty((0, 2), np.uint64), np.empty((0, 2))
+        return np.empty((0, indices), np.uint64), np.empty((0, 2))
     # a line ends between two fields whose gap holds a newline
     line_end = buf[end[:-1]] == 10
     wide = np.flatnonzero(start[1:] - end[:-1] > 1)
@@ -481,10 +530,11 @@ def _read_chunk(lines: bytes) -> tuple[np.ndarray, np.ndarray]:
         line_end[wide] = (np.searchsorted(newlines, start[wide + 1])
                           > np.searchsorted(newlines, end[wide]))
     breaks = np.flatnonzero(line_end)
-    if n % 4 or not np.array_equal(breaks, np.arange(3, n - 1, 4)):
+    if n % width or not np.array_equal(breaks, np.arange(width - 1, n - 1, width)):
         widths = np.diff(breaks, prepend=-1, append=n - 1)
-        raise ValueError(f"a line of {widths[widths != 4][0]} fields, not the 4 of "
-                         "`row col real imag`")
+        form = "row col real imag" if indices else "re im"
+        raise ValueError(f"a line of {widths[widths != width][0]} fields, not the {width} "
+                         f"of `{form}`")
     # the digit value of each byte, 0 where it is no digit; read 8 at a
     # time, from any offset
     digits = np.zeros(buf.size + 2 * _PAD, np.uint8)
@@ -493,12 +543,13 @@ def _read_chunk(lines: bytes) -> tuple[np.ndarray, np.ndarray]:
     is_digit = d <= 9
     d *= is_digit
     words = np.ndarray((digits.size - 7,), dtype="<u8", buffer=digits, strides=(1,))
-    start, end = start.reshape(-1, 4), end.reshape(-1, 4)
-    index_len = end[:, :2] - start[:, :2]
-    if index_len.max() > 19:
+    start, end = start.reshape(-1, width), end.reshape(-1, width)
+    index_len = end[:, :indices] - start[:, :indices]
+    if index_len.max(initial=0) > 19:
         raise ValueError("an index of more than 19 digits")
-    index, _ = _digit_runs(words, end[:, :2], index_len)
-    parts, marks = _read_decimals(lines, buf, words, start[:, 2:].ravel(), end[:, 2:].ravel())
+    index, _ = _digit_runs(words, end[:, :indices], index_len)
+    parts, marks = _read_decimals(lines, buf, words, start[:, indices:].ravel(),
+                                  end[:, indices:].ravel())
     # so each byte that is no digit and no separator is a sign, point or
     # exponent mark in its place in a part
     if d.size - np.count_nonzero(is_digit) - np.count_nonzero(white) != marks:
@@ -591,7 +642,6 @@ def _eight_digits(v: np.ndarray) -> np.ndarray:
             ) >> np.uint64(32)
 
 
-@functools.cache
 def _pow10_dd(e: int) -> tuple[float, float]:
     """10**e as hi + lo, each rounded to nearest from exact integers."""
     if e >= 0:
@@ -610,6 +660,29 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
+@functools.cache
+def _pow10_table() -> np.ndarray:
+    """_pow10_dd(e) for e from -270 to 285, as rows hi and lo (read-only)."""
+    table = np.array([_pow10_dd(e) for e in range(-270, 286)]).T
+    table.flags.writeable = False
+    return table
+
+
+def _pow10_terms(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_pow10_dd(k) for each k, from -270 to 285, of the int64 array e, as
+    arrays hi and lo."""
+    hi_t, lo_t = _pow10_table()
+    return hi_t.take(e + 270), lo_t.take(e + 270)
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's product: a * b rounded, and the exact error of that rounding."""
+    prod = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return prod, ((ah * bh - prod) + ah * bl + al * bh) + al * bl
+
+
 def _round_decimal(m: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """m * 10**e10 rounded to nearest, and where that is certain.  Dekker's
     product of m and 10**e10 as double-doubles, prod + t, is within about
@@ -618,18 +691,169 @@ def _round_decimal(m: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarr
     product rounds to it too.  Exponents out of [-270, 285], where a term
     could underflow or the product overflow, are not certain."""
     e = np.clip(e10, -270, 285)
-    e_min = int(e.min(initial=0))
-    hi_t, lo_t = np.array([_pow10_dd(k) for k in range(e_min, int(e.max(initial=0)) + 1)]).T
-    hi, lo = hi_t.take(e - e_min), lo_t.take(e - e_min)
+    hi, lo = _pow10_terms(e)
     mf = m.astype(np.float64)
     m_lo = (m - mf.astype(np.uint64)).view(np.int64).astype(np.float64)  # exact
-    prod = mf * hi
-    ah, al = _split(mf)
-    bh, bl = _split(hi)
-    t = (((ah * bh - prod) + ah * bl + al * bh) + al * bl) + (mf * lo + m_lo * hi)
+    prod, t = _two_product(mf, hi)
+    t += mf * lo + m_lo * hi
     slack = prod * 2.0**-95
     r = prod + (t + slack)
     return r, (r == prod + (t - slack)) & (e == e10)
+
+
+# -- writing shortest fields -------------------------------------------------
+# A part is written as its sign and the repr of its magnitude a, formatted
+# with whole-array steps, not one float.__repr__ per field.  repr writes the
+# fewest significant digits that read back as a (the nearer decimal if two
+# do), in fixed notation for 1e-4 <= a < 1e16 and as d.ddde±XX otherwise.
+# Here a * 10**(16 - E), E = floor(log10 a), is formed as a double-double
+# q + f to about 2**-100: X, a scaled into [1e16, 1e17).  A decimal reads
+# back as a when it is nearer to X than half an ulp of a, scaled the same
+# way (a quarter of an ulp below a power of two).  A decimal of 15 digits or
+# fewer that reads back as a is a's rounding to 15 digits (DBL_DIG), so the
+# shortest is that rounding with its trailing zeros dropped, if one of the
+# two 15-digit neighbours of X reads back, or else a 16-digit neighbour that
+# does, or else the nearer 17-digit one; of two neighbours that both read
+# back, the nearer.  A field goes to float.__repr__ (_repr_bytes) where one
+# of these tests falls within _SLACK of its edge (a decimal half an ulp from
+# a, or two neighbours equally near), or where a is subnormal or outside
+# [1e-250, 1e250].
+
+_SLACK = 2.0**-30  # far above the error of q + f, about 2**-43 near 1e17
+_ASCII_ZEROS = 0x3030303030303030
+
+
+@functools.cache
+def _layout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables that lay the 17 digits of a scaled decimal out as
+    its repr.  By E + 400: the first column of the masks that serve E, and
+    `e±XX` or `e±XXX` at bytes 18 to 22 of a field (none in fixed notation).
+    The masks, in columns (min(max(E, -5), 16) + 5) * 18 + digit count, E
+    -5 and 16 standing for every E written as d.ddde±XX; in rows, the shift
+    of the digits in bits past the zeros of `0.000ddd` (all but its first),
+    those zeros, then per 8-byte word of the field the digits that stay, the
+    point, and the digits that move up one byte past it."""
+    low = [(1 << 8 * n) - 1 for n in range(25)]
+    columns = []
+    for e in range(-5, 17):
+        sci = e in (-5, 16)
+        lead = -e if not sci and e < 0 else 0
+        point = 1 if sci or e < 0 else e + 1
+        for count in range(18):
+            length = count + (count > 1) if sci else max(count + lead, e + 2) + 1
+            masks = (low[min(point, length)], ord(".") << 8 * point if point < length else 0,
+                     low[length] & ~low[point + 1])
+            columns.append([8 * lead, low[lead] & _ASCII_ZEROS]
+                           + [m >> 64 * j & (2**64 - 1) for j in range(3) for m in masks])
+    first = (np.clip(np.arange(-400, 401), -5, 16) + 5) * 18
+    exponent = np.array([0 if -4 <= e < 16 else
+                         int.from_bytes(f"e{e:+03d}".encode("ascii"), "little") << 16
+                         for e in range(-400, 401)], dtype=np.uint64)
+    tables = first, exponent, np.array(columns, dtype=np.uint64).T.copy()
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _shortest_digits(x: np.ndarray):
+    """The digits of repr(v) for each double v >= 0 of x, as a 17-digit
+    integer (0 for 0.0); E; and where they are not certain."""
+    in_range = (x >= 1e-250) & (x <= 1e250)
+    a = np.where(in_range, x, 1.0)
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    q, f, hi = _scaled(a, e10)
+    # log10 can miss by one next to a power of ten: correct E from q + f
+    above = (q > 1e17) | ((q == 1e17) & (f >= 0))
+    below = (q < 1e16) | ((q == 1e16) & (f < 0))
+    off = np.flatnonzero(above | below)
+    if off.size:
+        e10[off] += above[off].astype(np.int64) * 2 - 1
+        q[off], f[off], hi[off] = _scaled(a[off], e10[off])
+        in_range[off[(q[off] < 1e16) | (q[off] > 1e17)]] = False
+    floor = np.floor(f)
+    digits = q.astype(np.int64) + floor.astype(np.int64)
+    frac = np.subtract(f, floor, out=f)  # X = digits + frac
+    bits = a.view(np.uint64)
+    half_ulp = np.multiply((((bits >> 52) - 53) << 52).view(np.float64), hi, out=hi)
+    half_below = np.where(bits & 0xFFFFFFFFFFFFF, half_ulp, 0.5 * half_ulp)
+    # reads back: for sure below the first bound, perhaps below the second
+    below_bounds = half_below - _SLACK, half_below + _SLACK
+    above_bounds = half_ulp - _SLACK, half_ulp + _SLACK
+    # 17 digits: the nearer of digits and digits + 1 always reads back; then
+    # a 16- and a 15-digit neighbour replace it where one reads back
+    cand = digits + (frac > 0.5)
+    unsure = np.abs(frac - 0.5) <= _SLACK
+    for u in (10, 100):
+        base = digits // u * u
+        s = (digits - base) + frac  # X - base, in [0, u)
+        below, below_maybe = (s < b for b in below_bounds)
+        s_up = u - s
+        above, above_maybe = (s_up < b for b in above_bounds)
+        take = below | above
+        up = above & (~below | (s_up <= s))  # the nearer of two
+        edge = (below != below_maybe) | (above != above_maybe)
+        edge |= below & above & (np.abs(s - s_up) <= 2 * _SLACK)
+        cand = np.where(take, base + u * up, cand)
+        unsure = edge | unsure & ~take
+    carry = cand == 10**17
+    e10 += carry
+    cand[carry] = 10**16
+    cand *= x != 0
+    return cand.view(np.uint64), e10, unsure | ~in_range & (x != 0)
+
+
+def _scaled(a: np.ndarray, e10: np.ndarray):
+    """a * 10**(16 - e10) as q + f, q rounded; and 10**(16 - e10) rounded."""
+    hi, lo = _pow10_terms(16 - e10)
+    q, f = _two_product(a, hi)
+    f += a * lo
+    return q, f, hi
+
+
+def _lay_out(digits: np.ndarray, e10: np.ndarray, out: np.ndarray) -> None:
+    """Write the repr text of each 17-digit decimal `digits` * 10**(e10 - 16)
+    into the rows of `out`, the (k, 3) uint64 words of 24-byte fields."""
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    eights = np.empty((digits.size, 2), np.uint64)  # the other 16 digits
+    eights[:, 0] = rest // 10**8
+    eights[:, 1] = rest - eights[:, 0] * 10**8
+    eights = _eight_digit_values(eights.ravel()).reshape(-1, 2)
+    # 1 + the highest nonzero byte of each eight, from its exponent as a
+    # double (< 0 for 0): the significant digits, trailing zeros dropped
+    top = ((eights.astype(np.float64).view(np.int64) >> 52) - 1015) >> 3
+    count = np.maximum(np.maximum(top[:, 0] + 1, top[:, 1] + 9), 1)
+    first, exponent, masks = _layout()
+    key = first.take(e10 + 400) + count
+    # the digits as text from byte 0 of three words, moved up past the zeros
+    # of any `0.000`
+    hi8, lo8 = eights[:, 0], eights[:, 1]
+    words = ((lead | hi8 << 8) + _ASCII_ZEROS, (hi8 >> 56 | lo8 << 8) + _ASCII_ZEROS,
+             (lo8 >> 56) + 0x30)
+    shift = masks[0].take(key)
+    back = 63 - shift
+    moved = [words[0] << shift | masks[1].take(key)]
+    moved += [w << shift | (v >> 1) >> back for w, v in zip(words[1:], words)]
+    # then the point put in, every digit past it one byte up
+    for j in range(3):
+        up = moved[j] << 8
+        if j:
+            up |= moved[j - 1] >> 56
+        keep, point, past = (masks[2 + 3 * j + i].take(key) for i in range(3))
+        out[:, j] = moved[j] & keep | point | up & past
+    out[:, 2] |= exponent.take(e10 + 400)
+
+
+def _eight_digit_values(v: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each v < 10**8 as byte values packed in a
+    uint64, the first in the lowest byte: _eight_digits in reverse, quads,
+    then pairs, then digits, each split off by a multiply and a shift."""
+    hi = v // 10000
+    v = hi | (v - hi * 10000) << 32
+    hi = (v * 10486) >> 20 & 0x0000007F0000007F  # v // 100 per 32-bit lane
+    v = hi | (v - hi * 100) << 16
+    hi = (v * 103) >> 10 & 0x000F000F000F000F  # v // 10 per 16-bit lane
+    return hi | (v - hi * 10) << 8
 
 
 def write_vector_market(v: np.ndarray, path: str | os.PathLike) -> None:

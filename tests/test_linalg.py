@@ -14,8 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import gencheb
+import gencheb.linalg as linalg
 from gencheb.errors import DimensionMismatch, UnreadableMatrix
-from gencheb.genmat import example33_fixture
+from gencheb.genmat import (
+    NormalMatrixSpec,
+    assemble_normal_system,
+    example33_fixture,
+    write_generated_system,
+)
 from gencheb.linalg import (
     _DIAGONAL_MIN_ROWS,
     _PANEL_MIN_ENTRIES,
@@ -1028,7 +1034,6 @@ class TestDecimalParts:
         rng = np.random.default_rng(29)
         a, _ = random_sparse(rng, 40, 30, density=0.5)
         write_matrix_market(a, tmp_path / "a.mtx")
-        import gencheb.linalg as linalg
         for chunk in (1, 37, 100):  # each cut lands after the next newline
             monkeypatch.setattr(linalg, "_ENTRY_CHUNK", chunk)
             _assert_same_arrays(read_matrix_market(tmp_path / "a.mtx"), a)
@@ -1075,3 +1080,97 @@ class TestDecimalParts:
         path = tmp_path / "z.mtx"
         path.write_text(_MM_HEADER + "12 2 1\n0012 01 1.0 0.0\n")
         assert read_matrix_market(path).to_dense()[11, 0] == 1.0
+
+
+# -- shortest fields -----------------------------------------------------------
+
+def _written_parts(values):
+    """The text the writer gives each real part, then each imaginary part
+    of `values`: its sign byte and its field, without the NUL padding."""
+    fields, signs = linalg._value_fields(np.asarray(values, dtype=complex))
+    return [("-" if neg else "") + field.replace(b"\0", b"").decode("ascii")
+            for field, neg in zip(fields.ravel().tolist(), signs.ravel().tolist())]
+
+
+def _assert_repr_bytes(xs):
+    """Written as the real and (reversed) imaginary parts of one vector, each
+    double of xs has the text of float.__repr__."""
+    xs = np.asarray(xs, dtype=float)
+    assert _written_parts(_complex(xs, xs[::-1])) == [
+        float.__repr__(x) for x in xs.tolist() + xs[::-1].tolist()]
+
+
+def _neighbours(xs, count):
+    """xs and the `count` doubles on either side of each."""
+    out, up, down = [xs], xs, xs
+    for _ in range(count):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+class TestShortestFields:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=40))
+    @example([5e-324, -0.0, 9.999999999999998e-237, 1e23, 0.5])
+    def test_each_field_has_the_bytes_of_repr(self, xs):
+        _assert_repr_bytes(xs)
+
+    def test_a_sweep_of_hard_cases_has_the_bytes_of_repr(self):
+        rng = np.random.default_rng(31)
+        tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        # where repr turns to and from fixed notation, and carries into the
+        # next power of ten: 9.999999999999999e22 and 1e23 are one double
+        # apart, and 1e23 is a tie between two
+        switches = np.array([1e-5, 1e-4, 1e15, 1e16, 9999999999999998.0, 1e17,
+                             9.999999999999999e22, 1e23, 0.0, 9.999999999999998e-237])
+        random_bits = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+        xs = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)), _neighbours(tens, 8),
+                             _neighbours(switches, 8), random_bits[np.isfinite(random_bits)]])
+        _assert_repr_bytes(np.concatenate([xs, -xs]))
+
+
+class TestFastPath:
+    """Common values take no float.__repr__ call."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        counted = []
+        repr_bytes = linalg._repr_bytes
+
+        def counting(x):
+            counted.append(x.size)
+            return repr_bytes(x)
+        monkeypatch.setattr(linalg, "_repr_bytes", counting)
+        return counted
+
+    def test_the_generated_system(self, tmp_path, fallbacks):
+        spec = NormalMatrixSpec(n=2000, block_size=100, seed=1)
+        gen = assemble_normal_system(spec)
+        write_generated_system(gen, spec, tmp_path)
+        assert fallbacks == []
+        assert (tmp_path / "M.mtx").read_text(encoding="ascii") == _mm_text(gen.system.M)
+
+    @pytest.mark.parametrize("kind", ["real", "integers_and_halves"])
+    def test_a_matrix(self, tmp_path, fallbacks, kind):
+        rng = np.random.default_rng(37)
+        if kind == "real":  # stored as complex, every imaginary part 0.0
+            dense = rng.standard_normal((30, 20)).astype(complex)
+        else:
+            dense = _complex(rng.integers(-40, 41, (30, 20)) / 2,
+                             rng.integers(-40, 41, (30, 20)) / 2)
+        a = ComplexSparseMatrix.from_dense(dense)
+        write_matrix_market(a, tmp_path / "a.mtx", adjoint_path=tmp_path / "a_star.mtx")
+        assert fallbacks == []
+        assert (tmp_path / "a.mtx").read_text(encoding="ascii") == _mm_text(a)
+        assert (tmp_path / "a_star.mtx").read_text(encoding="ascii") == _mm_text(
+            a.conj_transpose())
+
+
+def _mm_text(a):
+    """The file write_matrix_market(a) should give, line by line with repr."""
+    rows = np.repeat(np.arange(a.n_rows), np.diff(a.row_offsets))
+    return _MM_HEADER + f"{a.n_rows} {a.n_cols} {a.nnz}\n" + "".join(
+        f"{r + 1} {c + 1} {x!r} {y!r}\n"
+        for r, c, x, y in zip(rows.tolist(), a.col_indices.tolist(),
+                              a.values.real.tolist(), a.values.imag.tolist()))
