@@ -27,7 +27,6 @@ from .errors import (
     InapplicableSpectrum,
     MissingLambda1,
     MissingTildeData,
-    NoConvergence,
     NotConverged,
     UnreadableMatrix,
 )

@@ -117,7 +117,6 @@ class ChebCoefficientStream:
         w, wb = self.w, self.w.conjugate()
         # numpy complex scalars proportional to (f_{m-3}, f_{m-2}, f_{m-1})(w)
         self.window = tuple(np.array([1.0 + 0j, w, 3 * w * w - 2 * wb]))
-        self.m = 3
 
     def step(self) -> tuple[complex, complex, complex]:
         """Advance one step; return (c1, c2, c3) for the current m."""
@@ -129,6 +128,5 @@ class ChebCoefficientStream:
         c2 = 3 * f_prev2 / (self.lambda1.conjugate() * f_m)
         c3 = f_prev3 / f_m
         self.window = (f_prev2 / scale, f_prev1 / scale, f_m / scale)
-        self.m += 1
         return c1, c2, c3
 

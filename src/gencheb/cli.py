@@ -20,7 +20,8 @@ process; exit codes, 1 and 3-5 as listed in `_EXIT_CODES`, are the contract:
        those last cases)
     4  a requested run did not converge: it reached the step cap short of
        the tolerance, or the divergence guard stopped it (trace still
-       written, and report.txt names the step)
+       written, and report.txt names the step), or the power iteration of
+       custom --estimate stalled
     5  unreadable input / IO failure, or custom input files that disagree
        in shape (a non-square --matrix, a --tilde unlike it, or an --rhs
        or --tilde-rhs of the wrong length); the message names the file
@@ -46,7 +47,6 @@ from .errors import (
     Divergence,
     GenChebError,
     InapplicableSpectrum,
-    NoConvergence,
     NotConverged,
     UnreadableMatrix,
 )
@@ -163,7 +163,7 @@ def _spectrum_info(args: argparse.Namespace) -> SpectrumInfo:
     if args.spectrum is not None:
         values = read_spectrum_file(args.spectrum)
         lam1 = max(values, key=abs)
-        return SpectrumInfo(tuple(values), lambda1=lam1, source="user_supplied")
+        return SpectrumInfo(values, lambda1=lam1, source="user_supplied")
     return SpectrumInfo(
         (args.lambda1,), lambda1=args.lambda1, source="user_supplied", partial=True,
     )
@@ -255,7 +255,7 @@ def run_normal_sparse(args: argparse.Namespace) -> int:
     )
     gen = assemble_normal_system(spec)
     write_generated_system(gen, spec, args.out)
-    info = SpectrumInfo(tuple(gen.planted), lambda1=spec.lambda1, source="exact")
+    info = SpectrumInfo(gen.planted, lambda1=spec.lambda1, source="exact")
     lines = [f"nnz: {gen.system.M.nnz}"]
     return _experiment(args, info, gen.system, lines, x=gen.x, windows={
         "basic": (*NORMAL_SPARSE_WINDOW, "geomean"),
@@ -358,9 +358,10 @@ def run_deltoid_sample(args: argparse.Namespace) -> int:
             raise UnreadableMatrix(
                 f"spectrum file {args.spectrum} has no nonzero eigenvalue"
             )
+        quotients = [v / lam1 for v in values]  # Python's complex division, written
         written.append(_write_csv(args, "quotients.csv", inside_header, (
-            [repr(q.real), repr(q.imag), *(int(f) for f in _inside_flags(q))]
-            for q in (v / lam1 for v in values)
+            [repr(q.real), repr(q.imag), *map(int, inside)]
+            for q, *inside in zip(quotients, *_inside_flags(np.array(quotients)))
         )))
     print("deltoid-sample: wrote " + ", ".join(written))
     return EXIT_OK
@@ -492,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: Exit code of an error escaping a runner; the first matching entry wins.
 _EXIT_CODES = (
     ((UnreadableMatrix, OSError), EXIT_IO),
-    ((NotConverged, NoConvergence), EXIT_NOT_CONVERGED),
+    (NotConverged, EXIT_NOT_CONVERGED),
     (InapplicableSpectrum, EXIT_INAPPLICABLE),
     (GenChebError, 1),
 )

@@ -22,7 +22,8 @@ class MissingLambda1(GenChebError, ValueError):
 
 
 class NotConverged(GenChebError, RuntimeError):
-    """Stopping tolerance not reached; best iterate and trace attached."""
+    """Stopping tolerance not reached: by a scheme run, with its best
+    iterate and trace attached, or by the power iteration, with neither."""
 
     def __init__(self, message, best=None, trace=None):
         super().__init__(message)
@@ -46,15 +47,6 @@ class InapplicableSpectrum(GenChebError, ValueError):
     three-term scheme, below the coefficient stream's floor), or the
     dominant set is not a root-of-unity family.
     """
-
-
-class NoConvergence(GenChebError, RuntimeError):
-    """Power iteration stalled; likely several dominant eigenvalues."""
-
-    def __init__(self, message, estimate=None, residual=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.residual = residual
 
 
 class UnreadableMatrix(GenChebError, ValueError):

@@ -205,8 +205,6 @@ class ComplexSparseMatrix:
                 f"matvec of {self.shape} matrix with vector of shape {v.shape}"
             )
         if out is None:
-            if self._rest_rows is None:  # reduceat's own array is the cheapest
-                return self._rest_into(v, None)
             out = (np.zeros if self._zero_fill else np.empty)(self.n_rows, dtype=complex)
         for op, block, cols, rows in self._runs:
             op(block, v[cols], out=out[rows])
@@ -417,22 +415,20 @@ def _read_market(path: str | os.PathLike, vector: bool = False) -> ComplexSparse
             size_line = fh.readline().decode("ascii")
             while size_line.lstrip().startswith("%"):
                 size_line = fh.readline().decode("ascii")
-            parts = size_line.split()
-            if len(parts) != 3:
+            parts = size_line.split()  # three counts, each 1 to 19 digits below 2**63
+            if len(parts) != 3 or not all(p.isdigit() and len(p) <= 19 and int(p) < 2**63
+                                          for p in parts):
                 raise UnreadableMatrix(f"bad size line in {path}: {size_line!r}")
             n_rows, n_cols, nnz = (int(p) for p in parts)
             if vector and n_cols != 1:
                 raise UnreadableMatrix(f"{path} has shape {(n_rows, n_cols)}, "
                                        "expected an n-by-1 vector")
             index, re_im = _read_entries(fh, nnz)
-        index = index.astype(np.int64)  # 19 digits past 2**63 wrap below 1
-        if np.any((index < 1) | (index > (n_rows, n_cols))):
-            raise UnreadableMatrix(
-                f"index outside the declared {n_rows}x{n_cols} shape in {path}"
-            )
         vals = np.empty(nnz, dtype=complex)
         vals.real, vals.imag = re_im[:, 0], re_im[:, 1]  # keeps the sign of -0.0
-        rows, cols = index.T - 1
+        # 19 digits past 2**63 wrap below 1; from_triplets refuses what is
+        # outside the shape
+        rows, cols = index.astype(np.int64).T - 1
         return ComplexSparseMatrix.from_triplets(n_rows, n_cols, rows, cols, vals)
     except OSError as exc:
         raise UnreadableMatrix(f"cannot read {path}: {exc}") from exc
@@ -454,7 +450,7 @@ def _read_market(path: str | os.PathLike, vector: bool = False) -> ComplexSparse
 # doubles for that to be certain, or whose digits or exponent are out of
 # that range, goes to float(), so every field gets float()'s bits.
 
-_ENTRY_CHUNK = 1 << 18  # bytes read per pass, cut after the last newline: bounds the memory
+_ENTRY_CHUNK = 1 << 18  # bytes read per pass, then to the end of a line: bounds the memory
 _PAD = 24  # zero bytes around a chunk's digits: the widest window a field is read through
 _U10 = 10 ** np.arange(25, dtype=np.uint64)  # past 10**19 they wrap, and are not used
 _SIGN = np.array([1.0, -1.0])
@@ -491,18 +487,10 @@ def _read_blocks(fh, indices: int = 2, comments: bytes = b"%"):
     at a time, each of the `comments` bytes starting a comment to the end
     of its line: yields the indices and parts of each block."""
     strip = re.compile(b"[" + re.escape(comments) + rb"][^\n]*")
-    rest = b""
-    while True:
-        block = fh.read(_ENTRY_CHUNK)
-        lines = rest + block
-        cut = lines.rfind(b"\n") + 1 if block else len(lines)
-        lines, rest = lines[:cut], lines[cut:]
+    while lines := fh.read(_ENTRY_CHUNK) + fh.readline():  # to the end of a line
         if any(c in lines for c in comments):  # a scan by re costs more than the parse
             lines = strip.sub(b"", lines)
-        if lines:
-            yield _read_lines(lines, indices)
-        if not block:
-            return
+        yield _read_lines(lines, indices)
 
 
 def _read_lines(lines: bytes, indices: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -513,11 +501,7 @@ def _read_lines(lines: bytes, indices: int = 2) -> tuple[np.ndarray, np.ndarray]
     width = indices + 2
     buf = np.frombuffer(lines, np.uint8)
     white = buf <= 32
-    edges = np.flatnonzero(white[1:] != white[:-1]) + 1
-    if buf.size and not white[0]:
-        edges = np.concatenate(([0], edges))
-    if buf.size and not white[-1]:
-        edges = np.concatenate((edges, [buf.size]))
+    edges = np.flatnonzero(np.diff(white, prepend=True, append=True))
     start, end = edges[0::2], edges[1::2]  # of each field
     n = start.size
     if n == 0:

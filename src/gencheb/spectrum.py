@@ -9,13 +9,12 @@ the accelerated scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cheb_kernel import deltoid_contains
-from .errors import InapplicableSpectrum, NoConvergence
-from .linalg import ComplexSparseMatrix
+from .errors import InapplicableSpectrum, NotConverged
 
 UNIQUE_DOMINANT = "unique_dominant"
 ROOT_OF_UNITY_FAMILY = "root_of_unity_family"
@@ -29,21 +28,19 @@ DOMINANCE_TOL = 1e-8
 DEFAULT_ROU_MAX_ORDER = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field does not compare as one bool
 class SpectrumInfo:
     """Known eigenvalues plus the dominant one.
 
     `eigenvalues` may be a partial list (set `partial=True` so k selection
     falls back to the modulus bound instead of trusting membership of an
-    incomplete quotient set).  It is stored as a tuple of complex, and
-    `array` holds the same values as a read-only complex array.
+    incomplete quotient set).  It is stored as a read-only complex array.
     """
 
-    eigenvalues: tuple
+    eigenvalues: np.ndarray
     lambda1: complex
     source: str = "user_supplied"
     partial: bool = False
-    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source not in SOURCES:
@@ -66,9 +63,8 @@ class SpectrumInfo:
             if np.hypot(evs.real, evs.imag).max() > abs(lam1) * (1.0 + 1e-12):
                 raise ValueError("lambda1 must have maximal modulus among eigenvalues")
         evs.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", tuple(evs.tolist()))
+        object.__setattr__(self, "eigenvalues", evs)
         object.__setattr__(self, "lambda1", lam1)
-        object.__setattr__(self, "array", evs)
 
 
 @dataclass(frozen=True)
@@ -120,8 +116,8 @@ def _dominance(info: SpectrumInfo) -> tuple[Classification, int | None]:
     """
     bar = (1.0 - DOMINANCE_TOL) * abs(info.lambda1)
     # abs(v) to the bit, as libm's hypot; np.abs can differ in the last place
-    mods = np.hypot(info.array.real, info.array.imag)
-    dominant = info.array[mods >= bar].tolist()
+    mods = np.hypot(info.eigenvalues.real, info.eigenvalues.imag)
+    dominant = info.eigenvalues[mods >= bar].tolist()
     ratio = float(mods[mods < bar].max(initial=0.0)) / abs(info.lambda1)
     k0 = 1
     for i, a in enumerate(dominant):
@@ -157,7 +153,7 @@ def select_k_geometric(info: SpectrumInfo,
     the quotients happen to be well positioned.  None if k_max is not
     enough.
     """
-    quotients = info.array / info.lambda1
+    quotients = info.eigenvalues / info.lambda1
     powers = quotients.copy()
     for k in range(1, k_max + 1):
         if np.all(deltoid_contains(powers)):
@@ -249,23 +245,18 @@ def feasibility_threshold(k: int) -> float:
     return _PRACTICAL_CONSTANT ** (1.0 / k)
 
 
-def estimate_dominant_eigenvalue(
-    m: ComplexSparseMatrix,
-    iters: int = 1000,
-    tol: float = 1e-8,
-    seed: int = 0,
-):
-    """Power iteration with a Rayleigh-quotient estimate.
+def estimate_dominant_eigenvalue(m, iters: int = 1000, tol: float = 1e-8, seed: int = 0):
+    """Power iteration with a Rayleigh-quotient estimate, on a square matrix
+    `m` with a `matvec`.
 
     Returns (lambda1, residual) with residual = |M v - lambda1 v| for the
-    unit-norm iterate v.  Raises NoConvergence when the residual stays
+    unit-norm iterate v.  Raises NotConverged when the residual stays
     above tol, which typically signals several dominant eigenvalues.
     """
     n = m.shape[1]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    lam = 0.0 + 0j
     residual = math.inf
     for _ in range(iters):
         w = m.matvec(v)
@@ -275,16 +266,10 @@ def estimate_dominant_eigenvalue(
             return complex(lam), residual
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
-            raise NoConvergence(
-                "power iteration hit the zero vector", estimate=complex(lam),
-                residual=residual,
-            )
+            raise NotConverged("power iteration hit the zero vector")
         v = w / norm_w
-    raise NoConvergence(
-        f"power iteration residual {residual:.3e} above {tol:.1e} after {iters} steps",
-        estimate=complex(lam),
-        residual=residual,
-    )
+    raise NotConverged(
+        f"power iteration residual {residual:.3e} above {tol:.1e} after {iters} steps")
 
 
 @dataclass(frozen=True)

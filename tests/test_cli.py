@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gencheb import cli
+from gencheb.cheb_kernel import power_preimage_contains
 from gencheb.cli import (
     EXIT_INAPPLICABLE,
     EXIT_IO,
@@ -22,7 +23,6 @@ from gencheb.errors import (
     Divergence,
     GenChebError,
     InapplicableSpectrum,
-    NoConvergence,
     NotConverged,
     UnreadableMatrix,
 )
@@ -397,6 +397,21 @@ class TestCustomCommand:
         assert code == EXIT_IO
         assert "oob.mtx" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size_line", ["2 2_0 1", "+2 2 1", "2 2 -1"])
+    def test_a_size_line_of_other_than_plain_counts_exit_code(self, tmp_path, capsys,
+                                                             size_line):
+        # int() reads `2 2_0 1` as 2 x 20 and `+2 2 1` as 2 x 2
+        mpath = tmp_path / "size.mtx"
+        mpath.write_text(
+            f"%%MatrixMarket matrix coordinate complex general\n{size_line}\n1 1 1.0 0.0\n"
+        )
+        code = main([
+            "custom", "--matrix", str(mpath), "--lambda1", "0.5",
+            "--schemes", "basic", "--out", str(tmp_path / "o"),
+        ])
+        assert code == EXIT_IO
+        assert f"bad size line in {mpath}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["matrix", "rhs", "tilde", "tilde-rhs"])
     def test_inputs_that_disagree_in_shape_name_the_file(self, tmp_path, capsys, bad):
         mpath, tpath, _spath = self._write_inputs(tmp_path)
@@ -724,6 +739,11 @@ class TestSpectrumFile:
                          "0.4 0.7 % pair\n   \n0.4 -0.7\n")
         assert read_spectrum_file(str(spath)) == [0.9, 0.4 + 0.7j, 0.4 - 0.7j]
 
+    def test_a_last_line_without_newline(self, tmp_path):
+        spath = tmp_path / "s.txt"
+        spath.write_bytes(b"0.9 0.0\n0.4 -0.7")
+        assert read_spectrum_file(str(spath)) == [0.9, 0.4 - 0.7j]
+
     @pytest.mark.parametrize("text", [
         "0.9\n", "0.9 0.0 1.0\n", "0.9 0.0\n0.5\n", "0.9 0.0\n0.5 abc\n",
         "", "# only comments\n\n%\n", "0.9 0.0\nnan 0.0\n", "0.9 inf\n",
@@ -775,6 +795,25 @@ class TestDeltoidSampleCommand:
         q = by_re[round(0.4 / 0.9, 6)]
         assert (q["inside_k1"], q["inside_k2"]) == ("0", "1")
 
+    @pytest.mark.parametrize("values", [
+        # cusps, a boundary point, the edge midpoint -1/3, zeros, a pair
+        [0.9, 0.9 * np.exp(2j * np.pi / 3), 0.3 * (2 * np.exp(0.7j) + np.exp(-1.4j)),
+         -0.3, 0.0, complex(-0.0, -0.0), 0.4 + 0.7j],
+        list(np.random.default_rng(3).uniform(-0.9, 0.9, (300, 2)) @ [1, 1j]) + [0.95],
+    ], ids=["seven", "random"])
+    def test_quotient_rows_equal_the_per_value_flags(self, tmp_path, values):
+        spath = tmp_path / "s.txt"
+        write_spectrum(spath, values)
+        out = tmp_path / "delq"
+        assert main(["deltoid-sample", "--out", str(out), "--resolution", "3",
+                     "--boundary-samples", "3", "--spectrum", str(spath)]) == EXIT_OK
+        with open(out / "quotients.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[2:]
+        values = read_spectrum_file(str(spath))
+        lam1 = max(values, key=abs)
+        assert rows == [[repr(q.real), repr(q.imag),
+                         *(str(int(power_preimage_contains(q, k))) for k in (1, 2, 3))]
+                        for q in (v / lam1 for v in values)]
 
     def test_empty_spectrum_path_refused(self, tmp_path, capsys):
         # an empty --spectrum is a path that cannot be read, not an absent flag
@@ -1094,7 +1133,6 @@ class TestNonAsciiPaths:
     (OSError("disk full"), EXIT_IO),
     (NotConverged("short"), EXIT_NOT_CONVERGED),
     (Divergence("blew up"), EXIT_NOT_CONVERGED),
-    (NoConvergence("stalled"), EXIT_NOT_CONVERGED),
     (InapplicableSpectrum("no k"), EXIT_INAPPLICABLE),
     (GenChebError("other"), 1),
 ], ids=lambda arg: type(arg).__name__ if isinstance(arg, Exception) else str(arg))

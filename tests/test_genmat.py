@@ -289,16 +289,33 @@ class TestWriteSystem:
         # the formatted fields live in fixed-width bytes arrays: about 110 B
         # per entry on CPython 3.11 and numpy 2.4, against about 260 when
         # every repr is also kept as a Python str
-        spec = NormalMatrixSpec(n=2000, block_size=100, seed=1)
-        gen = assemble_normal_system(spec)
-        tracemalloc.start()
-        try:
-            write_generated_system(gen, spec, tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert gen.system.M.nnz == 11900
-        assert peak < 180 * gen.system.M.nnz
+        nnz, peak = _traced_write(2000, 100, tmp_path)
+        assert nnz == 11900
+        assert peak < 180 * nnz
+
+    def test_peak_memory_per_added_entry(self, tmp_path):
+        # at nnz 11,900 the write's batch temporaries, of one size at any
+        # nnz, are a large share of the peak; what the peak gains per entry
+        # added is what grows with the matrix: about 64 B on CPython 3.11
+        # and numpy 2.4, where the whole peak reads 138 B per entry at
+        # nnz 11,900 and 75 at nnz 110k
+        nnz0, peak0 = _traced_write(2000, 100, tmp_path)
+        nnz1, peak1 = _traced_write(8000, 200, tmp_path)
+        assert (nnz0, nnz1) == (11900, 47800)
+        assert peak1 - peak0 < 80 * (nnz1 - nnz0)
+
+
+def _traced_write(n: int, block: int, out) -> tuple[int, int]:
+    """nnz of the seed-1 system of size n and block, and the traced peak of
+    writing it to `out`."""
+    spec = NormalMatrixSpec(n=n, block_size=block, seed=1)
+    gen = assemble_normal_system(spec)
+    tracemalloc.start()
+    try:
+        write_generated_system(gen, spec, out)
+        return gen.system.M.nnz, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestAssemblyMemory:

@@ -704,6 +704,11 @@ class TestCSRInvariants:
         with pytest.raises(ValueError):
             ComplexSparseMatrix(2, 2, [0, 1, 1], [5], [1.0])
 
+    @pytest.mark.parametrize("row", [2, -1])
+    def test_from_triplets_refuses_a_row_outside_the_shape(self, row):
+        with pytest.raises(ValueError, match="row index out of bounds"):
+            ComplexSparseMatrix.from_triplets(2, 3, [0, row], [1, 2], [1.0, 2.0])
+
     def test_unsorted_columns_in_row(self):
         with pytest.raises(ValueError):
             ComplexSparseMatrix(1, 3, [0, 2], [2, 0], [1.0, 2.0])
@@ -911,6 +916,11 @@ _MALFORMED_BODIES = {
     "nan value": "2 2 1\n1 1 nan 0.0\n",
     "inf value": "2 2 1\n1 1 1.0 inf\n",
     "two-field size line": "2 2\n1 1 1.0 0.0\n",
+    "underscore in a count": "2 2_0 1\n1 1 1.0 0.0\n",
+    "plus sign on a count": "+2 2 1\n1 1 1.0 0.0\n",
+    "negative count": "2 2 -1\n",
+    "count past int64": "2 9999999999999999999 1\n1 1 1.0 0.0\n",
+    "count of 20 digits": "2 2 00000000000000000001\n1 1 1.0 0.0\n",
 }
 
 
@@ -920,8 +930,27 @@ class TestMatrixMarketInputs:
     def test_malformed_raises(self, tmp_path, body):
         path = tmp_path / "bad.mtx"
         path.write_text(_MM_HEADER + body)
-        with pytest.raises(UnreadableMatrix):
+        with pytest.raises(UnreadableMatrix, match="bad.mtx"):
             read_matrix_market(path)
+
+    @pytest.mark.parametrize("entry, axis", [
+        ("3 1", "row"), ("1 3", "column"), ("0 1", "row"), ("1 0", "column"),
+        ("9223372036854775809 1", "row"),  # wraps below 1 as an int64
+    ])
+    def test_an_index_outside_the_shape_names_its_axis(self, tmp_path, entry, axis):
+        path = tmp_path / "M.mtx"
+        path.write_text(_MM_HEADER + f"2 2 1\n{entry} 1.0 0.0\n")
+        with pytest.raises(UnreadableMatrix) as exc:
+            read_matrix_market(path)
+        assert str(exc.value) == f"malformed entry in {path}: {axis} index out of bounds"
+
+    def test_a_last_line_without_newline(self, tmp_path):
+        # the last field ends the file: no newline, blank or comment after it
+        path = tmp_path / "end.mtx"
+        path.write_bytes(_MM_HEADER.encode("ascii") + b"2 2 2\n1 2 0.5 -0.0\n2 1 -2.5 1e-3")
+        a = read_matrix_market(path)
+        assert np.array_equal(a.to_dense(), [[0, 0.5], [-2.5 + 1e-3j, 0]])
+        assert np.signbit(a.values[0].imag)
 
     @pytest.mark.parametrize("text", [
         _MM_HEADER + "2 2 1\n3 1 1.0 0.0\n", _MM_HEADER + "2 2 1\n1 1 nan 0.0\n",

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gencheb.cheb_kernel import deltoid_contains
-from gencheb.errors import InapplicableSpectrum, NoConvergence
+from gencheb.errors import InapplicableSpectrum, NotConverged
 from gencheb.genmat import NormalMatrixSpec, assemble_normal_system
 from gencheb.linalg import ComplexSparseMatrix
 from gencheb import spectrum
@@ -267,7 +267,7 @@ class TestEstimate:
 
     def test_dominant_pair_fails(self):
         m = ComplexSparseMatrix.from_dense(np.diag([0.9, -0.9, 0.3]))
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NotConverged):
             estimate_dominant_eigenvalue(m, iters=300, tol=1e-8, seed=3)
 
     def test_deterministic_under_seed(self):
@@ -522,8 +522,9 @@ def _loop_info(eigenvalues, lambda1):
 
 def _loop_dominance(info):
     bar = (1.0 - DOMINANCE_TOL) * abs(info.lambda1)
-    mods = list(map(abs, info.eigenvalues))
-    dominant = [v for v, r in zip(info.eigenvalues, mods) if r >= bar]
+    evs = info.eigenvalues.tolist()  # Python complex, as the tuple held them
+    mods = list(map(abs, evs))
+    dominant = [v for v, r in zip(evs, mods) if r >= bar]
     ratio = max((r for r in mods if r < bar), default=0.0) / abs(info.lambda1)
     k0 = 1
     for i, a in enumerate(dominant):
@@ -627,9 +628,8 @@ class TestOneArrayGivesTheLoopBits:
             return
         info = got[1]
         assert type(info.lambda1) is complex and _bits(info.lambda1) == _bits(want[1][1])
-        assert all(type(v) is complex for v in info.eigenvalues)
+        assert info.eigenvalues.dtype == complex and not info.eigenvalues.flags.writeable
         assert _bits(info.eigenvalues) == _bits(want[1][0])
-        assert _bits(info.array) == _bits(want[1][0]) and not info.array.flags.writeable
         assert _dominance(info) == _loop_dominance(info)
         for k_max in (1, 3, DEFAULT_ROU_MAX_ORDER):
             assert select_k_geometric(info, k_max) == _loop_k_geometric(info, k_max)
