@@ -314,6 +314,9 @@ def run_custom(args: argparse.Namespace) -> int:
     m_tilde, lines = None, []
     if args.tilde:
         m_tilde = _read_shaped(args.tilde, matrix.shape)
+        # before any product: panels equal to M's conjugate transpose then
+        # have the bits of the conj_transpose system's
+        m_tilde._link_adjoint(matrix)
     elif args.assume_normal:
         m_tilde = matrix.conj_transpose()
         rel, products = _commutator_check(matrix, m_tilde, args.seed)

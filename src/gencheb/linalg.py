@@ -19,6 +19,15 @@ tests check that they do not depend on the BLAS thread count.  A diagonal run
 gives the reduceat bits of its rows; panel rows differ from them by rounding
 only, so a matrix without panels gives exactly the reduceat bits.  Products
 into a caller's buffers make the same calls.
+One exception keeps A and A* from streaming two copies of one large panel:
+a panel of A* of at least _ADJOINT_PANEL_MIN_ENTRIES (2**19) entries that is
+bit for bit the conjugate transpose of a panel P of A is multiplied through
+P, as conj(conj(v) . P), so its rows are summed in BLAS's vector-times-matrix
+order on P.  `conj_transpose` links such panels with no compare;
+`_link_adjoint` links those of a companion read from a file after comparing
+their bits.  A* keeps its CSR arrays.  Unlike a gemv's, the bits of a linked
+product can depend on the BLAS thread count: OpenBLAS splits its outputs
+among the threads, and outputs next to a split are summed in another order.
 
 Matrix Market exchange: `coordinate complex general`, entries `row col
 real imag` with integer 1-based indices and shortest round-trip floats, a
@@ -66,6 +75,18 @@ _PANEL_MIN_ENTRIES = 1024
 _DIAGONAL_MIN_ROWS = 128
 # A panel's call: the gemv of np.dot without its __array_function__ dispatch.
 _DOT = np.ndarray.dot
+# Fewest entries in a panel of A* multiplied through A's panel.  Products in
+# the order M M M* M* M* M cost about the same either way from 600 x 600 to
+# 725 x 725; at 1000 x 1000 (32 MB for both panels) 1.0-1.4 ms against
+# 0.78-0.89 ms through one panel (2 MiB L2 per core, OpenBLAS 0.3.31, one
+# thread), and below 600 x 600 the stored panel is as fast or faster.
+_ADJOINT_PANEL_MIN_ENTRIES = 2**19
+
+
+def _adjoint_dot(panel, v, out):
+    """panel* v into `out`: the vector-times-matrix product conj(v) . panel,
+    conjugated in place."""
+    return np.conjugate(_DOT(np.conjugate(v), panel, out=out), out=out)
 
 
 class ComplexSparseMatrix:
@@ -189,11 +210,12 @@ class ComplexSparseMatrix:
     # -- operations ---------------------------------------------------------
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Sparse product A @ v: `panel.dot(v[c0:c1])` per dense panel and
-        `np.multiply(d, v[c0:c1])` per diagonal run, into slices of the
-        product, and np.add.reduceat over `np.multiply(values, v[cols])` for
-        the other rows, all on the calling thread.  Equal inputs give equal
-        bits for a given numpy/BLAS build and CPU."""
+        """Sparse product A @ v: `panel.dot(v[c0:c1])` per dense panel (or
+        _adjoint_dot on a linked one) and `np.multiply(d, v[c0:c1])` per
+        diagonal run, into slices of the product, and np.add.reduceat over
+        `np.multiply(values, v[cols])` for the other rows, all on the calling
+        thread.  Equal inputs give equal bits for a given numpy/BLAS build
+        and CPU."""
         return self._into(v, None)
 
     def _into(self, v, out: np.ndarray | None) -> np.ndarray:
@@ -246,10 +268,26 @@ class ComplexSparseMatrix:
         counts = np.bincount(self.col_indices, minlength=self.n_cols)
         rows, values = _entry_rows(self)[order], self.values[order]
         del order  # not alive beside the constructor's temporaries
-        return ComplexSparseMatrix(
+        adjoint = ComplexSparseMatrix(
             self.n_cols, self.n_rows, np.concatenate(([0], np.cumsum(counts))),
             rows, np.conj(values, out=values),
         )
+        adjoint._link_adjoint(self, check=False)
+        return adjoint
+
+    def _link_adjoint(self, a: "ComplexSparseMatrix", check: bool = True) -> None:
+        """Multiply each panel of this matrix that is the conjugate transpose
+        of a panel of `a` with at least _ADJOINT_PANEL_MIN_ENTRIES entries
+        through a's panel.  With `check`, only a panel whose bits equal the
+        conjugate transpose of a's, signed zeros included, is linked; without,
+        the caller knows this matrix is a*.  A link keeps a's values alive."""
+        panels = {(rows.start, rows.stop, cols.start, cols.stop): block
+                  for op, block, cols, rows in a._runs
+                  if op is _DOT and block.size >= _ADJOINT_PANEL_MIN_ENTRIES}
+        for i, (op, block, cols, rows) in enumerate(self._runs):
+            panel = panels.get((cols.start, cols.stop, rows.start, rows.stop))
+            if op is _DOT and panel is not None and (not check or _is_adjoint(block, panel)):
+                self._runs[i] = (_adjoint_dot, panel, cols, rows)
 
 
 def _row_runs(row_offsets: np.ndarray, col_indices: np.ndarray,
@@ -280,6 +318,18 @@ def _row_runs(row_offsets: np.ndarray, col_indices: np.ndarray,
     big = (r1 - r0) * width >= np.where(width > 1, _PANEL_MIN_ENTRIES, _DIAGONAL_MIN_ROWS)
     return [(_DOT, a, b, c, c + w) if w > 1 else (np.multiply, a, b, c, c + b - a)
             for a, b, c, w in np.array((r0, r1, first[r0], width))[:, big].T.tolist()]
+
+
+def _is_adjoint(block: np.ndarray, panel: np.ndarray) -> bool:
+    """Whether `block` holds the bits of panel*, compared a band of about
+    65536 entries of `panel` at a time."""
+    step = max(1, 2**16 // panel.shape[1])
+    for r in range(0, panel.shape[0], step):
+        mine, theirs = block[:, r:r + step], np.conjugate(panel[r:r + step]).T
+        if not all(np.array_equal(x.view(np.uint64), y.view(np.uint64))
+                   for x, y in ((mine.real, theirs.real), (mine.imag, theirs.imag))):
+            return False
+    return True
 
 
 def _entry_rows(a: ComplexSparseMatrix) -> np.ndarray:

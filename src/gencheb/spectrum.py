@@ -250,24 +250,26 @@ def estimate_dominant_eigenvalue(m, iters: int = 1000, tol: float = 1e-8, seed: 
     `m` with a `matvec`.
 
     Returns (lambda1, residual) with residual = |M v - lambda1 v| for the
-    unit-norm iterate v.  Raises NotConverged when the residual stays
-    above tol, which typically signals several dominant eigenvalues.
+    unit-norm iterate v; M v = 0 gives (0, 0) at once.  Raises NotConverged
+    when the residual stays above tol, which typically signals several
+    dominant eigenvalues, and ValueError for a tol that is negative or NaN
+    or for iters below 1.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
     n = m.shape[1]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    residual = math.inf
     for _ in range(iters):
         w = m.matvec(v)
         lam = np.vdot(v, w)
         residual = float(np.linalg.norm(w - lam * v))
         if residual <= tol:
             return complex(lam), residual
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            raise NotConverged("power iteration hit the zero vector")
-        v = w / norm_w
+        v = w / np.linalg.norm(w)
     raise NotConverged(
         f"power iteration residual {residual:.3e} above {tol:.1e} after {iters} steps")
 

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from gencheb import cli
+from gencheb import cli, linalg
 from gencheb.cheb_kernel import power_preimage_contains
 from gencheb.cli import (
     EXIT_INAPPLICABLE,
@@ -647,9 +647,10 @@ class TestCustomCommand:
 
 class TestRoundTripThroughFiles:
     @staticmethod
-    def _round_trip(tmp_path, n, block):
+    def _round_trip(tmp_path, n, block, adjoint_op=np.ndarray.dot):
         # normal-sparse writes the system, custom reads it back and solves
-        # it; the residuals must be the bits of an in-library solve
+        # it; the residuals must be the bits of an in-library solve, whose
+        # M_tilde multiplies its panel by `adjoint_op`
         spec = NormalMatrixSpec(n=n, block_size=block, seed=42)
         gen_dir, exp_dir = tmp_path / "gen", tmp_path / "exp"
         assert main([
@@ -659,10 +660,12 @@ class TestRoundTripThroughFiles:
         gen = assemble_normal_system(spec)
         # the block is one BLAS panel and the tail one diagonal run, in M and
         # M_tilde as generated and as read back: no row is left to reduceat
-        for m in (gen.system.M, read_matrix_market(gen_dir / "M.mtx"),
-                  gen.system.M_tilde, read_matrix_market(gen_dir / "M_tilde.mtx")):
+        for m, op in ((gen.system.M, np.ndarray.dot),
+                      (read_matrix_market(gen_dir / "M.mtx"), np.ndarray.dot),
+                      (gen.system.M_tilde, adjoint_op),
+                      (read_matrix_market(gen_dir / "M_tilde.mtx"), np.ndarray.dot)):
             assert [(r[0], r[2], r[3]) for r in m._runs] == [
-                (np.ndarray.dot, slice(0, block), slice(0, block)),
+                (op, slice(0, block), slice(0, block)),
                 (np.multiply, slice(block, n), slice(block, n))]
             assert m._rest_rows.size == 0
         spath = tmp_path / "S.txt"
@@ -694,6 +697,12 @@ class TestRoundTripThroughFiles:
 
     def test_round_trip_with_a_dense_panel(self, tmp_path):
         self._round_trip(tmp_path, 2000, 100)
+
+    def test_round_trip_through_a_linked_panel(self, tmp_path, monkeypatch):
+        # M_tilde's 40 x 40 panel multiplies through M's in the library, and
+        # custom links the one it reads only after checking its bits
+        monkeypatch.setattr(linalg, "_ADJOINT_PANEL_MIN_ENTRIES", 1024)
+        self._round_trip(tmp_path, 400, 40, linalg._adjoint_dot)
 
     def test_partial_spectrum_divergence_stops_the_run(self, tmp_path):
         # lambda1 alone selects k = 1, where the three-term scheme diverges on

@@ -456,6 +456,43 @@ def test_panel_bits_do_not_depend_on_the_blas_thread_count():
     assert len(digests) == 1
 
 
+_LINKED_PRODUCTS = """
+import numpy as np
+from gencheb.linalg import ComplexSparseMatrix
+rng = np.random.default_rng(6)
+bits = lambda x: x.view(np.uint64).tolist()
+# the large-solve panel, the smallest linked square panel, and an odd shape
+for rows, width in ((1000, 1000), (725, 725), (1233, 431)):
+    dense = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
+    a = ComplexSparseMatrix.from_dense(dense)
+    at = a.conj_transpose()
+    assert [op.__name__ for op, *_ in at._runs] == ["_adjoint_dot"]
+    stored = ComplexSparseMatrix(width, rows, at.row_offsets, at.col_indices, at.values.copy())
+    v = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    got, want = at.matvec(v), stored.matvec(v)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    src, out = v.copy(), np.zeros(width, dtype=complex)
+    assert bits(at.matvec(v.copy())) == bits(at._bind(src, out)()) == bits(got)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_linked_products_at_one_and_two_blas_threads(threads):
+    # A linked panel's product is BLAS's vector-times-matrix product, which
+    # OpenBLAS splits among its threads by output: at 725 x 725 the outputs
+    # next to the split are summed in another order at 2 threads than at 1.
+    # So at each thread count the values are checked against the stored
+    # panel, and the bits against each other path.
+    src = os.path.dirname(os.path.dirname(gencheb.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _LINKED_PRODUCTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
 _NEW_THREADS = """
 import threading
 import numpy as np
@@ -636,6 +673,111 @@ class TestConjTranspose:
         shape, blocks, dropped, diagonals, _, _ = TestMatvecProperties.PANEL_CASES[case]
         a, _ = TestMatvecProperties._pattern_matrix(shape, blocks, dropped, diagonals)
         _assert_same_arrays(a.conj_transpose(), _triplet_conj_transpose(a))
+
+
+def _stored_copy(a):
+    """A matrix of a's arrays whose panels all multiply their own values."""
+    return ComplexSparseMatrix(a.n_rows, a.n_cols, a.row_offsets, a.col_indices,
+                               a.values.copy())
+
+
+def _ops(a):
+    return [op.__name__ for op, *_ in a._runs]
+
+
+def _relative_gap(x, y):
+    return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+
+class TestAdjointLink:
+    """A panel of A* of at least _ADJOINT_PANEL_MIN_ENTRIES entries that is
+    the conjugate transpose of a panel of A multiplies through A's panel."""
+
+    @pytest.fixture(autouse=True)
+    def small_panels_link(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_ADJOINT_PANEL_MIN_ENTRIES", 1024)
+
+    @staticmethod
+    def _matrix(rng):
+        """A 2804 x 2900 matrix of three panels, 401 x 500, 32 x 33 and 27 x
+        40, and a diagonal run.  An entry right of the diagonal in the rows of
+        neither splits the third panel's columns, so A* does not store it as
+        a panel.  One entry of the first panel has a zero imaginary part."""
+        dense = np.zeros((2804, 2900), dtype=complex)
+        for r0, r1, c0, c1 in ((0, 401, 0, 500), (401, 433, 600, 633), (433, 460, 700, 740)):
+            dense[r0:r1, c0:c1] = (rng.standard_normal((r1 - r0, c1 - c0))
+                                   + 1j * rng.standard_normal((r1 - r0, c1 - c0)))
+        dense[3, 5] = 0.75
+        dense[500, 710] = 1.5j
+        dense[804:, 804:2804] = np.diag(rng.standard_normal(2000) + 1j)
+        return ComplexSparseMatrix.from_dense(dense)
+
+    def test_conj_transpose_links_the_panels_at_the_floor(self):
+        a = self._matrix(np.random.default_rng(1))
+        at = a.conj_transpose()
+        assert _ops(a) == ["dot", "dot", "dot", "multiply"]
+        assert _ops(at) == ["_adjoint_dot", "_adjoint_dot", "multiply"]
+        for (_, panel, *_), (_, mine, *_) in zip(at._runs[:2], a._runs[:2]):
+            assert panel is mine
+        # the CSR arrays of A* stay complete and its own
+        _assert_same_arrays(at, _triplet_conj_transpose(a))
+        assert not np.shares_memory(at.values, a.values)
+
+    def test_a_linked_product_agrees_with_the_stored_kernel(self):
+        rng = np.random.default_rng(2)
+        a = self._matrix(rng)
+        at, stored = a.conj_transpose(), _stored_copy(a.conj_transpose())
+        assert _ops(stored)[:2] == ["dot", "dot"]
+        bits = lambda v: v.view(np.uint64).tolist()
+        src, out = np.zeros(at.n_cols, dtype=complex), np.zeros(at.n_rows, dtype=complex)
+        product = at._bind(src, out)
+        for _ in range(3):
+            v = rng.standard_normal(at.n_cols) + 1j * rng.standard_normal(at.n_cols)
+            got = at.matvec(v)
+            assert _relative_gap(got, stored.matvec(v)) <= 1e-14
+            assert _relative_gap(got, at.to_dense() @ v) <= 1e-14
+            assert at._into(v, out) is out and bits(out) == bits(got)
+            src[:] = v
+            assert product() is out and bits(out) == bits(got)
+
+    def test_a_companion_equal_to_the_adjoint_is_linked_after_the_check(self):
+        rng = np.random.default_rng(3)
+        a = self._matrix(rng)
+        at, read = a.conj_transpose(), _stored_copy(a.conj_transpose())
+        read._link_adjoint(a)
+        assert _ops(read) == _ops(at)
+        v = rng.standard_normal(a.n_rows) + 1j * rng.standard_normal(a.n_rows)
+        assert np.array_equal(read.matvec(v).view(np.uint64), at.matvec(v).view(np.uint64))
+
+    @pytest.mark.parametrize("change", ["one ulp, first entry", "one ulp, last entry",
+                                        "sign of a zero imaginary part"])
+    def test_a_companion_unlike_the_adjoint_runs_on_its_own_values(self, change):
+        rng = np.random.default_rng(4)
+        a = self._matrix(rng)
+        at = a.conj_transpose()
+        values = at.values.copy()
+        # A*'s 500 x 401 panel holds the first 200,500 entries, row by row
+        if change == "sign of a zero imaginary part":
+            k = 5 * 401 + 3  # (5, 3) of A*, where A holds 0.75
+            assert values[k] == 0.75 and np.signbit(values[k].imag)
+            values[k] = complex(0.75, 0.0)
+        else:
+            k = 0 if change.endswith("first entry") else 500 * 401 - 1
+            values[k] = complex(np.nextafter(values[k].real, np.inf), values[k].imag)
+        read = ComplexSparseMatrix(at.n_rows, at.n_cols, at.row_offsets, at.col_indices,
+                                   values)
+        read._link_adjoint(a)
+        assert _ops(read) == ["dot", "_adjoint_dot", "multiply"]
+        v = rng.standard_normal(a.n_rows) + 1j * rng.standard_normal(a.n_rows)
+        own = np.dot(values[:200_500].reshape(500, 401), v[:401])
+        assert np.array_equal(read.matvec(v)[:500].view(np.uint64), own.view(np.uint64))
+
+    def test_panels_below_the_floor_stay_unlinked(self, monkeypatch):
+        a = self._matrix(np.random.default_rng(5))
+        monkeypatch.setattr(linalg, "_ADJOINT_PANEL_MIN_ENTRIES", 32 * 33)
+        assert _ops(a.conj_transpose()) == ["_adjoint_dot", "_adjoint_dot", "multiply"]
+        monkeypatch.setattr(linalg, "_ADJOINT_PANEL_MIN_ENTRIES", 32 * 33 + 1)
+        assert _ops(a.conj_transpose()) == ["_adjoint_dot", "dot", "multiply"]
 
 
 def _triplet_conj_transpose(a):

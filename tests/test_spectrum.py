@@ -270,6 +270,19 @@ class TestEstimate:
         with pytest.raises(NotConverged):
             estimate_dominant_eigenvalue(m, iters=300, tol=1e-8, seed=3)
 
+    def test_zero_matrix_returns_zero_at_once(self):
+        m = ComplexSparseMatrix(3, 3, [0, 0, 0, 0], [], [])
+        lam, resid = estimate_dominant_eigenvalue(m, tol=0.0)
+        assert (lam, resid) == (0j, 0.0)
+        assert type(lam) is complex and type(resid) is float
+
+    @pytest.mark.parametrize("flags", [{"tol": -1.0}, {"tol": math.nan}, {"iters": 0},
+                                       {"iters": -3}])
+    def test_negative_or_nan_tol_and_no_iteration_refused(self, flags):
+        m = ComplexSparseMatrix.from_dense(np.diag([0.9, 0.3]))
+        with pytest.raises(ValueError):
+            estimate_dominant_eigenvalue(m, **flags)
+
     def test_deterministic_under_seed(self):
         gen = assemble_normal_system(NormalMatrixSpec(n=80, block_size=16, seed=6))
         a = estimate_dominant_eigenvalue(gen.system.M, tol=1e-10, seed=9)
