@@ -14,12 +14,20 @@ step, 2k per accelerated three-term step), none for M^k 0 or Mt^k 0 at a
 zero start.  `run` takes each residual from the product M y that the next
 step's M^k y starts with, so every run, fixed-step or to tolerance, spends
 the recurrence's products plus one.
+
+Threads: `run` hands the stepper each step's M^k y as an unfinished call,
+which a large generalized run may take on one worker thread of its own
+(`_Chains`) with the serial run's bits and products; `run` joins it before
+it returns or raises.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import queue
+import threading
+import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -100,9 +108,10 @@ def _norm(r: np.ndarray) -> float:
 
 
 class _Workspace:
-    """finish(first(v)) is base**k v by k successive products of base, for one
-    run, in two zeroed buffers made at the first product; a result lasts until
-    the next."""
+    """base**k v by k successive products of base, for one run, in two zeroed
+    buffers made at the first product: `first(v)` takes the first product,
+    `finish()` the other k - 1 after the latest `first`, and `power(v)` both;
+    a result lasts until the next."""
 
     def __init__(self, base: ComplexSparseMatrix, k: int):
         self.base, self.k, self.bound = base, k, None
@@ -113,10 +122,15 @@ class _Workspace:
             self.bound = self.base._bind(self.out, other), self.base._bind(other, self.out)
         return self.base._into(v, self.out)
 
-    def finish(self, base_v: np.ndarray) -> np.ndarray:
+    def finish(self) -> np.ndarray:
+        out = self.out
         for i in range(self.k - 1):
-            base_v = self.bound[i & 1]()
-        return base_v
+            out = self.bound[i & 1]()
+        return out
+
+    def power(self, v: np.ndarray) -> np.ndarray:
+        self.first(v)
+        return self.finish()
 
 
 @dataclass
@@ -200,22 +214,21 @@ class _BasicStepper:
     Built on the untransformed system and whether the run starts from zero,
     it checks the scheme at the order k and spends nothing: its
     `PowerTransform` takes a side at its first read.  `step(y, forward)`
-    takes M^k y of the latest iterate y, None for a zero y, and reports the
-    step's recurrence cost: k products for M^k y, none for M^k 0, plus what
-    `_combine` spends.
+    takes the call that returns M^k y of the latest iterate y, None for a
+    zero y, and reports the step's recurrence cost: k products for M^k y,
+    none for M^k 0, plus what the scheme spends on the earlier iterates.
     """
 
     def __init__(self, sys: IterationSystem, zero: bool):
         self.sides, self.cost = PowerTransform(sys, sys.k), sys.k
 
-    def step(self, y: np.ndarray, forward: np.ndarray | None) -> tuple[np.ndarray, int]:
-        basic, cost = ((self.sides.g.copy(), 0) if forward is None  # never alias g
-                       else (forward + self.sides.g, self.cost))
-        new, extra = self._combine(y, basic)
-        return new, cost + extra
+    def step(self, y: np.ndarray, forward) -> tuple[np.ndarray, int]:
+        if forward is None:
+            return self.sides.g.copy(), 0  # never alias g
+        return forward() + self.sides.g, self.cost
 
-    def _combine(self, y, basic):
-        return basic, 0
+    def close(self) -> None:
+        """End the run: a stepper that started a thread joins it."""
 
 
 class _ClassicalStepper(_BasicStepper):
@@ -238,12 +251,13 @@ class _ClassicalStepper(_BasicStepper):
         self.weight = 2.0
         self.prev = None  # y_{m-2}
 
-    def _combine(self, y, basic):
+    def step(self, y, forward):
+        basic, cost = super().step(y, forward)
         if self.prev is not None:
             self.weight = 1.0 / (1.0 - self.quarter_rho2 * self.weight)
             basic = self.prev + self.weight * (basic - self.prev)
         self.prev = y
-        return basic, 0
+        return basic, cost
 
 
 class _GeneralizedStepper(_BasicStepper):
@@ -266,26 +280,102 @@ class _GeneralizedStepper(_BasicStepper):
         super().__init__(sys, zero)
         self.stream = ChebCoefficientStream(self.sides.lambda1)
         self.mt = _Workspace(sys.M_tilde, sys.k)  # Mt^k
+        overlap = sys.k > 1 and sys.M_tilde.nnz >= _OVERLAP_MIN_NNZ
+        self.chains = _Chains(self.mt) if overlap else None
         self.zero = zero
         self.prev = self.prev2 = None  # y_{m-2} and y_{m-3}
 
-    def _combine(self, y, forward):
+    def step(self, y, forward):
         prev, prev2 = self.prev, self.prev2
         self.prev, self.prev2 = y, prev
         if prev is None:
-            return forward, 0
+            return super().step(y, forward)
         if prev2 is None and self.zero:  # the seed from a zero start: Mt^k 0 = 0
-            tilde, cost = self.sides.g_tilde, 0
+            (basic, cost), tilde = super().step(y, forward), self.sides.g_tilde
         else:
-            tilde, cost = self.mt.finish(self.mt.first(prev)) + self.sides.g_tilde, self.cost
+            if self.chains is None:
+                power, tilde = forward(), self.mt.power(prev)
+            else:
+                power, tilde = self.chains(forward, prev)
+            basic, tilde, cost = power + self.sides.g, tilde + self.sides.g_tilde, 2 * self.cost
         if prev2 is None:
             # the stream has not stepped yet: its window ends with f2(1/lambda1)
             lam1, f2 = self.stream.lambda1, self.stream.window[2]
-            new = (3 * forward / lam1**2 - 2 * tilde / lam1.conjugate()) / f2
-        else:
-            c1, c2, c3 = self.stream.step()
-            new = c1 * forward - c2 * tilde + c3 * prev2
-        return new, cost
+            return (3 * basic / lam1**2 - 2 * tilde / lam1.conjugate()) / f2, cost
+        c1, c2, c3 = self.stream.step()
+        return c1 * basic - c2 * tilde + c3 * prev2, cost
+
+    def close(self):
+        if self.chains is not None:
+            self.chains.close()
+
+
+#: Fewest stored entries of M_tilde for which a generalized run at k >= 2
+#: takes its steps through `_Chains`.  At k = 3 and n = 20000, whole solves
+#: took 0.85 of the serial time threaded at 270k entries, and the probe's
+#: threaded period read 1.0 of the serial one at 110k (2-vCPU host, one
+#: BLAS thread).
+_OVERLAP_MIN_NNZ = 2**18
+#: Most share of the probe's serial period its threaded one may take.
+_OVERLAP_MARGIN = 0.9
+
+
+class _Chains:
+    """Mt^k v beside the call that returns M^k y, for one generalized run at
+    k >= 2 whose Mt stores at least _OVERLAP_MIN_NNZ entries.
+
+    A step's two chains are independent and each writes only its own
+    `_Workspace`, so the M^k call may run on a worker thread, with the same
+    calls and bits, while the caller takes the longer Mt^k chain (k
+    products against k - 1).  The first call starts the worker; a probe
+    times the period from each call to the next, serial for the second
+    call and overlapped for the third, and keeps the worker only if the
+    third took at most _OVERLAP_MARGIN of the second.  The worker calls
+    only private product paths, never a public function (a tracer keeps
+    one span stack per process), and `close` joins it."""
+
+    def __init__(self, tilde: _Workspace):
+        self.tilde, self.thread, self.threaded = tilde, None, False
+        self.probe = []  # the first four calls' start times
+
+    def __call__(self, forward, v):
+        """forward() and Mt^k v."""
+        if len(self.probe) < 4:
+            self._probe()
+        if not self.threaded:
+            return forward(), self.tilde.power(v)
+        self.calls.put(forward)
+        tilde = self.tilde.power(v)
+        power, exc = self.results.get()
+        if exc is not None:
+            raise exc
+        return power, tilde
+
+    def _probe(self):
+        probe = self.probe
+        probe.append(time.perf_counter())
+        if len(probe) == 1:  # not timed: this call touches the Mt workspace's new buffers
+            self.calls, self.results = queue.SimpleQueue(), queue.SimpleQueue()
+            self.thread = threading.Thread(target=self._serve, name="gencheb-chain", daemon=True)
+            self.thread.start()
+        elif len(probe) == 3:
+            self.threaded = True
+        elif len(probe) == 4 and probe[3] - probe[2] > _OVERLAP_MARGIN * (probe[2] - probe[1]):
+            self.close()
+
+    def _serve(self):
+        for call in iter(self.calls.get, None):
+            try:
+                done = call(), None
+            except BaseException as exc:  # raised again on the caller
+                done = None, exc
+            self.results.put(done)
+
+    def close(self):
+        if self.thread is not None:
+            self.calls.put(None)
+            self.thread.join()
+            self.thread, self.threaded = None, False
 
 
 _STEPPERS = {
@@ -344,23 +434,26 @@ def run(
         trace.initial_err = _norm(ref - y)
     target = -math.inf if tol is None else tol * g_norm
     guard = DIVERGENCE_GUARD * max(residual, g_norm)
-    best, best_residual = y, residual
-    for _ in range(steps):
-        if residual <= target:
-            break
-        y, cost = stepper.step(y, None if my is None else power.finish(my))
-        my = power.first(y)
-        residual = system.residual_norm(y, my)
-        trace.append(None if ref is None else _norm(ref - y), residual, cost)
-        if residual < best_residual:
-            best, best_residual = y, residual
-        if not residual <= guard:
-            raise Divergence(
-                f"{scheme} scheme diverged at step {len(trace.residuals)}: residual {residual:.3e}"
-                f" is not below the guard {guard:.3e}",
-                best=best,
-                trace=trace,
-            )
+    best, best_residual, finish = y, residual, power.finish
+    try:
+        for _ in range(steps):
+            if residual <= target:
+                break
+            y, cost = stepper.step(y, None if my is None else finish)
+            my = power.first(y)
+            residual = system.residual_norm(y, my)
+            trace.append(None if ref is None else _norm(ref - y), residual, cost)
+            if residual < best_residual:
+                best, best_residual = y, residual
+            if not residual <= guard:
+                raise Divergence(
+                    f"{scheme} scheme diverged at step {len(trace.residuals)}: residual"
+                    f" {residual:.3e} is not below the guard {guard:.3e}",
+                    best=best,
+                    trace=trace,
+                )
+    finally:
+        stepper.close()
     if tol is None or residual <= target:
         return y, trace
     raise NotConverged(

@@ -1,5 +1,6 @@
 """Shared test configuration."""
 
+import threading
 from collections import Counter
 
 import pytest
@@ -16,13 +17,15 @@ settings.load_profile("gencheb")
 @pytest.fixture
 def product_counts(monkeypatch):
     """The sparse products each matrix (by id) makes while the test runs,
-    each counted once, at the outermost entry that made it: `matvec`,
-    `_into`, or a product that `_bind` returned."""
-    counts, inside = Counter(), []
+    each counted once, at the outermost entry that made it on its thread:
+    `matvec`, `_into`, or a product that `_bind` returned."""
+    counts, lock, local = Counter(), threading.Lock(), threading.local()
 
     def counted(matrix, product, *args):
+        inside = local.__dict__.setdefault("inside", [])
         if not inside:
-            counts[id(matrix)] += 1
+            with lock:
+                counts[id(matrix)] += 1
         inside.append(matrix)
         try:
             return product(*args)

@@ -4,11 +4,12 @@ import math
 import os
 import re
 import shutil
+import threading
 
 import numpy as np
 import pytest
 
-from gencheb import cli, linalg
+from gencheb import cli, linalg, solvers
 from gencheb.cheb_kernel import power_preimage_contains
 from gencheb.cli import (
     EXIT_INAPPLICABLE,
@@ -250,6 +251,28 @@ class TestNormalSparseCommand:
         report = (out / "report.txt").read_text()
         assert [line.split(":")[0] for line in report.splitlines()
                 if line.startswith("measured_")] == lines
+
+
+    @pytest.mark.parametrize("steps", ["0", "40"])
+    def test_two_thread_chains_write_the_serial_bytes(self, tmp_path, monkeypatch, steps):
+        # a 760 x 760 panel whose companion is linked to it; with no step the
+        # run starts no thread, and otherwise its files are the serial run's
+        argv = ["normal-sparse", "--n", "800", "--block", "760", "--steps", steps]
+        written = {}
+        for threaded in (False, True):
+            monkeypatch.setattr(solvers, "_OVERLAP_MIN_NNZ", 0 if threaded else math.inf)
+            monkeypatch.setattr(solvers, "_OVERLAP_MARGIN", math.inf)
+            before = threading.active_count()
+            if threaded and steps == "0":
+                def refused(self):
+                    raise AssertionError(f"thread {self.name} started")
+                monkeypatch.setattr(threading.Thread, "start", refused)
+            out = tmp_path / "ns"  # the trace's header names it
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            assert threading.active_count() == before
+            written[threaded] = [(out / name).read_bytes() for name in (
+                "M.mtx", "M_tilde.mtx", "trace.csv", "report.txt")]
+        assert written[True] == written[False]
 
 
 #: `custom` on the 4x4 example33 files of `TestCustomCommand._write_inputs`.

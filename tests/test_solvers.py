@@ -1,4 +1,7 @@
 import dataclasses
+import math
+import os
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -827,6 +830,202 @@ class TestWorkspace:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == {0: want, 1: want}
+
+
+def _force_chains(monkeypatch, threaded: bool):
+    """Take every generalized run at k >= 2 on two threads for good, or every
+    run on the caller."""
+    monkeypatch.setattr(solvers, "_OVERLAP_MIN_NNZ", 0 if threaded else math.inf)
+    monkeypatch.setattr(solvers, "_OVERLAP_MARGIN", math.inf)
+
+
+def _chain_threads(monkeypatch):
+    """The thread of each M^k call a workspace finishes, in call order."""
+    threads, finish = [], solvers._Workspace.finish
+
+    def recorded(self):
+        threads.append(threading.current_thread())
+        return finish(self)
+
+    monkeypatch.setattr(solvers._Workspace, "finish", recorded)
+    return threads
+
+
+def _run_bits(sys_, x, **kwargs):
+    """The bits of a generalized run's iterate and trace, or of the
+    NotConverged it raised."""
+    try:
+        y, trace = run(sys_, "generalized", reference_x=x, **kwargs)
+    except NotConverged as exc:
+        y, trace = exc.best, exc.trace
+    return (_bits(y), _bits([trace.initial_residual, *trace.residuals]),
+            _bits([trace.initial_err, *trace.err_norms]), trace.matvecs)
+
+
+class TestOverlappedChains:
+    """A generalized run at k >= 2 above the size floor may take each step's
+    M^k y on a worker thread while the caller takes Mt^k y_{m-2}; its bits,
+    products and threads afterwards are the serial run's."""
+
+    @pytest.fixture(scope="class", params=["linked", "unlinked"])
+    def generated(self, request):
+        # a 1000 x 1000 panel whose companion multiplies through M's panel,
+        # and a 600 x 600 panel below the link's size, each with a diagonal
+        n, block = (1000, 1000) if request.param == "linked" else (900, 600)
+        gen = assemble_normal_system(NormalMatrixSpec(n=n, block_size=block, seed=4))
+        ops = [op.__name__ for op, *_ in gen.system.M_tilde._runs]
+        assert ops == (["_adjoint_dot"] if request.param == "linked" else ["dot", "multiply"])
+        return dataclasses.replace(gen.system, k=3), gen.x
+
+    @pytest.mark.parametrize("start", ["zero", "nonzero"])
+    @pytest.mark.parametrize("tol", [None, 1e-10])
+    def test_same_bits_as_the_serial_path(self, generated, monkeypatch, tol, start):
+        sys_, x = generated
+        kwargs = dict(steps=30 if tol is None else 200, tol=tol,
+                      x0=None if start == "zero" else np.full(sys_.n, 1j))
+        _force_chains(monkeypatch, threaded=False)
+        want = _run_bits(sys_, x, **kwargs)
+        _force_chains(monkeypatch, threaded=True)
+        threads = _chain_threads(monkeypatch)
+        assert _run_bits(sys_, x, **kwargs) == want
+        caller = threading.current_thread()
+        assert len({t for t in threads if t is not caller}) == 1  # one worker took some
+        assert tol is None or len(want[1]) < 201  # converged
+
+    def test_spends_the_serial_products(self, generated, monkeypatch, product_counts):
+        sys_, x = generated
+        spent = {}
+        for threaded in (False, True):
+            _force_chains(monkeypatch, threaded)
+            product_counts.clear()
+            run(sys_, "generalized", steps=12, x0=np.full(sys_.n, 1j))
+            spent[threaded] = dict(product_counts)
+        assert spent[True] == spent[False]
+        # each of the 12 steps: M^k y; from step 2: Mt^k; the first reads of
+        # the sides: k - 1 each; and M x0
+        assert spent[False] == {id(sys_.M): 3 * 12 + 2 + 1, id(sys_.M_tilde): 3 * 11 + 2}
+
+    @pytest.mark.parametrize("margin, on_worker", [(0.0, 1), (math.inf, 8)])
+    def test_the_probe_keeps_the_worker_only_when_it_is_faster(
+        self, generated, monkeypatch, margin, on_worker
+    ):
+        # from zero, steps 3 to 12 take both chains: the first two of them on
+        # the caller, the third on the worker; margin 0 calls it slower
+        sys_, x = generated
+        monkeypatch.setattr(solvers, "_OVERLAP_MIN_NNZ", 0)
+        monkeypatch.setattr(solvers, "_OVERLAP_MARGIN", margin)
+        threads = _chain_threads(monkeypatch)
+        got = _run_bits(sys_, x, steps=12)
+        caller = threading.current_thread()
+        assert sum(t is not caller for t in threads) == on_worker
+        _force_chains(monkeypatch, threaded=False)
+        assert got == _run_bits(sys_, x, steps=12)
+
+    @pytest.mark.parametrize("end", ["returns", "not-converged", "diverges", "worker-raises"])
+    def test_no_thread_outlives_a_run(self, generated, monkeypatch, end):
+        sys_, x = generated
+        _force_chains(monkeypatch, threaded=True)
+        threads = _chain_threads(monkeypatch)
+        caller, before = threading.current_thread(), set(threading.enumerate())
+        if end == "diverges":  # the residual of step 8 is NaN, from zero
+            residual_norm, calls = IterationSystem.residual_norm, []
+
+            def failing(self, y, my=None):
+                calls.append(1)
+                return math.nan if len(calls) == 8 else residual_norm(self, y, my)
+
+            monkeypatch.setattr(IterationSystem, "residual_norm", failing)
+        if end == "worker-raises":
+            finish = solvers._Workspace.finish
+
+            def failing(self):
+                if threading.current_thread() is not caller:
+                    raise RuntimeError("a product on the worker failed")
+                return finish(self)
+
+            monkeypatch.setattr(solvers._Workspace, "finish", failing)
+        raised = {"returns": None, "not-converged": NotConverged, "diverges": Divergence,
+                  "worker-raises": RuntimeError}[end]
+        tol = 1e-300 if end == "not-converged" else None
+        if raised is None:
+            run(sys_, "generalized", steps=12)
+        else:
+            with pytest.raises(raised) as exc:
+                run(sys_, "generalized", steps=12, tol=tol)
+            assert end != "worker-raises" or str(exc.value) == "a product on the worker failed"
+        assert set(threading.enumerate()) == before
+        assert end == "worker-raises" or any(t is not caller for t in threads)
+
+    def test_two_callers_get_the_serial_bits(self, generated, monkeypatch):
+        sys_, x = generated
+        _force_chains(monkeypatch, threaded=False)
+        want = [_run_bits(sys_, x, steps=12, x0=x0) for x0 in (None, np.full(sys_.n, 1j))]
+        _force_chains(monkeypatch, threaded=True)
+        got, start = {}, threading.Barrier(2)
+
+        def caller(i):
+            start.wait(timeout=60)
+            got[i] = [_run_bits(sys_, x, steps=12, x0=x0) for x0 in (None, np.full(sys_.n, 1j))]
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {0: want, 1: want}
+
+    @pytest.mark.parametrize("case", ["no-step", "k1", "below-floor", "basic"])
+    def test_starts_no_thread(self, generated, monkeypatch, case):
+        sys_, x = generated
+        _force_chains(monkeypatch, threaded=True)
+        if case == "below-floor":
+            monkeypatch.setattr(solvers, "_OVERLAP_MIN_NNZ", sys_.M_tilde.nnz + 1)
+        if case == "k1":
+            sys_ = dataclasses.replace(sys_, k=1)
+
+        def refused(self):
+            raise AssertionError(f"thread {self.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        scheme = "basic" if case == "basic" else "generalized"
+        run(sys_, scheme, steps=0 if case == "no-step" else 8, x0=np.full(sys_.n, 1j))
+
+
+_CHAINS_DIGEST = """
+import dataclasses, hashlib, math
+import numpy as np
+from gencheb import solvers
+from gencheb.genmat import NormalMatrixSpec, assemble_normal_system
+gen = assemble_normal_system(NormalMatrixSpec(n=1000, block_size=1000, seed=8))
+assert [op.__name__ for op, *_ in gen.system.M_tilde._runs] == ["_adjoint_dot"]
+sys_ = dataclasses.replace(gen.system, k=3)
+digests = []
+for floor in (math.inf, 0, math.inf, 0):
+    solvers._OVERLAP_MIN_NNZ, solvers._OVERLAP_MARGIN = floor, math.inf
+    digest = hashlib.sha256()
+    for x0 in (None, np.full(sys_.n, 1j)):
+        y, trace = solvers.run(sys_, "generalized", steps=60, tol=1e-10, x0=x0,
+                               reference_x=gen.x)
+        for values in (y, trace.residuals, trace.err_norms, trace.matvecs):
+            digest.update(np.asarray(values).tobytes())
+    digests.append(digest.hexdigest())
+assert len(set(digests)) == 1, digests
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_overlapped_chains_at_one_and_two_blas_threads(threads):
+    # BLAS calls from the caller and the worker at once change no bit, at
+    # either thread count, on a panel whose companion is linked to it
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _CHAINS_DIGEST], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 class TestTransformEquivalence:
