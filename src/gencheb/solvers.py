@@ -15,10 +15,11 @@ zero start.  `run` takes each residual from the product M y that the next
 step's M^k y starts with, so every run, fixed-step or to tolerance, spends
 the recurrence's products plus one.
 
-Threads: `run` hands the stepper each step's M^k y as an unfinished call,
-which a large generalized run may take on one worker thread of its own
-(`_Chains`) with the serial run's bits and products; `run` joins it before
-it returns or raises.
+Threads: `run` hands the stepper each step's M^k y as an unfinished call.
+A generalized run at k >= 2 whose Mt stores at least 2**18 entries takes
+that call on one worker thread of its own (`_Chains`), started at its first
+step that takes both chains, with the serial run's bits and products; `run`
+joins it before it returns or raises.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 import operator
 import queue
 import threading
-import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -211,15 +211,15 @@ class _BasicStepper:
     """The basic step y -> M^k y + g_k; subclasses recombine it with the
     earlier iterates they keep.
 
-    Built on the untransformed system and whether the run starts from zero,
-    it checks the scheme at the order k and spends nothing: its
-    `PowerTransform` takes a side at its first read.  `step(y, forward)`
-    takes the call that returns M^k y of the latest iterate y, None for a
-    zero y, and reports the step's recurrence cost: k products for M^k y,
-    none for M^k 0, plus what the scheme spends on the earlier iterates.
+    Built on the untransformed system, it checks the scheme at the order k
+    and spends nothing: its `PowerTransform` takes a side at its first
+    read.  `step(y, forward)` takes the call that returns M^k y of the
+    latest iterate y, or None at the first step of a run from zero, and
+    reports the step's recurrence cost: k products for M^k y, none for
+    M^k 0, plus what the scheme spends on the earlier iterates.
     """
 
-    def __init__(self, sys: IterationSystem, zero: bool):
+    def __init__(self, sys: IterationSystem):
         self.sides, self.cost = PowerTransform(sys, sys.k), sys.k
 
     def step(self, y: np.ndarray, forward) -> tuple[np.ndarray, int]:
@@ -240,10 +240,10 @@ class _ClassicalStepper(_BasicStepper):
     |lambda1|; the caller is responsible for the real-spectrum assumption.
     """
 
-    def __init__(self, sys: IterationSystem, zero: bool):
+    def __init__(self, sys: IterationSystem):
         if sys.lambda1 is None:
             raise MissingLambda1("classical scheme needs lambda1 to set rho")
-        super().__init__(sys, zero)
+        super().__init__(sys)
         rho = abs(complex(self.sides.lambda1))
         if not 0.0 < rho < 1.0:
             raise InapplicableSpectrum(f"spectral radius must lie in (0, 1), got {rho}")
@@ -272,23 +272,23 @@ class _GeneralizedStepper(_BasicStepper):
     transform) is checked upstream by the spectrum module.
     """
 
-    def __init__(self, sys: IterationSystem, zero: bool):
+    def __init__(self, sys: IterationSystem):
         if sys.M_tilde is None or sys.g_tilde is None:
             raise MissingTildeData("generalized scheme: the system has no M_tilde and g_tilde")
         if sys.lambda1 is None:
             raise MissingLambda1("generalized scheme: the system has no lambda1")
-        super().__init__(sys, zero)
+        super().__init__(sys)
         self.stream = ChebCoefficientStream(self.sides.lambda1)
         self.mt = _Workspace(sys.M_tilde, sys.k)  # Mt^k
         overlap = sys.k > 1 and sys.M_tilde.nnz >= _OVERLAP_MIN_NNZ
         self.chains = _Chains(self.mt) if overlap else None
-        self.zero = zero
         self.prev = self.prev2 = None  # y_{m-2} and y_{m-3}
 
     def step(self, y, forward):
         prev, prev2 = self.prev, self.prev2
         self.prev, self.prev2 = y, prev
         if prev is None:
+            self.zero = forward is None  # run passes None only from zero
             return super().step(y, forward)
         if prev2 is None and self.zero:  # the seed from a zero start: Mt^k 0 = 0
             (basic, cost), tilde = super().step(y, forward), self.sides.g_tilde
@@ -312,12 +312,9 @@ class _GeneralizedStepper(_BasicStepper):
 
 #: Fewest stored entries of M_tilde for which a generalized run at k >= 2
 #: takes its steps through `_Chains`.  At k = 3 and n = 20000, whole solves
-#: took 0.85 of the serial time threaded at 270k entries, and the probe's
-#: threaded period read 1.0 of the serial one at 110k (2-vCPU host, one
-#: BLAS thread).
+#: took 0.85 of the serial time threaded at 270k entries, and 0.96 at 110k
+#: (2-vCPU host, one BLAS thread).
 _OVERLAP_MIN_NNZ = 2**18
-#: Most share of the probe's serial period its threaded one may take.
-_OVERLAP_MARGIN = 0.9
 
 
 class _Chains:
@@ -325,43 +322,27 @@ class _Chains:
     k >= 2 whose Mt stores at least _OVERLAP_MIN_NNZ entries.
 
     A step's two chains are independent and each writes only its own
-    `_Workspace`, so the M^k call may run on a worker thread, with the same
+    `_Workspace`, so the M^k call runs on one worker thread, with the same
     calls and bits, while the caller takes the longer Mt^k chain (k
-    products against k - 1).  The first call starts the worker; a probe
-    times the period from each call to the next, serial for the second
-    call and overlapped for the third, and keeps the worker only if the
-    third took at most _OVERLAP_MARGIN of the second.  The worker calls
-    only private product paths, never a public function (a tracer keeps
-    one span stack per process), and `close` joins it."""
+    products against k - 1).  The first call starts the worker and `close`
+    joins it.  The worker calls only private product paths, never a public
+    function (a tracer keeps one span stack per process)."""
 
     def __init__(self, tilde: _Workspace):
-        self.tilde, self.thread, self.threaded = tilde, None, False
-        self.probe = []  # the first four calls' start times
+        self.tilde, self.thread = tilde, None
 
     def __call__(self, forward, v):
         """forward() and Mt^k v."""
-        if len(self.probe) < 4:
-            self._probe()
-        if not self.threaded:
-            return forward(), self.tilde.power(v)
+        if self.thread is None:
+            self.calls, self.results = queue.SimpleQueue(), queue.SimpleQueue()
+            self.thread = threading.Thread(target=self._serve, name="gencheb-chain", daemon=True)
+            self.thread.start()
         self.calls.put(forward)
         tilde = self.tilde.power(v)
         power, exc = self.results.get()
         if exc is not None:
             raise exc
         return power, tilde
-
-    def _probe(self):
-        probe = self.probe
-        probe.append(time.perf_counter())
-        if len(probe) == 1:  # not timed: this call touches the Mt workspace's new buffers
-            self.calls, self.results = queue.SimpleQueue(), queue.SimpleQueue()
-            self.thread = threading.Thread(target=self._serve, name="gencheb-chain", daemon=True)
-            self.thread.start()
-        elif len(probe) == 3:
-            self.threaded = True
-        elif len(probe) == 4 and probe[3] - probe[2] > _OVERLAP_MARGIN * (probe[2] - probe[1]):
-            self.close()
 
     def _serve(self):
         for call in iter(self.calls.get, None):
@@ -375,7 +356,7 @@ class _Chains:
         if self.thread is not None:
             self.calls.put(None)
             self.thread.join()
-            self.thread, self.threaded = None, False
+            self.thread = None
 
 
 _STEPPERS = {
@@ -422,7 +403,7 @@ def run(
     y = np.zeros(system.n, dtype=complex) if x0 is None else as_vector(x0, system.n, "x0")
     ref = None if reference_x is None else as_vector(reference_x, system.n, "reference_x")
     zero = not y.any()
-    stepper = stepper_class(system, zero)
+    stepper = stepper_class(system)
     power = _Workspace(system.M, system.k)
     trace = ConvergenceTrace(scheme=scheme, k=system.k)
     # One M y per iterate: its residual, and the first factor of the next M^k y.

@@ -261,7 +261,6 @@ class TestNormalSparseCommand:
         written = {}
         for threaded in (False, True):
             monkeypatch.setattr(solvers, "_OVERLAP_MIN_NNZ", 0 if threaded else math.inf)
-            monkeypatch.setattr(solvers, "_OVERLAP_MARGIN", math.inf)
             before = threading.active_count()
             if threaded and steps == "0":
                 def refused(self):

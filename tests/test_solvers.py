@@ -833,10 +833,9 @@ class TestWorkspace:
 
 
 def _force_chains(monkeypatch, threaded: bool):
-    """Take every generalized run at k >= 2 on two threads for good, or every
-    run on the caller."""
+    """Take every generalized run at k >= 2 on two threads, or every run on
+    the caller."""
     monkeypatch.setattr(solvers, "_OVERLAP_MIN_NNZ", 0 if threaded else math.inf)
-    monkeypatch.setattr(solvers, "_OVERLAP_MARGIN", math.inf)
 
 
 def _chain_threads(monkeypatch):
@@ -905,19 +904,14 @@ class TestOverlappedChains:
         # the sides: k - 1 each; and M x0
         assert spent[False] == {id(sys_.M): 3 * 12 + 2 + 1, id(sys_.M_tilde): 3 * 11 + 2}
 
-    @pytest.mark.parametrize("margin, on_worker", [(0.0, 1), (math.inf, 8)])
-    def test_the_probe_keeps_the_worker_only_when_it_is_faster(
-        self, generated, monkeypatch, margin, on_worker
-    ):
-        # from zero, steps 3 to 12 take both chains: the first two of them on
-        # the caller, the third on the worker; margin 0 calls it slower
+    def test_the_worker_takes_every_two_chain_step(self, generated, monkeypatch):
+        # from zero, steps 3 to 12 take both chains, each M^k call on the worker
         sys_, x = generated
-        monkeypatch.setattr(solvers, "_OVERLAP_MIN_NNZ", 0)
-        monkeypatch.setattr(solvers, "_OVERLAP_MARGIN", margin)
+        _force_chains(monkeypatch, threaded=True)
         threads = _chain_threads(monkeypatch)
         got = _run_bits(sys_, x, steps=12)
         caller = threading.current_thread()
-        assert sum(t is not caller for t in threads) == on_worker
+        assert sum(t is not caller for t in threads) == 10
         _force_chains(monkeypatch, threaded=False)
         assert got == _run_bits(sys_, x, steps=12)
 
@@ -975,7 +969,7 @@ class TestOverlappedChains:
         assert not any(t.is_alive() for t in threads)
         assert got == {0: want, 1: want}
 
-    @pytest.mark.parametrize("case", ["no-step", "k1", "below-floor", "basic"])
+    @pytest.mark.parametrize("case", ["no-step", "two-from-zero", "k1", "below-floor", "basic"])
     def test_starts_no_thread(self, generated, monkeypatch, case):
         sys_, x = generated
         _force_chains(monkeypatch, threaded=True)
@@ -989,7 +983,9 @@ class TestOverlappedChains:
 
         monkeypatch.setattr(threading.Thread, "start", refused)
         scheme = "basic" if case == "basic" else "generalized"
-        run(sys_, scheme, steps=0 if case == "no-step" else 8, x0=np.full(sys_.n, 1j))
+        # from zero, step 2 is the seed, which takes no Mt^k product
+        steps = {"no-step": 0, "two-from-zero": 2}.get(case, 8)
+        run(sys_, scheme, steps=steps, x0=None if case == "two-from-zero" else np.full(sys_.n, 1j))
 
 
 _CHAINS_DIGEST = """
@@ -1002,7 +998,7 @@ assert [op.__name__ for op, *_ in gen.system.M_tilde._runs] == ["_adjoint_dot"]
 sys_ = dataclasses.replace(gen.system, k=3)
 digests = []
 for floor in (math.inf, 0, math.inf, 0):
-    solvers._OVERLAP_MIN_NNZ, solvers._OVERLAP_MARGIN = floor, math.inf
+    solvers._OVERLAP_MIN_NNZ = floor
     digest = hashlib.sha256()
     for x0 in (None, np.full(sys_.n, 1j)):
         y, trace = solvers.run(sys_, "generalized", steps=60, tol=1e-10, x0=x0,
@@ -1015,14 +1011,21 @@ print("ok")
 """
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_overlapped_chains_at_one_and_two_blas_threads(threads):
+@pytest.mark.parametrize("threads, one_cpu", [("1", False), ("2", False), ("1", True)],
+                         ids=["1", "2", "1-one-cpu"])
+def test_overlapped_chains_at_one_and_two_blas_threads(threads, one_cpu):
     # BLAS calls from the caller and the worker at once change no bit, at
-    # either thread count, on a panel whose companion is linked to it
+    # either thread count, on a panel whose companion is linked to it; and
+    # a process pinned to one CPU, which takes the worker too, finishes
+    script = _CHAINS_DIGEST
+    if one_cpu:
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("os.sched_setaffinity is not available")
+        script = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})" + script
     src = os.path.dirname(os.path.dirname(solvers.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _CHAINS_DIGEST], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
