@@ -16,18 +16,16 @@ step's M^k y starts with, so every run, fixed-step or to tolerance, spends
 the recurrence's products plus one.
 
 Threads: `run` hands the stepper each step's M^k y as an unfinished call.
-A generalized run at k >= 2 whose Mt stores at least 2**18 entries takes
-that call on one worker thread of its own (`_Chains`), started at its first
-step that takes both chains, with the serial run's bits and products; `run`
-joins it before it returns or raises.
+A generalized run at k >= 2 whose Mt stores at least 2**18 entries submits
+that call to a standard-library executor of one worker, whose thread starts
+at the run's first step that takes both chains, with the serial run's bits
+and products; `run` shuts it down before it returns or raises.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import queue
-import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -280,8 +278,13 @@ class _GeneralizedStepper(_BasicStepper):
         super().__init__(sys)
         self.stream = ChebCoefficientStream(self.sides.lambda1)
         self.mt = _Workspace(sys.M_tilde, sys.k)  # Mt^k
-        overlap = sys.k > 1 and sys.M_tilde.nnz >= _OVERLAP_MIN_NNZ
-        self.chains = _Chains(self.mt) if overlap else None
+        self.worker = None
+        if sys.k > 1 and sys.M_tilde.nnz >= _OVERLAP_MIN_NNZ:
+            # imported here: most runs, and every CLI process below the
+            # floor, never overlap and never pay for the import
+            from concurrent.futures import ThreadPoolExecutor
+
+            self.worker = ThreadPoolExecutor(1, thread_name_prefix="gencheb-chain")
         self.prev = self.prev2 = None  # y_{m-2} and y_{m-3}
 
     def step(self, y, forward):
@@ -293,11 +296,14 @@ class _GeneralizedStepper(_BasicStepper):
         if prev2 is None and self.zero:  # the seed from a zero start: Mt^k 0 = 0
             (basic, cost), tilde = super().step(y, forward), self.sides.g_tilde
         else:
-            if self.chains is None:
-                power, tilde = forward(), self.mt.power(prev)
-            else:
-                power, tilde = self.chains(forward, prev)
-            basic, tilde, cost = power + self.sides.g, tilde + self.sides.g_tilde, 2 * self.cost
+            # The two chains write separate workspaces, so M^k y may run on
+            # the worker while the caller takes the longer Mt^k chain (k
+            # products against k - 1).  The worker calls only private
+            # product paths, never a public function: a tracer keeps one
+            # span stack per process.
+            power = forward if self.worker is None else self.worker.submit(forward).result
+            tilde = self.mt.power(prev) + self.sides.g_tilde
+            basic, cost = power() + self.sides.g, 2 * self.cost
         if prev2 is None:
             # the stream has not stepped yet: its window ends with f2(1/lambda1)
             lam1, f2 = self.stream.lambda1, self.stream.window[2]
@@ -306,57 +312,15 @@ class _GeneralizedStepper(_BasicStepper):
         return c1 * basic - c2 * tilde + c3 * prev2, cost
 
     def close(self):
-        if self.chains is not None:
-            self.chains.close()
+        if self.worker is not None:
+            self.worker.shutdown()
 
 
 #: Fewest stored entries of M_tilde for which a generalized run at k >= 2
-#: takes its steps through `_Chains`.  At k = 3 and n = 20000, whole solves
-#: took 0.85 of the serial time threaded at 270k entries, and 0.96 at 110k
-#: (2-vCPU host, one BLAS thread).
+#: takes each step's M^k y on its worker.  At k = 3 and n = 20000, whole
+#: solves took 0.85 of the serial time threaded at 270k entries, and 0.96 at
+#: 110k (2-vCPU host, one BLAS thread).
 _OVERLAP_MIN_NNZ = 2**18
-
-
-class _Chains:
-    """Mt^k v beside the call that returns M^k y, for one generalized run at
-    k >= 2 whose Mt stores at least _OVERLAP_MIN_NNZ entries.
-
-    A step's two chains are independent and each writes only its own
-    `_Workspace`, so the M^k call runs on one worker thread, with the same
-    calls and bits, while the caller takes the longer Mt^k chain (k
-    products against k - 1).  The first call starts the worker and `close`
-    joins it.  The worker calls only private product paths, never a public
-    function (a tracer keeps one span stack per process)."""
-
-    def __init__(self, tilde: _Workspace):
-        self.tilde, self.thread = tilde, None
-
-    def __call__(self, forward, v):
-        """forward() and Mt^k v."""
-        if self.thread is None:
-            self.calls, self.results = queue.SimpleQueue(), queue.SimpleQueue()
-            self.thread = threading.Thread(target=self._serve, name="gencheb-chain", daemon=True)
-            self.thread.start()
-        self.calls.put(forward)
-        tilde = self.tilde.power(v)
-        power, exc = self.results.get()
-        if exc is not None:
-            raise exc
-        return power, tilde
-
-    def _serve(self):
-        for call in iter(self.calls.get, None):
-            try:
-                done = call(), None
-            except BaseException as exc:  # raised again on the caller
-                done = None, exc
-            self.results.put(done)
-
-    def close(self):
-        if self.thread is not None:
-            self.calls.put(None)
-            self.thread.join()
-            self.thread = None
 
 
 _STEPPERS = {

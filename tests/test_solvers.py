@@ -915,7 +915,8 @@ class TestOverlappedChains:
         _force_chains(monkeypatch, threaded=False)
         assert got == _run_bits(sys_, x, steps=12)
 
-    @pytest.mark.parametrize("end", ["returns", "not-converged", "diverges", "worker-raises"])
+    @pytest.mark.parametrize("end", ["returns", "not-converged", "diverges", "worker-raises",
+                                     "caller-raises"])
     def test_no_thread_outlives_a_run(self, generated, monkeypatch, end):
         sys_, x = generated
         _force_chains(monkeypatch, threaded=True)
@@ -938,15 +939,30 @@ class TestOverlappedChains:
                 return finish(self)
 
             monkeypatch.setattr(solvers._Workspace, "finish", failing)
+        if end == "caller-raises":  # Mt^k fails once the worker holds an M^k call
+            finish, held = solvers._Workspace.finish, threading.Event()
+
+            def holding(self):
+                if threading.current_thread() is not caller:
+                    held.set()
+                return finish(self)
+
+            def failing(self, v):
+                assert held.wait(timeout=60)
+                raise RuntimeError("a product on the caller failed")
+
+            monkeypatch.setattr(solvers._Workspace, "finish", holding)
+            monkeypatch.setattr(solvers._Workspace, "power", failing)
         raised = {"returns": None, "not-converged": NotConverged, "diverges": Divergence,
-                  "worker-raises": RuntimeError}[end]
+                  "worker-raises": RuntimeError, "caller-raises": RuntimeError}[end]
         tol = 1e-300 if end == "not-converged" else None
         if raised is None:
             run(sys_, "generalized", steps=12)
         else:
             with pytest.raises(raised) as exc:
                 run(sys_, "generalized", steps=12, tol=tol)
-            assert end != "worker-raises" or str(exc.value) == "a product on the worker failed"
+            where = {"worker-raises": "worker", "caller-raises": "caller"}.get(end)
+            assert where is None or str(exc.value) == f"a product on the {where} failed"
         assert set(threading.enumerate()) == before
         assert end == "worker-raises" or any(t is not caller for t in threads)
 
@@ -1011,21 +1027,45 @@ print("ok")
 """
 
 
-@pytest.mark.parametrize("threads, one_cpu", [("1", False), ("2", False), ("1", True)],
-                         ids=["1", "2", "1-one-cpu"])
-def test_overlapped_chains_at_one_and_two_blas_threads(threads, one_cpu):
+_FORK_AFTER_A_THREADED_RUN = """
+import os, signal, threading
+solvers._OVERLAP_MIN_NNZ = 0
+def solve_digest():
+    y, trace = solvers.run(sys_, "generalized", steps=60, tol=1e-10, reference_x=gen.x)
+    return hashlib.sha256(np.asarray([*y, *trace.residuals]).tobytes()).hexdigest()
+want = solve_digest()
+assert threading.enumerate() == [threading.main_thread()], threading.enumerate()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)
+    try:
+        os._exit(0 if solve_digest() == want else 3)
+    finally:
+        os._exit(4)
+assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+"""
+
+
+@pytest.mark.parametrize("case", ["1", "2", "1-one-cpu", "1-fork"])
+def test_overlapped_chains_at_one_and_two_blas_threads(case):
     # BLAS calls from the caller and the worker at once change no bit, at
-    # either thread count, on a panel whose companion is linked to it; and
-    # a process pinned to one CPU, which takes the worker too, finishes
-    script = _CHAINS_DIGEST
-    if one_cpu:
+    # either thread count, on a panel whose companion is linked to it; a
+    # process pinned to one CPU, which takes the worker too, finishes; and
+    # a child forked just after a threaded run, with no thread left (which
+    # -W error enforces on Python >= 3.12), repeats the parent's bits
+    threads, script = case[0], _CHAINS_DIGEST
+    if case == "1-one-cpu":
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("os.sched_setaffinity is not available")
         script = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})" + script
+    if case == "1-fork":
+        if not hasattr(os, "fork"):
+            pytest.skip("os.fork is not available")
+        script += _FORK_AFTER_A_THREADED_RUN
     src = os.path.dirname(os.path.dirname(solvers.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
