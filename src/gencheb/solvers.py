@@ -1,9 +1,11 @@
 """Iteration schemes: basic, classical and three-term Chebyshev, in one loop.
 
-Each scheme is a stepper in one registry; `run` drives any of them at the
-system's own power-transform order k, either for a fixed number of steps or
-until a residual tolerance is met, under one divergence guard.  `solve` is
-`run` to tolerance.
+One stepper takes every scheme's steps: the basic step M^k y + g_k, which
+an accelerated scheme's coefficient rule in one registry recombines with
+earlier iterates and, for the three-term scheme, with the companion step.
+`run` drives any scheme at the system's own power-transform order k, either
+for a fixed number of steps or until a residual tolerance is met, under one
+divergence guard.  `solve` is `run` to tolerance.
 
 Cost accounting: `run` takes M^k as k products of M.  A `PowerTransform`
 takes each transformed side, (I + M + ... + M^(k-1)) g or the same of
@@ -205,31 +207,69 @@ class ConvergenceTrace:
         return float(np.exp(slope))
 
 
-class _BasicStepper:
-    """The basic step y -> M^k y + g_k; subclasses recombine it with the
-    earlier iterates they keep.
+class _Stepper:
+    """One step of any scheme: the basic step B = M^k y + g_k of the latest
+    iterate y = y_{m-1}, recombined by the scheme's rule, if it has one,
+    with the earlier iterates and, for a rule that reads it, the companion
+    step C = Mt^k y_{m-2} + gt_k.
 
     Built on the untransformed system, it checks the scheme at the order k
     and spends nothing: its `PowerTransform` takes a side at its first
-    read.  `step(y, forward)` takes the call that returns M^k y of the
-    latest iterate y, or None at the first step of a run from zero, and
-    reports the step's recurrence cost: k products for M^k y, none for
-    M^k 0, plus what the scheme spends on the earlier iterates.
+    read.  Step 1 of every scheme is the basic step.  `step(y, forward)`
+    takes the call that returns M^k y and reports the step's recurrence
+    cost: k products for each of B and C, none for M^k y_0 or Mt^k y_0 of a
+    zero start y_0 = 0, which `forward` is never called for.
     """
 
-    def __init__(self, sys: IterationSystem):
-        self.sides, self.cost = PowerTransform(sys, sys.k), sys.k
+    def __init__(self, sys: IterationSystem, scheme: str, zero: bool):
+        rule = _STEPPERS[scheme]
+        self.sides, self.cost, self.zero = PowerTransform(sys, sys.k), sys.k, zero
+        self.prev = self.prev2 = None  # y_{m-2} and y_{m-3}
+        self.rule = self.mt = self.worker = None
+        if rule is None:
+            return
+        if rule.companion and (sys.M_tilde is None or sys.g_tilde is None):
+            raise MissingTildeData(f"{scheme} scheme: the system has no M_tilde and g_tilde")
+        if sys.lambda1 is None:
+            raise MissingLambda1(f"{scheme} scheme: the system has no lambda1")
+        self.rule = rule(self.sides.lambda1)
+        if rule.companion:
+            self.mt = _Workspace(sys.M_tilde, sys.k)  # Mt^k
+            if sys.k > 1 and sys.M_tilde.nnz >= _OVERLAP_MIN_NNZ:
+                # imported here: most runs, and every CLI process below the
+                # floor, never overlap and never pay for the import
+                from concurrent.futures import ThreadPoolExecutor
+
+                self.worker = ThreadPoolExecutor(1, thread_name_prefix="gencheb-chain")
 
     def step(self, y: np.ndarray, forward) -> tuple[np.ndarray, int]:
-        if forward is None:
-            return self.sides.g.copy(), 0  # never alias g
-        return forward() + self.sides.g, self.cost
+        prev, prev2 = self.prev, self.prev2
+        self.prev, self.prev2 = y, prev
+        if prev is None and self.zero:
+            return self.sides.g.copy(), 0  # M^k 0 = 0; never alias g
+        if prev is None or self.rule is None:
+            return forward() + self.sides.g, self.cost
+        tilde, cost = None, self.cost
+        if self.mt is not None and prev2 is None and self.zero:
+            tilde = self.sides.g_tilde  # the seed from a zero start: Mt^k 0 = 0
+        elif self.mt is not None:
+            # The two chains write separate workspaces, so M^k y may run on
+            # the worker while the caller takes the longer Mt^k chain (k
+            # products against k - 1).  The worker calls only private
+            # product paths, never a public function: a tracer keeps one
+            # span stack per process.
+            if self.worker is not None:
+                forward = self.worker.submit(forward).result
+            tilde, cost = self.mt.power(prev) + self.sides.g_tilde, 2 * cost
+        return self.rule.combine(forward() + self.sides.g, tilde, prev, prev2), cost
 
     def close(self) -> None:
-        """End the run: a stepper that started a thread joins it."""
+        """End the run: join the worker's thread, if one started."""
+        if self.worker is not None:
+            self.worker.shutdown()
 
 
-class _ClassicalStepper(_BasicStepper):
+class _Classical:
     """Classical Chebyshev acceleration with Golub and Varga's weights.
 
     From step 2, y_m = y_{m-2} + w_m (M y_{m-1} + g - y_{m-2}) with
@@ -238,27 +278,20 @@ class _ClassicalStepper(_BasicStepper):
     |lambda1|; the caller is responsible for the real-spectrum assumption.
     """
 
-    def __init__(self, sys: IterationSystem):
-        if sys.lambda1 is None:
-            raise MissingLambda1("classical scheme needs lambda1 to set rho")
-        super().__init__(sys)
-        rho = abs(complex(self.sides.lambda1))
+    companion = False
+
+    def __init__(self, lambda1: complex):
+        rho = abs(complex(lambda1))
         if not 0.0 < rho < 1.0:
             raise InapplicableSpectrum(f"spectral radius must lie in (0, 1), got {rho}")
-        self.quarter_rho2 = rho * rho / 4.0
-        self.weight = 2.0
-        self.prev = None  # y_{m-2}
+        self.quarter_rho2, self.weight = rho * rho / 4.0, 2.0
 
-    def step(self, y, forward):
-        basic, cost = super().step(y, forward)
-        if self.prev is not None:
-            self.weight = 1.0 / (1.0 - self.quarter_rho2 * self.weight)
-            basic = self.prev + self.weight * (basic - self.prev)
-        self.prev = y
-        return basic, cost
+    def combine(self, basic, tilde, prev, prev2):
+        self.weight = 1.0 / (1.0 - self.quarter_rho2 * self.weight)
+        return prev + self.weight * (basic - prev)
 
 
-class _GeneralizedStepper(_BasicStepper):
+class _Generalized:
     """Three-term scheme with coefficients from the f-ratio stream.
 
     Seeding: y1 is one basic step; y2 is the affine combination
@@ -270,50 +303,18 @@ class _GeneralizedStepper(_BasicStepper):
     transform) is checked upstream by the spectrum module.
     """
 
-    def __init__(self, sys: IterationSystem):
-        if sys.M_tilde is None or sys.g_tilde is None:
-            raise MissingTildeData("generalized scheme: the system has no M_tilde and g_tilde")
-        if sys.lambda1 is None:
-            raise MissingLambda1("generalized scheme: the system has no lambda1")
-        super().__init__(sys)
-        self.stream = ChebCoefficientStream(self.sides.lambda1)
-        self.mt = _Workspace(sys.M_tilde, sys.k)  # Mt^k
-        self.worker = None
-        if sys.k > 1 and sys.M_tilde.nnz >= _OVERLAP_MIN_NNZ:
-            # imported here: most runs, and every CLI process below the
-            # floor, never overlap and never pay for the import
-            from concurrent.futures import ThreadPoolExecutor
+    companion = True
 
-            self.worker = ThreadPoolExecutor(1, thread_name_prefix="gencheb-chain")
-        self.prev = self.prev2 = None  # y_{m-2} and y_{m-3}
+    def __init__(self, lambda1: complex):
+        self.stream = ChebCoefficientStream(lambda1)
 
-    def step(self, y, forward):
-        prev, prev2 = self.prev, self.prev2
-        self.prev, self.prev2 = y, prev
-        if prev is None:
-            self.zero = forward is None  # run passes None only from zero
-            return super().step(y, forward)
-        if prev2 is None and self.zero:  # the seed from a zero start: Mt^k 0 = 0
-            (basic, cost), tilde = super().step(y, forward), self.sides.g_tilde
-        else:
-            # The two chains write separate workspaces, so M^k y may run on
-            # the worker while the caller takes the longer Mt^k chain (k
-            # products against k - 1).  The worker calls only private
-            # product paths, never a public function: a tracer keeps one
-            # span stack per process.
-            power = forward if self.worker is None else self.worker.submit(forward).result
-            tilde = self.mt.power(prev) + self.sides.g_tilde
-            basic, cost = power() + self.sides.g, 2 * self.cost
+    def combine(self, basic, tilde, prev, prev2):
         if prev2 is None:
             # the stream has not stepped yet: its window ends with f2(1/lambda1)
             lam1, f2 = self.stream.lambda1, self.stream.window[2]
-            return (3 * basic / lam1**2 - 2 * tilde / lam1.conjugate()) / f2, cost
+            return (3 * basic / lam1**2 - 2 * tilde / lam1.conjugate()) / f2
         c1, c2, c3 = self.stream.step()
-        return c1 * basic - c2 * tilde + c3 * prev2, cost
-
-    def close(self):
-        if self.worker is not None:
-            self.worker.shutdown()
+        return c1 * basic - c2 * tilde + c3 * prev2
 
 
 #: Fewest stored entries of M_tilde for which a generalized run at k >= 2
@@ -323,11 +324,8 @@ class _GeneralizedStepper(_BasicStepper):
 _OVERLAP_MIN_NNZ = 2**18
 
 
-_STEPPERS = {
-    "basic": _BasicStepper,
-    "classical": _ClassicalStepper,
-    "generalized": _GeneralizedStepper,
-}
+#: Each scheme's coefficient rule; the basic scheme has none.
+_STEPPERS = {"basic": None, "classical": _Classical, "generalized": _Generalized}
 
 SCHEMES = tuple(_STEPPERS)
 
@@ -355,8 +353,7 @@ def run(
     of no step checks the scheme at `system.k` and spends no product but the
     initial residual's M x0, none from zero.
     """
-    stepper_class = _STEPPERS.get(scheme)
-    if stepper_class is None:
+    if scheme not in _STEPPERS:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -367,26 +364,25 @@ def run(
     y = np.zeros(system.n, dtype=complex) if x0 is None else as_vector(x0, system.n, "x0")
     ref = None if reference_x is None else as_vector(reference_x, system.n, "reference_x")
     zero = not y.any()
-    stepper = stepper_class(system)
+    stepper = _Stepper(system, scheme, zero)
     power = _Workspace(system.M, system.k)
     trace = ConvergenceTrace(scheme=scheme, k=system.k)
     # One M y per iterate: its residual, and the first factor of the next M^k y.
-    # A zero start has M y = 0 (None) and residual |g| at no product.
+    # A zero start has M y = 0 and residual |g| at no product.
     g_norm = _norm(system.g)
-    my = None if zero else power.first(y)
-    residual = trace.initial_residual = g_norm if my is None else system.residual_norm(y, my)
+    residual = g_norm if zero else system.residual_norm(y, power.first(y))
+    trace.initial_residual = residual
     if ref is not None:
         trace.initial_err = _norm(ref - y)
     target = -math.inf if tol is None else tol * g_norm
     guard = DIVERGENCE_GUARD * max(residual, g_norm)
-    best, best_residual, finish = y, residual, power.finish
+    best, best_residual = y, residual
     try:
         for _ in range(steps):
             if residual <= target:
                 break
-            y, cost = stepper.step(y, None if my is None else finish)
-            my = power.first(y)
-            residual = system.residual_norm(y, my)
+            y, cost = stepper.step(y, power.finish)
+            residual = system.residual_norm(y, power.first(y))
             trace.append(None if ref is None else _norm(ref - y), residual, cost)
             if residual < best_residual:
                 best, best_residual = y, residual

@@ -108,6 +108,24 @@ class TestDeltoid:
         z = (2 * np.exp(1j * t) + np.exp(-2j * t)) / 3.0
         assert np.max(np.abs(membership_defect(z))) <= 1e-12
 
+    @settings(max_examples=200)
+    @given(t=st.floats(-np.pi, np.pi), r=st.floats(0.0, 3.0))
+    @example(t=0.0, r=1 - 1e-3)
+    @example(t=0.0, r=1 + 1e-3)
+    @example(t=2 * np.pi / 3, r=1 + 1e-3)
+    @example(t=np.pi, r=1.0)
+    def test_defect_sign_along_rays_through_the_boundary(self, t, r):
+        # the deltoid is star-shaped about 0, so each ray r b(t) leaves it at
+        # r = 1; near a cusp r = 1 + 1e-3 has a defect of only about 4e-9,
+        # inside the membership slack, so outside only the sign is checked
+        z = r * (2 * np.exp(1j * t) + np.exp(-2j * t)) / 3.0
+        if r <= 1 - 1e-3:
+            assert membership_defect(z) < 0
+        if r >= 1 + 1e-3:
+            assert membership_defect(z) > 0
+        if r <= 1:
+            assert deltoid_contains(z)
+
     def test_quartic_nonpositive_on_phi1_grid(self):
         t1, t2 = np.meshgrid(np.linspace(0, 1, 100), np.linspace(0, 1, 100))
         vals = phi1(t1, t2)

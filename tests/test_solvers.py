@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gencheb.errors import (
@@ -19,7 +19,7 @@ from gencheb.errors import (
     NotConverged,
 )
 from gencheb import solvers
-from gencheb.cheb_kernel import ChebCoefficientStream
+from gencheb.cheb_kernel import _FLOOR, ChebCoefficientStream
 from gencheb.genmat import NormalMatrixSpec, assemble_normal_system, example33_fixture
 from gencheb.linalg import ComplexSparseMatrix
 from gencheb.solvers import (
@@ -265,6 +265,22 @@ class TestGeneralized:
         iterates = run_iterates(sys_, "generalized", 100, x0=x, reference_x=x)
         for it in iterates:
             assert np.linalg.norm(it - x) <= 1e-11
+
+    @settings(max_examples=200)
+    @given(log_modulus=st.floats(np.log(_FLOOR), 0.0, exclude_max=True),
+           argument=st.floats(-np.pi, np.pi))
+    @example(log_modulus=np.log(_FLOOR), argument=0.0)
+    @example(log_modulus=np.log(_FLOOR), argument=2 * np.pi / 3)
+    @example(log_modulus=np.log(0.9), argument=2 * np.pi / 3)
+    @example(log_modulus=np.log(0.9), argument=-2 * np.pi / 3)
+    def test_seed_weights_sum_to_one(self, log_modulus, argument):
+        # the seed (3 B / lambda1^2 - 2 C / conj(lambda1)) / f2(1/lambda1) of
+        # B = C = 1 is the sum of its weights
+        lam = np.exp(log_modulus) * np.exp(1j * argument)
+        assume(_FLOOR <= abs(lam) < 1.0)
+        one = np.ones(1, dtype=complex)
+        seed = solvers._Generalized(lam).combine(one, one, None, None)
+        assert abs(seed[0] - 1.0) <= 1e-12
 
     def test_diagonal_matches_scalar_formula(self):
         # small spot check; the full oracle suite lives in the acceptance tests
